@@ -10,8 +10,10 @@ bit-packed rows (bit j of a row lives in word j >> 6 at position j & 63,
 bits at column indices >= ncols must be zero) and is reduced in place.
 With ``full=True`` the array is left in reduced row echelon form (which is
 unique, so the two backends produce identical arrays); with ``full=False``
-only (rank, pivot_cols) are contractual and the rows merely span the same
-row space.
+it is left in row echelon form: row i's first set bit is ``pivot_cols[i]``
+(ascending) and every row from ``rank`` down is zero.  The bits right of
+each pivot may differ between backends; they span the same row space.
+``gf2.solve`` back-substitutes on the ``full=False`` form.
 
 The extension is preferred; set XORSATLAB_FORCE_FALLBACK=1 (read once, at
 import) to force the pure-Python kernels.  Only

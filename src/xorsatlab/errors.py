@@ -11,3 +11,7 @@ class RejectionBudgetError(XorsatLabError):
 
 class BudgetExceededError(XorsatLabError):
     """An exact/brute-force routine was asked to exceed its size guard."""
+
+
+class InstanceFormatError(XorsatLabError, ValueError):
+    """An instance file or JSON object is truncated, malformed or invalid."""

@@ -171,7 +171,7 @@ def _task_census(params: dict, point_idx: int, trial_idx: int) -> dict:
     k, n, m = params["k"], params["n"], params["m"]
     inst = gen_constrained(k, m, n, seed)
     mat = BitMatrix.from_sparse_rows(n, inst.rows)
-    res = _solve_instance(inst.rows, inst.rhs, n)
+    res = solve(mat, inst.rhs)
     nullity = m - res.rank
     critical = (1 << nullity) - 1
     identity_ok = ""

@@ -6,13 +6,16 @@ which is what `count_critical_sets` returns (exactly, as a Python int).
 All operations leave their inputs unchanged (they work on copies).
 
 Elimination is plain word-packed Gaussian elimination with partial pivoting
-by first set bit; the inner loop lives in xorsatlab._kernel (compiled
-extension when available, pure-Python big-int fallback otherwise).
+by first set bit, forward only (row echelon form); the inner loop lives in
+xorsatlab._kernel (compiled extension when available, pure-Python big-int
+fallback otherwise).  `solve` back-substitutes on the echelon rows.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,11 +88,20 @@ class BitMatrix:
         """Build from per-row column index lists; repeated indices toggle (parity)."""
         index_rows = list(index_rows)
         mat = cls.zeros(len(index_rows), cols)
-        for i, idxs in enumerate(index_rows):
-            for j in idxs:
-                if not 0 <= j < cols:
-                    raise ValueError(f"column index {j} out of range [0, {cols})")
-                mat.data[i, j >> 6] ^= np.uint64(1) << np.uint64(j & 63)
+        lengths = [len(idxs) for idxs in index_rows]
+        try:
+            flat = np.fromiter(
+                map(operator.index, chain.from_iterable(index_rows)), dtype=np.int64, count=sum(lengths)
+            )
+        except OverflowError:
+            flat = None
+        if flat is None or (flat.size and (flat.min() < 0 or flat.max() >= cols)):
+            bad = next(j for idxs in index_rows for j in idxs if not 0 <= j < cols)
+            raise ValueError(f"column index {bad} out of range [0, {cols})")
+        # one unbuffered XOR per index, so repeats cancel in pairs
+        word = np.repeat(np.arange(len(index_rows), dtype=np.int64), lengths) * mat.data.shape[1] + (flat >> 6)
+        bit = np.left_shift(np.uint64(1), (flat & 63).astype(np.uint64))
+        np.bitwise_xor.at(mat.data.reshape(-1), word, bit)
         return mat
 
     @classmethod
@@ -151,24 +163,34 @@ def rank(mat: BitMatrix) -> int:
 
 
 def solve(mat: BitMatrix, b: Sequence[int]) -> SolveResult:
-    """Solve A x = b; raises ValueError on a row-count/length mismatch."""
+    """Solve A x = b; raises ValueError on a row-count/length mismatch.
+
+    Forward elimination of [A | b] to row echelon form, then
+    back-substitution over the pivot rows, last pivot first.
+    """
     b = np.asarray(b, dtype=np.uint8)
     if b.shape != (mat.rows,):
         raise ValueError(f"rhs length {b.shape} does not match {mat.rows} rows")
     aug_cols = mat.cols + 1
     aug = np.zeros((mat.rows, _words_for(aug_cols)), dtype=np.uint64)
     aug[:, : mat.data.shape[1]] = mat.data
-    word, bit = mat.cols >> 6, mat.cols & 63
-    aug[:, word] |= b.astype(np.uint64) << np.uint64(bit)
-    _, pivots = eliminate_words(aug, aug_cols, True)
+    aug[:, mat.cols >> 6] |= b.astype(np.uint64) << np.uint64(mat.cols & 63)
+    _, pivots = eliminate_words(aug, aug_cols, False)
     rank_a = sum(1 for p in pivots if p < mat.cols)
-    consistent = len(pivots) == rank_a
-    if not consistent:
+    if len(pivots) != rank_a:
         return SolveResult(False, rank_a, None, None)
-    x = np.zeros(mat.cols, dtype=np.uint8)
-    for row, p in enumerate(pivots):
-        x[p] = (int(aug[row, word]) >> bit) & 1
-    return SolveResult(True, rank_a, x, mat.cols - rank_a)
+    # x carries the rhs bit at column `cols`, so a row's parity against it
+    # is (row . x) + b_row; free variables stay 0.
+    x = 1 << mat.cols
+    nbytes = aug.shape[1] * 8
+    echelon = aug[:rank_a].tobytes()
+    for row in range(rank_a - 1, -1, -1):
+        r = int.from_bytes(echelon[row * nbytes : (row + 1) * nbytes], "little")
+        if (r & x).bit_count() & 1:
+            x |= 1 << pivots[row]
+    packed = np.frombuffer(x.to_bytes(nbytes, "little"), dtype=np.uint8)
+    one = np.unpackbits(packed, bitorder="little")[: mat.cols]
+    return SolveResult(True, rank_a, one, mat.cols - rank_a)
 
 
 def nullity_transpose(mat: BitMatrix) -> int:

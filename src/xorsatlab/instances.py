@@ -28,10 +28,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
-from xorsatlab.errors import BudgetExceededError, RejectionBudgetError
+from xorsatlab.errors import BudgetExceededError, InstanceFormatError, RejectionBudgetError
 from xorsatlab.formulas import gamma as _gamma
 from xorsatlab.formulas import lambda_of
 from xorsatlab.rng import Seed
@@ -68,28 +69,35 @@ class Instance:
     seed: Seed | None = None
 
     def validate(self) -> None:
+        """Raise InstanceFormatError unless this is a well-formed instance of its model."""
         if self.model_tag not in _MODELS:
-            raise ValueError(f"unknown model_tag {self.model_tag!r}")
+            raise InstanceFormatError(f"unknown model_tag {self.model_tag!r}")
+        if self.k < 1 or self.n < 0:
+            raise InstanceFormatError(f"need k >= 1 and n >= 0, got k={self.k}, n={self.n}")
         if len(self.rows) != self.m or len(self.rhs) != self.m:
-            raise ValueError("row/rhs count does not match m")
-        degree = np.zeros(self.n, dtype=np.int64)
+            raise InstanceFormatError("row/rhs count does not match m")
         for row in self.rows:
             if len(row) != self.k:
-                raise ValueError("row weight does not match k")
+                raise InstanceFormatError("row weight does not match k")
             for a, b in zip(row, row[1:]):
                 if self.model_tag == MODEL_RELAXED:
                     if b < a:
-                        raise ValueError("relaxed rows must be sorted")
+                        raise InstanceFormatError("relaxed rows must be sorted")
                 elif b <= a:
-                    raise ValueError("row indices must be strictly increasing")
+                    raise InstanceFormatError("row indices must be strictly increasing")
             for j in row:
                 if not 0 <= j < self.n:
-                    raise ValueError(f"variable index {j} out of range")
-                degree[j] += 1
+                    raise InstanceFormatError(f"variable index {j} out of range")
         if any(b not in (0, 1) for b in self.rhs):
-            raise ValueError("rhs must be 0/1")
-        if self.model_tag == MODEL_CONSTRAINED and self.n and degree.min() < 2:
-            raise ValueError("constrained instance has a variable of degree < 2")
+            raise InstanceFormatError("rhs must be 0/1")
+        if self.model_tag == MODEL_CONSTRAINED and self.n:
+            # n degrees of at least 2 need 2n of the km row slots; checked
+            # first so an absurd n is refused before the tally is allocated
+            km = self.k * self.m
+            if 2 * self.n > km or np.bincount(
+                np.fromiter(chain.from_iterable(self.rows), dtype=np.int64, count=km), minlength=self.n
+            ).min() < 2:
+                raise InstanceFormatError("constrained instance has a variable of degree < 2")
 
     # -- serialization ------------------------------------------------------
 
@@ -110,14 +118,23 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Instance":
-        seed = Seed.from_dict(d["seed"]) if d.get("seed") else None
+        """Parse `to_json_dict` output; raise InstanceFormatError on a missing or
+        mistyped key or an invalid instance."""
+        if not isinstance(d, dict):
+            raise InstanceFormatError(f"instance JSON must be an object, not {type(d).__name__}")
+        seed = d.get("seed")
+        if seed is not None:
+            if not isinstance(seed, dict):
+                raise InstanceFormatError("instance JSON 'seed' must be an object or null")
+            stream = _json_field(seed, "stream", _is_int) if "stream" in seed else 0
+            seed = Seed(_json_field(seed, "master", _is_int), stream)
         inst = cls(
-            k=int(d["k"]),
-            n=int(d["n"]),
-            m=int(d["m"]),
-            rows=[[int(j) for j in row] for row in d["rows"]],
-            rhs=[int(b) for b in d["rhs"]],
-            model_tag=str(d["model_tag"]),
+            k=_json_field(d, "k", _is_int),
+            n=_json_field(d, "n", _is_int),
+            m=_json_field(d, "m", _is_int),
+            rows=[list(row) for row in _json_field(d, "rows", lambda v: _is_list_of(v, _is_int_list))],
+            rhs=list(_json_field(d, "rhs", _is_int_list)),
+            model_tag=_json_field(d, "model_tag", lambda v: isinstance(v, str)),
             seed=seed,
         )
         inst.validate()
@@ -125,7 +142,11 @@ class Instance:
 
     @classmethod
     def loads(cls, text: str) -> "Instance":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InstanceFormatError(f"instance file is not JSON: {exc}") from None
+        return cls.from_json_dict(d)
 
     def to_bytes(self) -> bytes:
         """Compact binary: magic "XLI1", varint k/n/m, model byte, optional
@@ -151,22 +172,39 @@ class Instance:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Instance":
+        """Parse `to_bytes` output.
+
+        Raises InstanceFormatError unless `blob` is exactly one canonical
+        encoding of a valid instance: truncation, a bad model or seed byte,
+        non-canonical varints, nonzero rhs padding and trailing bytes are all
+        refused, so every accepted blob round-trips byte for byte.
+        """
         if blob[:4] != b"XLI1":
-            raise ValueError("bad magic; not an xorsatlab binary instance")
+            raise InstanceFormatError("bad magic; not an xorsatlab binary instance")
         pos = 4
         k, pos = _get_varint(blob, pos)
         n, pos = _get_varint(blob, pos)
         m, pos = _get_varint(blob, pos)
+        if pos + 2 > len(blob):
+            raise InstanceFormatError("truncated header")
+        if blob[pos] >= len(_MODELS):
+            raise InstanceFormatError(f"bad model byte {blob[pos]}")
         model = _MODELS[blob[pos]]
-        pos += 1
+        has_seed = blob[pos + 1]
+        pos += 2
+        if has_seed > 1:
+            raise InstanceFormatError(f"bad seed flag {has_seed}")
         seed = None
-        if blob[pos]:
-            master = int.from_bytes(blob[pos + 1 : pos + 9], "little")
-            stream = int.from_bytes(blob[pos + 9 : pos + 17], "little")
-            seed = Seed(master, stream)
-            pos += 17
-        else:
-            pos += 1
+        if has_seed:
+            if pos + 16 > len(blob):
+                raise InstanceFormatError("truncated seed")
+            master = int.from_bytes(blob[pos : pos + 8], "little")
+            seed = Seed(master, int.from_bytes(blob[pos + 8 : pos + 16], "little"))
+            pos += 16
+        nbytes = (m + 7) // 8
+        # each row index takes at least one byte: refuse sizes before allocating
+        if m * k + nbytes > len(blob) - pos:
+            raise InstanceFormatError(f"{len(blob) - pos} bytes cannot hold {m} rows of {k} indices")
         rows = []
         for _ in range(m):
             first, pos = _get_varint(blob, pos)
@@ -175,9 +213,12 @@ class Instance:
                 gap, pos = _get_varint(blob, pos)
                 row.append(row[-1] + gap)
             rows.append(row)
-        nbytes = (m + 7) // 8
-        bits = np.unpackbits(np.frombuffer(blob[pos : pos + nbytes], dtype=np.uint8), bitorder="little")
-        inst = cls(k, n, m, rows, [int(b) for b in bits[:m]], model, seed)
+        if len(blob) - pos != nbytes:
+            raise InstanceFormatError(f"expected {nbytes} rhs bytes, found {len(blob) - pos}")
+        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, count=nbytes, offset=pos), bitorder="little")
+        if bits[m:].any():
+            raise InstanceFormatError("nonzero padding after the rhs bits")
+        inst = cls(k, n, m, rows, bits[:m].tolist(), model, seed)
         inst.validate()
         return inst
 
@@ -192,15 +233,40 @@ def _put_varint(out: bytearray, v: int) -> None:
 
 
 def _get_varint(blob: bytes, pos: int) -> tuple[int, int]:
+    start = pos
     shift = 0
     v = 0
     while True:
+        if pos >= len(blob):
+            raise InstanceFormatError(f"truncated varint at byte {start}")
         b = blob[pos]
         pos += 1
         v |= (b & 0x7F) << shift
         if not b & 0x80:
+            if b == 0 and pos - start > 1:
+                raise InstanceFormatError(f"non-canonical varint at byte {start}")
             return v, pos
         shift += 7
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list_of(v, ok) -> bool:
+    return isinstance(v, list) and all(map(ok, v))
+
+
+def _is_int_list(v) -> bool:
+    return _is_list_of(v, _is_int)
+
+
+def _json_field(d: dict, key: str, ok):
+    if key not in d:
+        raise InstanceFormatError(f"instance JSON has no {key!r}")
+    if not ok(d[key]):
+        raise InstanceFormatError(f"instance JSON {key!r} has the wrong type")
+    return d[key]
 
 
 # ---------------------------------------------------------------------------

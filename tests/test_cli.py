@@ -115,6 +115,22 @@ def test_domain_error_exit_1():
     assert "error:" in err
 
 
+def test_corrupt_instance_files_exit_1(tmp_path):
+    good = tmp_path / "inst.bin"
+    run_cli(["gen", "--k", "3", "--n", "40", "--c", "0.8", "--seed", "1", "--out", str(good)])
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(good.read_bytes()[:-7])
+    no_m = tmp_path / "no_m.json"
+    no_m.write_text(json.dumps({"k": 3, "n": 4}))
+    for cmd in ("solve", "peel"):
+        for path in (truncated, no_m):
+            code, out, err = run_cli([cmd, "--in", str(path)])
+            assert code == 1 and out == ""
+            config, *rest = err.splitlines()
+            assert config.startswith("config:")
+            assert len(rest) == 1 and rest[0].startswith("error: "), err
+
+
 def test_usage_error_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "xorsatlab.cli", "frobnicate"],

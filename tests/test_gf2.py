@@ -10,6 +10,7 @@ from xorsatlab._kernel import fallback
 from xorsatlab.errors import BudgetExceededError
 from xorsatlab.gf2 import (
     BitMatrix,
+    SolveResult,
     brute_force_critical_sets,
     count_critical_sets,
     matvec,
@@ -188,7 +189,21 @@ def test_backends_agree_on_rref(rng):
         a3 = mat.data.copy()
         r3, p3 = fallback.eliminate_words(a3, n, False)
         assert (r3, p3) == (r1, p1)
+        # full=False leaves row echelon form, which solve back-substitutes on
+        assert_row_echelon(a3, r3, p3)
+        a4 = mat.data.copy()
+        r4, p4 = eliminate_words(a4, n, False)
+        assert (r4, p4) == (r1, p1)
+        assert_row_echelon(a4, r4, p4)
     assert KERNEL_BACKEND in ("ext", "python")
+
+
+def assert_row_echelon(a: np.ndarray, r: int, pivots: list[int]) -> None:
+    rows = BitMatrix(a.shape[0], a.shape[1] * 64, a).row_ints()
+    assert pivots == sorted(set(pivots)) and len(pivots) == r
+    for i, p in enumerate(pivots):
+        assert (rows[i] & -rows[i]).bit_length() - 1 == p
+    assert not any(rows[r:])
 
 
 def test_fallback_env_selection():
@@ -247,3 +262,129 @@ def test_solve_at_word_boundaries(rng):
         ident = BitMatrix.identity(cols)
         res = solve(ident, b)
         assert res.consistent and (res.one_solution == b).all()
+
+
+def reference_solve(mat: BitMatrix, b) -> SolveResult:
+    """The RREF solver `solve` replaced: full reduction, x read off the pivot rows."""
+    b = np.asarray(b, dtype=np.uint8)
+    aug_cols = mat.cols + 1
+    aug = np.zeros((mat.rows, (aug_cols + 63) // 64), dtype=np.uint64)
+    aug[:, : mat.data.shape[1]] = mat.data
+    word, bit = mat.cols >> 6, mat.cols & 63
+    aug[:, word] |= b.astype(np.uint64) << np.uint64(bit)
+    _, pivots = fallback.eliminate_words(aug, aug_cols, True)
+    rank_a = sum(1 for p in pivots if p < mat.cols)
+    if len(pivots) != rank_a:
+        return SolveResult(False, rank_a, None, None)
+    x = np.zeros(mat.cols, dtype=np.uint8)
+    for row, p in enumerate(pivots):
+        x[p] = (int(aug[row, word]) >> bit) & 1
+    return SolveResult(True, rank_a, x, mat.cols - rank_a)
+
+
+def assert_same_result(got: SolveResult, want: SolveResult) -> None:
+    assert (got.consistent, got.rank, got.solution_count_log2) == (want.consistent, want.rank, want.solution_count_log2)
+    if want.one_solution is None:
+        assert got.one_solution is None
+    else:
+        assert got.one_solution.dtype == np.uint8 and got.one_solution.shape == want.one_solution.shape
+        assert got.one_solution.tobytes() == want.one_solution.tobytes()
+
+
+def solve_cases(rng):
+    """(matrix, rhs) pairs: every shape and rank regime solve has to get right."""
+    for cols in (0, 1, 63, 64, 65, 127, 128):
+        for rows in sorted({0, 1, cols // 2, cols, cols + 7}):
+            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+            yield BitMatrix.from_dense(dense), rng.integers(0, 2, size=rows)
+            if rows > 1:
+                # rank-deficient: duplicated rows; a consistent and a random rhs
+                low = dense.copy()
+                low[rows // 2 :] = low[: rows - rows // 2]
+                low_mat = BitMatrix.from_dense(low)
+                x = rng.integers(0, 2, size=cols, dtype=np.uint8)
+                yield low_mat, matvec(low_mat, x) if cols else np.zeros(rows, dtype=np.uint8)
+                yield low_mat, rng.integers(0, 2, size=rows)
+            if cols >= 3:
+                sparse = [rng.choice(cols, size=3, replace=False) for _ in range(rows)]
+                yield BitMatrix.from_sparse_rows(cols, sparse), rng.integers(0, 2, size=rows)
+    # inconsistent by construction: a zero row with rhs 1
+    yield BitMatrix.zeros(4, 70), np.array([0, 1, 0, 0])
+
+
+@pytest.mark.parametrize("kernel", ["default", "fallback"])
+def test_solve_matches_rref_reference(rng, monkeypatch, kernel):
+    from xorsatlab import gf2
+    from xorsatlab.instances import gen_unconstrained
+    from xorsatlab.peel import two_core
+    from xorsatlab.rng import Seed
+
+    if kernel == "fallback":
+        monkeypatch.setattr(gf2, "eliminate_words", fallback.eliminate_words)
+    seen = set()
+    for mat, b in solve_cases(rng):
+        got = solve(mat, b)
+        assert_same_result(got, reference_solve(mat, b))
+        seen.add(got.consistent)
+    assert seen == {True, False}
+    # real 2-cores on both sides of c*_3 = 0.918
+    for i, c in enumerate((0.8, 0.9, 0.95, 1.0)):
+        inst = gen_unconstrained(3, round(c * 300), 300, Seed(11, i))
+        core, _, _ = two_core(inst)
+        mat = BitMatrix.from_sparse_rows(core.n, core.rows)
+        assert_same_result(solve(mat, core.rhs), reference_solve(mat, core.rhs))
+
+
+def reference_from_sparse_rows(cols: int, index_rows) -> BitMatrix:
+    """The per-bit loop `from_sparse_rows` replaced."""
+    index_rows = list(index_rows)
+    mat = BitMatrix.zeros(len(index_rows), cols)
+    for i, idxs in enumerate(index_rows):
+        for j in idxs:
+            if not 0 <= j < cols:
+                raise ValueError(f"column index {j} out of range [0, {cols})")
+            mat.data[i, j >> 6] ^= np.uint64(1) << np.uint64(j & 63)
+    return mat
+
+
+def test_from_sparse_rows_matches_bit_loop(rng):
+    cases = [
+        (6, [[0, 3, 3, 5], [1]]),
+        (6, [[2, 2], [], [4, 4, 4]]),  # repeats toggle, empty rows
+        (5, []),
+        (0, [[], []]),
+        (64, [[0, 63, 63, 1], [32]]),
+        (65, [[64, 0, 64, 64], [], [63, 64]]),
+        (130, [np.array([129, 0, 64], dtype=np.int32), [np.uint16(65), np.int64(129)]]),
+    ]
+    for cols in (1, 63, 64, 65, 200):
+        rows = [rng.integers(0, cols, size=int(rng.integers(0, 6))) for _ in range(int(rng.integers(0, 30)))]
+        cases.append((cols, rows))
+        cases.append((cols, [r.tolist() for r in rows]))
+    for cols, rows in cases:
+        got = BitMatrix.from_sparse_rows(cols, iter(rows))
+        want = reference_from_sparse_rows(cols, rows)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.data.dtype == np.uint64 and got.data.shape == want.data.shape
+        assert (got.data == want.data).all()
+    for impl in (BitMatrix.from_sparse_rows, reference_from_sparse_rows):
+        with pytest.raises(TypeError):
+            impl(5, [[1, 2.0]])
+
+
+@pytest.mark.parametrize(
+    "cols, rows, bad",
+    [
+        (5, [[0, 1], [4, 5, -1]], "5"),
+        (5, [[0, -1], [7]], "-1"),
+        (64, [[], [np.int64(64)]], "64"),
+        (0, [[0]], "0"),
+        (3, [[1], [2**70, 3]], str(2**70)),
+        (3, [[np.uint64(2**64 - 1)]], str(2**64 - 1)),  # wraps negative as int64
+    ],
+)
+def test_from_sparse_rows_names_first_bad_index(cols, rows, bad):
+    with pytest.raises(ValueError, match=rf"^column index {bad} out of range \[0, {cols}\)$"):
+        BitMatrix.from_sparse_rows(cols, rows)
+    with pytest.raises(ValueError, match=rf"^column index {bad} out of range"):
+        reference_from_sparse_rows(cols, rows)

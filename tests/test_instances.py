@@ -4,10 +4,12 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chi2_pvalue
 from xorsatlab import formulas as F
-from xorsatlab.errors import BudgetExceededError, RejectionBudgetError
+from xorsatlab.errors import BudgetExceededError, InstanceFormatError, RejectionBudgetError
 from xorsatlab.instances import (
     ChipAllocation,
     Instance,
@@ -263,6 +265,48 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Instance.from_bytes(b"NOPE" + b"\x00" * 20)
 
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"XLI1\x03", "truncated varint"),
+            (b"XLI1\x03\x04\x01", "truncated header"),
+            (b"XLI1\x03\x04\x01\x03\x00", "bad model byte 3"),
+            (b"XLI1\x03\x04\x01\x00\x02", "bad seed flag 2"),
+            (b"XLI1\x03\x04\x01\x00\x01\x00", "truncated seed"),
+            (b"XLI1\x03\x04\x80\x00\x00\x00", "non-canonical varint"),
+            # 2^63 rows in a 6-byte blob: refused before any row is read
+            (b"XLI1\x03\x04\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01\x00\x00" + b"\x00" * 6, "cannot hold"),
+            (b"XLI1\x03\x04\x01\x00\x00\x00\x01\x01\x00\x00", "expected 1 rhs bytes, found 2"),
+            (b"XLI1\x03\x04\x01\x00\x00\x00\x01\x01\x02", "nonzero padding"),
+            (b"XLI1\x03\x04\x01\x00\x00\x00\x01\x05\x00", "out of range"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "blob",
+    )
+    def test_binary_format_errors(self, blob, message):
+        with pytest.raises(InstanceFormatError, match=message):
+            Instance.from_bytes(blob)
+
+    def test_json_format_errors(self):
+        good = Instance(3, 4, 1, [[0, 1, 3]], [1], "unconstrained", Seed(2, 3)).to_json_dict()
+        assert Instance.from_json_dict(good).to_json_dict() == good
+        for d, message in [
+            ([], "must be an object"),
+            ({"k": 3, "n": 4}, "no 'm'"),
+            ({**good, "m": "1"}, "'m' has the wrong type"),
+            ({**good, "k": True}, "'k' has the wrong type"),
+            ({**good, "rows": [[0, 1, 3.0]]}, "'rows' has the wrong type"),
+            ({**good, "rhs": 1}, "'rhs' has the wrong type"),
+            ({**good, "seed": {"stream": 1}}, "no 'master'"),
+            ({**good, "seed": 5}, "'seed' must be"),
+            ({**good, "k": 0, "rows": [[]]}, "need k >= 1"),
+            # refused by counting row slots, before a degree tally of 1e15 entries
+            ({**good, "n": 10**15, "model_tag": "constrained"}, "degree < 2"),
+        ]:
+            with pytest.raises(InstanceFormatError, match=message):
+                Instance.from_json_dict(d)
+        with pytest.raises(InstanceFormatError, match="not JSON"):
+            Instance.loads('{"k": 3')
+
     def test_validation_catches_bad_instances(self):
         inst = Instance(3, 5, 1, [[0, 1, 1]], [0], "unconstrained")
         with pytest.raises(ValueError):
@@ -272,3 +316,93 @@ class TestSerialization:
             inst.validate()
         relaxed = Instance(3, 5, 1, [[0, 1, 1]], [0], "relaxed_C")
         relaxed.validate()
+
+
+@st.composite
+def small_instances(draw):
+    """Valid instances of every model, small enough to mutate byte by byte."""
+    model = draw(st.sampled_from(["unconstrained", "relaxed_C", "constrained"]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 9))
+    m = draw(st.integers(0, 12))
+    if model == "relaxed_C":
+        rows = [sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))) for _ in range(m)]
+    else:
+        rows = [sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))) for _ in range(m)]
+    rhs = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    seed = draw(st.none() | st.builds(Seed, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
+    inst = Instance(k, n, m, rows, rhs, model, seed)
+    try:
+        inst.validate()
+    except InstanceFormatError:  # a constrained draw with a degree < 2
+        inst.model_tag = "unconstrained"
+    return inst
+
+
+@st.composite
+def mutated_blobs(draw):
+    blob = bytearray(draw(small_instances()).to_bytes())
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["truncate", "set", "insert", "append"]))
+        at = draw(st.integers(0, len(blob)))
+        if op == "truncate":
+            del blob[at:]
+        elif op == "set" and at < len(blob):
+            blob[at] = draw(st.integers(0, 255))
+        elif op == "insert":
+            blob[at:at] = draw(st.binary(min_size=1, max_size=3))
+        else:
+            blob += draw(st.binary(min_size=1, max_size=3))
+    return bytes(blob)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**65) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_json(draw):
+    d = draw(small_instances()).to_json_dict()
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(d) + ["master", "stream"]))
+        if key in ("master", "stream"):
+            if isinstance(d.get("seed"), dict):
+                d["seed"] = {**d["seed"], key: draw(_json_values)}
+        elif draw(st.booleans()):
+            del d[key]
+        else:
+            d[key] = draw(_json_values)
+    return d
+
+
+class TestFormatFuzz:
+    """Any byte string or JSON object either round-trips or raises InstanceFormatError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=40), st.binary(max_size=40).map(lambda b: b"XLI1" + b), mutated_blobs()))
+    def test_bytes_round_trip_or_format_error(self, blob):
+        try:
+            inst = Instance.from_bytes(blob)
+        except InstanceFormatError:
+            return
+        assert inst.to_bytes() == blob
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_json_values, mutated_json()))
+    def test_json_round_trip_or_format_error(self, d):
+        try:
+            inst = Instance.from_json_dict(d)
+        except InstanceFormatError:
+            return
+        assert Instance.loads(inst.dumps()) == inst
+        blob = inst.to_bytes()
+        assert Instance.from_bytes(blob).to_bytes() == blob
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_instances())
+    def test_valid_instances_round_trip(self, inst):
+        assert Instance.from_bytes(inst.to_bytes()) == inst
+        assert Instance.loads(inst.dumps()) == inst
