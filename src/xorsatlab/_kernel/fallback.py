@@ -12,14 +12,21 @@ from __future__ import annotations
 import numpy as np
 
 
+# Rows move through one byte view of the C-contiguous array: no per-row
+# numpy objects, and no whole-array bytes copy to raise peak memory.
+
+
 def _rows_to_ints(a: np.ndarray) -> list[int]:
-    return [int.from_bytes(a[i].tobytes(), "little") for i in range(a.shape[0])]
+    buf = memoryview(a).cast("B")
+    nbytes = a.shape[1] * 8
+    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
 
 
 def _write_rows(a: np.ndarray, rows: list[int]) -> None:
+    buf = memoryview(a).cast("B")
     nbytes = a.shape[1] * 8
     for i, r in enumerate(rows):
-        a[i] = np.frombuffer(r.to_bytes(nbytes, "little"), dtype=np.uint64)
+        buf[i * nbytes : (i + 1) * nbytes] = r.to_bytes(nbytes, "little")
 
 
 def eliminate_words(a: np.ndarray, ncols: int, full: bool = True) -> tuple[int, list[int]]:

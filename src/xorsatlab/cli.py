@@ -308,6 +308,10 @@ def main(argv: list[str] | None = None) -> int:
     except (XorsatLabError, ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # an instance file can declare an n far beyond what its data needs
+        print(f"error: instance too large for memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,8 +3,17 @@
 Repeatedly delete any variable of degree <= 1 together with its equation
 (if it has one); what survives is the 2-core of the constraint hypergraph:
 the unique maximal sub-system in which every variable appears in at least
-two equations.  The result is independent of removal order; we use a FIFO
-queue with ties broken by variable index so traces are reproducible.
+two equations.  The result is independent of removal order.
+
+We peel in synchronous rounds on numpy arrays (Jiang, Mitzenmacher &
+Thaler, "Parallel Peeling Algorithms", arXiv:1302.7014): each round removes
+every live variable of degree <= 1 at once.  For each variable we keep its
+live degree and the XOR of the ids of its live equations; at degree 1 that
+XOR is the id of its one equation, so no incidence lists are kept.  When
+several variables of a round have the same equation, the first in round
+order takes it and the others are removed in the next round at degree 0.
+The trace lists rounds in order and, within a round, ascending ids (FIFO)
+or descending ids (LIFO), so it is reproducible.
 
 A solution of the core extends to a solution of the full system by
 replaying the trace backwards: each peeled variable had sole responsibility
@@ -16,8 +25,10 @@ its core is.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from xorsatlab.instances import MODEL_CONSTRAINED, MODEL_RELAXED, Instance
 
@@ -76,69 +87,102 @@ class CoreStats:
         return [self.core_vars, self.core_eqs, "" if self.ratio is None else repr(self.ratio)]
 
 
+def _peel_rounds(flat: np.ndarray, n: int, lifo: bool):
+    """Round-synchronous peel of the (m, k) incidence array `flat`.
+
+    Returns (step_vars, step_eqs, var_alive, eq_alive, rounds): the removals
+    in trace order, with step_eqs -1 for a degree-0 removal, and the
+    survivor masks.
+    """
+    m, k = flat.shape
+    deg = np.bincount(flat.ravel(), minlength=n)
+    # eqx[v] is the XOR of the ids of v's live equations: at degree 1 it is
+    # that one equation's id, so no incidence lists are needed
+    eqx = np.zeros(n, dtype=np.int64)
+    np.bitwise_xor.at(eqx, flat.ravel(), np.repeat(np.arange(m, dtype=np.int64), k))
+    var_alive = np.ones(n, dtype=bool)
+    eq_alive = np.ones(m, dtype=bool)
+    # ties go to the first claimant in round order: the least id for "fifo",
+    # the greatest for "lifo"
+    take, unclaimed = (np.maximum, -1) if lifo else (np.minimum, n)
+    claim = np.full(m, unclaimed, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    step_vars, step_eqs = [empty], [empty]
+    frontier = np.flatnonzero(deg <= 1)
+    rounds = 0
+    while frontier.size:
+        rounds += 1
+        if lifo:
+            frontier = frontier[::-1]
+        eqs = np.where(deg[frontier] == 1, eqx[frontier], -1)
+        one = eqs >= 0
+        cand, cand_eqs = frontier[one], eqs[one]
+        take.at(claim, cand_eqs, cand)
+        won = claim[cand_eqs] == cand
+        peeled = ~one
+        peeled[one] = won
+        step_vars.append(frontier[peeled])
+        step_eqs.append(eqs[peeled])
+        var_alive[step_vars[-1]] = False
+        gone = cand_eqs[won]
+        eq_alive[gone] = False
+        touched = flat[gone].ravel()
+        np.subtract.at(deg, touched, 1)
+        np.bitwise_xor.at(eqx, touched, np.repeat(gone, k))
+        # a claimant that lost its equation is now at degree 0; it was in
+        # that equation's row, so it is among the touched variables
+        touched = np.sort(touched[var_alive[touched] & (deg[touched] <= 1)])
+        frontier = touched[np.diff(touched, prepend=-1) != 0]
+    return np.concatenate(step_vars), np.concatenate(step_eqs), var_alive, eq_alive, rounds
+
+
+def _incidence(inst: Instance) -> np.ndarray:
+    """The rows as one (m, k) index array."""
+    if inst.model_tag == MODEL_RELAXED:
+        raise ValueError("peeling needs distinct indices per row; relaxed_C not supported")
+    flat = np.fromiter(chain.from_iterable(inst.rows), dtype=np.int64, count=inst.m * inst.k)
+    return flat.reshape(inst.m, inst.k)
+
+
 def two_core(inst: Instance, order: str = "fifo") -> tuple[Instance, PeelTrace, CoreStats]:
     """Peel to the 2-core; returns (core instance, trace, stats).
 
-    The core keeps the original equation order with variables renumbered by
-    rank in core_var_ids.  `order` picks the queue discipline ("fifo" or
-    "lifo"); the resulting core is the same either way.
+    Each round removes every live variable of degree <= 1 at once, in
+    ascending id order ("fifo") or descending ("lifo").  A degree-1 variable
+    takes its equation unless an earlier variable of the same round took
+    it; it is then removed in the next round at degree 0.  The core keeps
+    the original equation order with variables renumbered by rank in
+    core_var_ids, and it is the same for either order.
     """
-    if inst.model_tag == MODEL_RELAXED:
-        raise ValueError("peeling needs distinct indices per row; relaxed_C not supported")
     if order not in ("fifo", "lifo"):
         raise ValueError("order must be 'fifo' or 'lifo'")
-    incident: list[list[int]] = [[] for _ in range(inst.n)]
-    for e, row in enumerate(inst.rows):
-        for v in row:
-            incident[v].append(e)
-    degree = [len(lst) for lst in incident]
-    eq_alive = [True] * inst.m
-    var_alive = [True] * inst.n
-    queue = deque(v for v in range(inst.n) if degree[v] <= 1)
-    steps: list[PeelStep] = []
-    while queue:
-        v = queue.popleft() if order == "fifo" else queue.pop()
-        if not var_alive[v] or degree[v] > 1:
-            continue
-        var_alive[v] = False
-        eq = next((e for e in incident[v] if eq_alive[e]), None)
-        if eq is None:
-            steps.append(PeelStep(v, None, None))
-            continue
-        eq_alive[eq] = False
-        steps.append(PeelStep(v, eq, list(inst.rows[eq])))
-        for u in inst.rows[eq]:
-            if u != v and var_alive[u]:
-                degree[u] -= 1
-                if degree[u] <= 1:
-                    queue.append(u)
-    core_var_ids = [v for v in range(inst.n) if var_alive[v]]
-    core_eq_ids = [e for e in range(inst.m) if eq_alive[e]]
-    remap = {v: i for i, v in enumerate(core_var_ids)}
-    core_rows = [[remap[v] for v in inst.rows[e]] for e in core_eq_ids]
+    flat = _incidence(inst)
+    step_vars, step_eqs, var_alive, eq_alive, _ = _peel_rounds(flat, inst.n, order == "lifo")
+    eq_rows = iter(flat[step_eqs[step_eqs >= 0]].tolist())
+    steps = [
+        PeelStep(v, e, next(eq_rows)) if e >= 0 else PeelStep(v, None, None)
+        for v, e in zip(step_vars.tolist(), step_eqs.tolist())
+    ]
+    core_vars = np.flatnonzero(var_alive)
+    core_eqs = np.flatnonzero(eq_alive)
+    core_flat = (np.cumsum(var_alive) - 1)[flat[core_eqs]]
+    if core_vars.size and np.bincount(core_flat.ravel(), minlength=core_vars.size).min() < 2:
+        raise AssertionError("peeling left a variable of degree < 2 in the core")
     core = Instance(
         k=inst.k,
-        n=len(core_var_ids),
-        m=len(core_eq_ids),
-        rows=core_rows,
-        rhs=[inst.rhs[e] for e in core_eq_ids],
+        n=int(core_vars.size),
+        m=int(core_eqs.size),
+        rows=core_flat.tolist(),
+        rhs=np.asarray(inst.rhs, dtype=np.int64)[core_eqs].tolist(),
         model_tag=MODEL_CONSTRAINED,
         seed=inst.seed,
     )
-    if core.n:
-        core_deg = [0] * core.n
-        for row in core.rows:
-            for v in row:
-                core_deg[v] += 1
-        if min(core_deg) < 2:
-            raise AssertionError("peeling left a variable of degree < 2 in the core")
-    trace = PeelTrace(inst.n, inst.m, steps, core_var_ids, core_eq_ids)
-    stats = CoreStats(
-        core.n,
-        core.m,
-        (core.m / core.n) if core.n else None,
-    )
-    return core, trace, stats
+    trace = PeelTrace(inst.n, inst.m, steps, core_vars.tolist(), core_eqs.tolist())
+    return core, trace, _stats(core.n, core.m)
+
+
+def _stats(core_vars: int, core_eqs: int) -> CoreStats:
+    return CoreStats(core_vars, core_eqs, (core_eqs / core_vars) if core_vars else None)
 
 
 def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int]:
@@ -173,8 +217,9 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
 
 
 def core_density(inst: Instance) -> CoreStats:
-    """Peel and report core order/size only."""
-    return two_core(inst)[2]
+    """Peel and report core order/size only; no trace or core is built."""
+    _, _, var_alive, eq_alive, _ = _peel_rounds(_incidence(inst), inst.n, False)
+    return _stats(int(var_alive.sum()), int(eq_alive.sum()))
 
 
 __all__ = ["CoreStats", "PeelStep", "PeelTrace", "core_density", "extend_solution", "two_core"]

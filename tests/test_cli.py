@@ -131,6 +131,36 @@ def test_corrupt_instance_files_exit_1(tmp_path):
             assert len(rest) == 1 and rest[0].startswith("error: "), err
 
 
+def test_absurd_n_exits_1_without_traceback(tmp_path):
+    import os
+    import resource
+
+    import xorsatlab
+    from xorsatlab.instances import MODEL_UNCONSTRAINED, Instance
+
+    path = tmp_path / "huge.bin"
+    path.write_bytes(Instance(3, 1 << 50, 0, [], [], MODEL_UNCONSTRAINED).to_bytes())
+    limit = 1 << 30
+
+    def cap_address_space():  # no allocation in the child can reach the machine
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xorsatlab.__file__)), OPENBLAS_NUM_THREADS="1")
+    for args in (["solve"], ["peel"], ["peel", "--stats-only"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "xorsatlab.cli", *args, "--in", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+        config, *rest = proc.stderr.splitlines()
+        assert config.startswith("config:")
+        assert len(rest) == 1 and rest[0].startswith("error: instance too large for memory"), proc.stderr
+
+
 def test_usage_error_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "xorsatlab.cli", "frobnicate"],

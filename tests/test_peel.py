@@ -1,5 +1,6 @@
+import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, product
 
 import numpy as np
@@ -8,8 +9,14 @@ import pytest
 from conftest import chi2_pvalue
 from xorsatlab import formulas as F
 from xorsatlab import gf2
-from xorsatlab.instances import MODEL_UNCONSTRAINED, Instance, gen_unconstrained
-from xorsatlab.peel import PeelTrace, core_density, extend_solution, two_core
+from xorsatlab.instances import (
+    MODEL_CONSTRAINED,
+    MODEL_UNCONSTRAINED,
+    Instance,
+    gen_constrained,
+    gen_unconstrained,
+)
+from xorsatlab.peel import CoreStats, PeelStep, PeelTrace, core_density, extend_solution, two_core
 from xorsatlab.rng import Seed
 
 
@@ -52,6 +59,127 @@ def replay_trace(inst, trace):
         alive_vars.remove(step.var)
     assert sorted(alive_vars) == trace.core_var_ids
     assert sorted(alive_eqs) == trace.core_eq_ids
+
+
+def sequential_two_core(inst, order="fifo"):
+    """The sequential peel that the round-synchronous one replaced: a queue of
+    degree-<=1 variables over per-variable incidence lists.  Returns
+    (core_var_ids, core_eq_ids, core rows, core rhs, CoreStats)."""
+    incident = [[] for _ in range(inst.n)]
+    for e, row in enumerate(inst.rows):
+        for v in row:
+            incident[v].append(e)
+    degree = [len(lst) for lst in incident]
+    eq_alive = [True] * inst.m
+    var_alive = [True] * inst.n
+    queue = deque(v for v in range(inst.n) if degree[v] <= 1)
+    while queue:
+        v = queue.popleft() if order == "fifo" else queue.pop()
+        if not var_alive[v] or degree[v] > 1:
+            continue
+        var_alive[v] = False
+        eq = next((e for e in incident[v] if eq_alive[e]), None)
+        if eq is None:
+            continue
+        eq_alive[eq] = False
+        for u in inst.rows[eq]:
+            if u != v and var_alive[u]:
+                degree[u] -= 1
+                if degree[u] <= 1:
+                    queue.append(u)
+    core_var_ids = [v for v in range(inst.n) if var_alive[v]]
+    core_eq_ids = [e for e in range(inst.m) if eq_alive[e]]
+    remap = {v: i for i, v in enumerate(core_var_ids)}
+    rows = [[remap[v] for v in inst.rows[e]] for e in core_eq_ids]
+    rhs = [inst.rhs[e] for e in core_eq_ids]
+    n, m = len(core_var_ids), len(core_eq_ids)
+    return core_var_ids, core_eq_ids, rows, rhs, CoreStats(n, m, (m / n) if n else None)
+
+
+def assert_matches_sequential(inst, order):
+    core, trace, stats = two_core(inst, order=order)
+    assert (trace.core_var_ids, trace.core_eq_ids, core.rows, core.rhs, stats) == sequential_two_core(inst, order)
+    assert (core.k, core.n, core.m, core.model_tag, core.seed) == (
+        inst.k, len(trace.core_var_ids), len(trace.core_eq_ids), MODEL_CONSTRAINED, inst.seed)
+    assert len(trace.steps) == inst.n - core.n
+    assert core_density(inst) == stats
+    replay_trace(inst, trace)
+    return trace
+
+
+def test_matches_sequential_peel_on_random_instances():
+    rng = np.random.default_rng(4)
+    for t in range(40):
+        k = 3 + t % 2
+        n = int(rng.integers(50, 3001)) if t % 4 else int(rng.integers(50, 400))
+        c = float(rng.uniform(0.7, 1.1))
+        inst = gen_unconstrained(k, int(c * n), n, Seed(800, t))
+        for order in ("fifo", "lifo"):
+            assert_matches_sequential(inst, order)
+
+
+@pytest.mark.parametrize(
+    "k, n, rows",
+    [
+        (3, 0, []),  # m = 0, n = 0
+        (3, 6, []),  # m = 0: every variable isolated
+        (3, 7, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),  # isolated 4..6 around a core
+        (3, 3, [[0, 1, 2]]),  # all three claim one equation in round 1
+        (3, 5, [[0, 1, 2], [2, 3, 4]]),
+        (1, 4, [[0], [0], [2], [3], [3], [3]]),
+        (2, 5, [[0, 1], [1, 2], [2, 0], [3, 4]]),  # a cycle survives, a pendant edge does not
+        (2, 4, [[0, 1], [1, 2], [2, 3]]),
+    ],
+)
+def test_matches_sequential_peel_on_edge_cases(k, n, rows):
+    inst = Instance(k, n, len(rows), rows, [i % 2 for i in range(len(rows))], MODEL_UNCONSTRAINED)
+    for order in ("fifo", "lifo"):
+        assert_matches_sequential(inst, order)
+
+
+def test_shared_equation_goes_to_first_claimant_in_round_order():
+    inst = Instance(3, 3, 1, [[0, 1, 2]], [1], MODEL_UNCONSTRAINED)
+    _, fifo, _ = two_core(inst, order="fifo")
+    assert fifo.steps == [PeelStep(0, 0, [0, 1, 2]), PeelStep(1, None, None), PeelStep(2, None, None)]
+    _, lifo, _ = two_core(inst, order="lifo")
+    assert lifo.steps == [PeelStep(2, 0, [0, 1, 2]), PeelStep(1, None, None), PeelStep(0, None, None)]
+    for trace in (fifo, lifo):
+        x = extend_solution([], trace, inst)
+        assert x[0] ^ x[1] ^ x[2] == 1
+
+
+def test_trace_is_rounds_then_ascending_ids():
+    # round 1 peels 0 (degree 1) and 5 (isolated); in round 2, 1 and 2 both
+    # claim equation 1 and 1 takes it; round 3 peels 2 at degree 0
+    rows = [[0, 1, 2], [1, 2, 3], [3, 4, 6], [3, 4, 6]]
+    inst = Instance(3, 7, len(rows), rows, [0] * len(rows), MODEL_UNCONSTRAINED)
+    _, trace, _ = two_core(inst)
+    assert trace.steps == [
+        PeelStep(0, 0, [0, 1, 2]),
+        PeelStep(5, None, None),
+        PeelStep(1, 1, [1, 2, 3]),
+        PeelStep(2, None, None),
+    ]
+    assert trace.core_var_ids == [3, 4, 6] and trace.core_eq_ids == [2, 3]
+    assert_matches_sequential(inst, "fifo")
+
+
+def test_constrained_instance_has_no_steps():
+    inst = gen_constrained(3, 60, 50, Seed(900))
+    core, trace, stats = two_core(inst)
+    assert not trace.steps
+    assert core.rows == inst.rows and core.rhs == inst.rhs
+    assert trace.core_var_ids == list(range(50)) and trace.core_eq_ids == list(range(60))
+    assert stats == CoreStats(50, 60, 60 / 50)
+    assert_matches_sequential(inst, "fifo")
+
+
+def test_trace_is_deterministic():
+    inst = gen_unconstrained(3, 900, 1000, Seed(950))
+    first = two_core(inst)
+    again = two_core(inst)
+    assert first == again
+    assert PeelTrace.from_json_dict(json.loads(first[1].dumps())) == first[1]
 
 
 def test_min_degree_two_input_is_fixed():
