@@ -12,10 +12,15 @@ Three models:
   or more chips, then forget chip labels).
 
 The chip sampler draws the n column totals as i.i.d. >=2-truncated
-Poissons with tilt lambda = psi^{-1}(km/n), resampling the whole vector
-until it sums to km (the tilt maximizes the hit probability; expected
-retries grow like sqrt(2 pi n Var Z)), then deals the km chips to columns
-by a uniform shuffle.
+Poissons with tilt lambda = psi^{-1}(km/n), conditioned on summing to km
+(the tilt maximizes the hit probability P(S_n = km), about
+1/sqrt(2 pi n Var Z)).  The conditioned vector comes from n - 1 values
+drawn freely plus a last value accepted with probability p(t) / max p,
+and the number of whole vectors plain resampling would have examined is
+drawn from its Geometric(P(S_n = km)) law.  The km chips are then dealt
+to columns by one uniform shuffle.  Column labels are assigned by one
+uniform relabelling at the end; the constrained sampler applies it only to
+the accepted allocation, since relabelling columns moves no collision.
 
 Everything is keyed by a Seed; a fixed (master, stream) pair reproduces
 instances bit-exactly.  JSON and a compact varint binary format both
@@ -34,7 +39,7 @@ import numpy as np
 
 from xorsatlab.errors import BudgetExceededError, InstanceFormatError, RejectionBudgetError
 from xorsatlab.formulas import gamma as _gamma
-from xorsatlab.formulas import lambda_of
+from xorsatlab.formulas import lambda_of, var_Z
 from xorsatlab.rng import Seed
 from xorsatlab.series import (
     EXACT_ORDER_LIMIT,
@@ -338,51 +343,85 @@ def sample_truncated_poisson(lam: float, seed: Seed | None = None, size: int | N
     return vals.astype(np.int64)
 
 
-class _DegreeStream:
-    """Supplier of sum-conditioned truncated-Poisson degree vectors.
+def _tpois_pmf(lam: float) -> np.ndarray:
+    """pmf table of the >=2-truncated Poisson(lam) over the values 2, 3, ...,
+    with the (< 1e-15) tail mass on the last entry."""
+    cum, _ = _tpois_cum(lam)
+    pvals = np.diff(cum, prepend=0.0)
+    pvals[-1] = max(0.0, 1.0 - pvals[:-1].sum())
+    return pvals
 
-    Each candidate sequence is drawn as the histogram of its values (one
-    multinomial over the truncated-Poisson pmf: O(#values) work instead of
-    O(n)) and rejected unless the values sum to `total`; an accepted
-    multiset is then arranged uniformly at random.  Because the i.i.d.
-    sum-conditioned law is uniform over orderings of each multiset, this is
-    distributed exactly as resampling whole vectors until the sum hits,
-    only cheaper.  Batching is fixed, so consumption of the underlying
-    stream (hence every downstream sample) is reproducible.
+
+@lru_cache(maxsize=64)
+def _hit_probability(lam: float, n: int, total: int) -> float:
+    """P(S_n = total), S_n the sum of n i.i.d. >=2-truncated Poisson(lam).
+
+    Inverts the characteristic function phi on N points: the mean of
+    phi(theta)^n e^{-i total theta} over theta = 2 pi r / N is the mass of
+    S_n on total + N Z, and N, a power of two (at least 64) covering 20
+    standard deviations of S_n, leaves nothing but total in range.  Angles
+    are reduced mod N in integers first, so they stay exact.
+    """
+    pvals = _tpois_pmf(lam)
+    size = 64
+    while size < 20 * math.sqrt(n * var_Z(lam)):
+        size *= 2
+    r = np.arange(size)
+    step = 2j * math.pi / size
+    phi = np.zeros(size, dtype=complex)
+    for j, p in enumerate(pvals, start=2):
+        phi += p * np.exp(step * (j * r % size))
+    return float(np.mean(phi**n * np.exp(-step * (total * r % size))).real)
+
+
+class _DegreeStream:
+    """Supplier of sum-conditioned truncated-Poisson degree multisets.
+
+    A hit is n i.i.d. truncated-Poisson values conditioned on summing to
+    `total`.  It is drawn as the histogram of n - 1 values (one multinomial
+    over the pmf table: O(#values) work instead of O(n)) plus a last value
+    t = total - (their sum), accepted with probability p(t) / max p.  An
+    accepted pair has probability proportional to P(n - 1 values) p(t) on
+    the event that the sum hits, which is exactly the conditioned law.  Rows
+    come in fixed batches, so consumption of the underlying stream (hence
+    every downstream sample) is reproducible, and extra hits of a batch are
+    queued, being i.i.d.
+
+    A hit is returned in ascending order; the conditioned law is
+    exchangeable, so one uniform relabelling of the columns arranges it.
     """
 
-    def __init__(self, rng, lam: float, n: int, total: int, batch: int = _DEGREE_BATCH):
+    def __init__(self, rng, lam: float, n: int, total: int):
         self.rng = rng
         self.n = n
         self.total = total
-        self.batch = batch
         self.trivial = total == 2 * n
         if not self.trivial:
-            cum, _ = _tpois_cum(lam)
-            pvals = np.diff(np.concatenate([[0.0], cum]))
-            pvals[-1] = max(0.0, 1.0 - pvals[:-1].sum())
-            self.pvals = pvals
-            self.values = np.arange(2, 2 + len(pvals), dtype=np.int64)
+            self.pvals = _tpois_pmf(lam)
+            self.values = np.arange(2, 2 + len(self.pvals), dtype=np.int64)
+            self.accept = self.pvals / self.pvals.max()
+            self.p_hit = _hit_probability(lam, n, total)
         self.pending: list[np.ndarray] = []
-        self.pending_tries: list[int] = []
-        self.since_last_hit = 0
 
     def next(self) -> tuple[np.ndarray, int]:
-        """(degree vector, sequences examined since the previous hit)."""
+        """(ascending degree vector, candidate count).
+
+        The count is the number of whole vectors that resampling until the
+        sum hits would have examined, this hit included; that count is
+        Geometric(P(S_n = total)) and independent of the hit, so it is drawn
+        from that law directly.
+        """
         if self.trivial:
             return np.full(self.n, 2, dtype=np.int64), 0
         while not self.pending:
-            hists = self.rng.multinomial(self.n, self.pvals, size=self.batch)
-            sums = hists @ self.values
-            prev = -1
-            for h in np.nonzero(sums == self.total)[0]:
-                degrees = np.repeat(self.values, hists[h])[self.rng.permutation(self.n)]
-                self.pending.append(degrees)
-                self.pending_tries.append(self.since_last_hit + int(h) - prev)
-                self.since_last_hit = 0
-                prev = int(h)
-            self.since_last_hit += self.batch - 1 - prev
-        return self.pending.pop(0), self.pending_tries.pop(0)
+            hists = self.rng.multinomial(self.n - 1, self.pvals, size=_DEGREE_BATCH)
+            slot = self.total - 2 - hists @ self.values  # the last value t, less 2
+            fits = (slot >= 0) & (slot < len(self.pvals))
+            u = self.rng.random(_DEGREE_BATCH)
+            for h in np.flatnonzero(fits)[u[fits] < self.accept[slot[fits]]]:
+                hists[h, slot[h]] += 1
+                self.pending.append(np.repeat(self.values, hists[h]))
+        return self.pending.pop(0), int(self.rng.geometric(self.p_hit))
 
 
 @dataclass
@@ -391,8 +430,10 @@ class ChipAllocation:
 
     Chip identity is kept (not just cell counts) because the sampler is
     uniform over chip->column maps; `cell_counts` gives the sparse
-    (row, col) -> count view.  `retries` records how many degree vectors
-    were examined before the column totals summed to km.
+    (row, col) -> count view.  `retries` is the number of i.i.d. degree
+    vectors that resampling until the column totals sum to km would have
+    examined, the hit included; it is drawn from that count's exact
+    Geometric(P(S_n = km)) law (0 when every degree is forced to 2).
     """
 
     k: int
@@ -424,29 +465,30 @@ class ChipAllocation:
             raise ValueError("column degrees must all be >= 2")
 
 
-def _degree_stream(rng, k: int, m: int, n: int, batch: int = _DEGREE_BATCH) -> _DegreeStream:
+def _degree_stream(rng, k: int, m: int, n: int) -> _DegreeStream:
     km = k * m
     if km < 2 * n:
         raise ValueError(f"chip model needs km >= 2n, got km={km}, 2n={2 * n}")
     lam = 0.0 if km == 2 * n else lambda_of(km / n)
-    return _DegreeStream(rng, lam, n, km, batch)
+    return _DegreeStream(rng, lam, n, km)
 
 
 def _gen_C(rng, k: int, m: int, n: int, degrees_from: _DegreeStream | None = None) -> ChipAllocation:
-    km = k * m
+    """One chip allocation up to column labels: column j takes the j-th
+    smallest degree; callers relabel with `rng.permutation(n)`."""
     if degrees_from is None:
         degrees_from = _degree_stream(rng, k, m, n)
     degrees, tries = degrees_from.next()
-    perm = rng.permutation(km)
-    cols_by_position = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    chip_columns = np.empty(km, dtype=np.int64)
-    chip_columns[perm] = cols_by_position
+    chip_columns = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    rng.shuffle(chip_columns)
     return ChipAllocation(k, m, n, chip_columns, tries)
 
 
 def gen_C_model(k: int, m: int, n: int, seed: Seed) -> ChipAllocation:
     """Uniform chip allocation: row sums k (labeled chips), column sums >= 2."""
-    alloc = _gen_C(seed.generator(), k, m, n)
+    rng = seed.generator()
+    alloc = _gen_C(rng, k, m, n)
+    alloc.chip_columns = rng.permutation(n)[alloc.chip_columns]
     alloc.validate()
     return alloc
 
@@ -455,11 +497,11 @@ def _has_row_duplicate(chip_columns: np.ndarray, k: int, m: int) -> bool:
     """True when some equation holds the same column twice (a cell collision).
 
     Chips of one row live in consecutive slots, so cell collisions are
-    exactly within-row duplicates; sorting k-wide rows is much cheaper than
-    a global cell tally.
+    exactly within-row duplicates; the k(k-1)/2 column pairs of the (m, k)
+    view are compared one at a time, stopping at the first equal pair.
     """
-    cols = np.sort(chip_columns.reshape(m, k), axis=1)
-    return bool((np.diff(cols, axis=1) == 0).any())
+    cols = chip_columns.reshape(m, k)
+    return any((cols[:, a] == cols[:, b]).any() for a in range(k) for b in range(a + 1, k))
 
 
 def collision_count(alloc: ChipAllocation) -> int:
@@ -490,10 +532,11 @@ def gen_constrained(
     if k * m < 2 * n:
         raise ValueError(f"constrained model needs km >= 2n, got km={k * m}, 2n={2 * n}")
     rng = seed.generator()
-    degrees = _degree_stream(rng, k, m, n, batch=256)
+    degrees = _degree_stream(rng, k, m, n)
     for _ in range(max_rejections):
         alloc = _gen_C(rng, k, m, n, degrees_from=degrees)
         if not _has_row_duplicate(alloc.chip_columns, k, m):
+            alloc.chip_columns = rng.permutation(n)[alloc.chip_columns]
             rows = alloc.row_column_lists()
             rhs = rng.integers(0, 2, size=m).tolist()
             inst = Instance(k, n, m, rows, rhs, MODEL_CONSTRAINED, seed)

@@ -24,6 +24,7 @@ its core is.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -158,26 +159,35 @@ def two_core(inst: Instance, order: str = "fifo") -> tuple[Instance, PeelTrace, 
         raise ValueError("order must be 'fifo' or 'lifo'")
     flat = _incidence(inst)
     step_vars, step_eqs, var_alive, eq_alive, _ = _peel_rounds(flat, inst.n, order == "lifo")
-    eq_rows = iter(flat[step_eqs[step_eqs >= 0]].tolist())
-    steps = [
-        PeelStep(v, e, next(eq_rows)) if e >= 0 else PeelStep(v, None, None)
-        for v, e in zip(step_vars.tolist(), step_eqs.tolist())
-    ]
     core_vars = np.flatnonzero(var_alive)
     core_eqs = np.flatnonzero(eq_alive)
     core_flat = (np.cumsum(var_alive) - 1)[flat[core_eqs]]
     if core_vars.size and np.bincount(core_flat.ravel(), minlength=core_vars.size).min() < 2:
         raise AssertionError("peeling left a variable of degree < 2 in the core")
-    core = Instance(
-        k=inst.k,
-        n=int(core_vars.size),
-        m=int(core_eqs.size),
-        rows=core_flat.tolist(),
-        rhs=np.asarray(inst.rhs, dtype=np.int64)[core_eqs].tolist(),
-        model_tag=MODEL_CONSTRAINED,
-        seed=inst.seed,
-    )
-    trace = PeelTrace(inst.n, inst.m, steps, core_vars.tolist(), core_eqs.tolist())
+    # the trace and core rows are tens of thousands of small acyclic
+    # objects; at n = 1e5 the collector's passes over them while they are
+    # built cost more than the peel itself
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        eq_rows = iter(flat[step_eqs[step_eqs >= 0]].tolist())
+        steps = [
+            PeelStep(v, e, next(eq_rows)) if e >= 0 else PeelStep(v, None, None)
+            for v, e in zip(step_vars.tolist(), step_eqs.tolist())
+        ]
+        core = Instance(
+            k=inst.k,
+            n=int(core_vars.size),
+            m=int(core_eqs.size),
+            rows=core_flat.tolist(),
+            rhs=np.asarray(inst.rhs, dtype=np.int64)[core_eqs].tolist(),
+            model_tag=MODEL_CONSTRAINED,
+            seed=inst.seed,
+        )
+        trace = PeelTrace(inst.n, inst.m, steps, core_vars.tolist(), core_eqs.tolist())
+    finally:
+        if gc_was_on:
+            gc.enable()
     return core, trace, _stats(core.n, core.m)
 
 

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -13,6 +14,9 @@ from xorsatlab.errors import BudgetExceededError, InstanceFormatError, Rejection
 from xorsatlab.instances import (
     ChipAllocation,
     Instance,
+    _degree_stream,
+    _has_row_duplicate,
+    _hit_probability,
     collision_count,
     count_C_exact,
     gen_C_model,
@@ -208,6 +212,68 @@ class TestConstrained:
         assert set(counts) <= set(space)
         observed = [counts.get(key, 0) for key in space]
         assert chi2_pvalue(observed, [samples / 24] * 24) > CHI2_SIGNIFICANCE
+
+
+def _has_row_duplicate_by_sorting(chip_columns, k, m):
+    """The sort-based check `_has_row_duplicate` replaced, kept as its oracle."""
+    cols = np.sort(chip_columns.reshape(m, k), axis=1)
+    return bool((np.diff(cols, axis=1) == 0).any())
+
+
+class TestSamplerInternals:
+    @pytest.mark.parametrize(
+        "k,m,n", [(3, 2, 2), (3, 4, 4), (3, 10, 8), (2, 50, 40), (4, 30, 50), (5, 24, 40), (3, 40, 30)]
+    )
+    def test_hit_probability_matches_exact_count(self, k, m, n):
+        # P(S_n = km) = |allocations| lam^km / ((km)! f(lam)^n) for i.i.d. truncated Poissons
+        km = k * m
+        lam = F.lambda_of(km / n)
+        exact = float(Fraction(count_C_exact(k, m, n).exact, math.factorial(km))) * lam**km / F.f(lam) ** n
+        assert _hit_probability(lam, n, km) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("total", [12, 13])
+    def test_degree_multisets_follow_conditioned_law(self, total):
+        # n = 4 i.i.d. truncated Poissons given their sum: P(d) is proportional
+        # to prod 1/d_i! over vectors with entries >= 2 summing to total
+        n = 4
+        law = Counter()
+        for d in product(range(2, total + 1), repeat=n):
+            if sum(d) == total:
+                law[tuple(sorted(d))] += Fraction(1, math.prod(math.factorial(x) for x in d))
+        stream = _degree_stream(np.random.default_rng(total), 1, total, n)
+        samples = 20_000
+        counts = Counter()
+        tries = 0
+        for _ in range(samples):
+            degrees, t = stream.next()
+            counts[tuple(degrees.tolist())] += 1
+            tries += t
+        assert set(counts) <= set(law)
+        weight = sum(law.values())
+        keys = sorted(law)
+        expected = [samples * float(law[key] / weight) for key in keys]
+        assert chi2_pvalue([counts.get(key, 0) for key in keys], expected) > CHI2_SIGNIFICANCE
+        # the candidate counts are Geometric(p_hit): mean 1/p_hit, sd sqrt(1-p)/p
+        p_hit = stream.p_hit
+        assert abs(tries / samples - 1 / p_hit) < 5 * math.sqrt((1 - p_hit) / samples) / p_hit
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_row_duplicate_check_matches_sorting(self, k):
+        rng = np.random.default_rng(k)
+        for trial in range(200):
+            m = int(rng.integers(1, 40))
+            n = int(rng.integers(k, 4 * k + 60))
+            # distinct rows, then plant one duplicate pair in one row in half the trials
+            cols = np.array([rng.choice(n, k, replace=False) for _ in range(m)], dtype=np.int64)
+            if k > 1 and trial % 2:
+                row, (a, b) = rng.integers(m), rng.choice(k, 2, replace=False)
+                cols[row, a] = cols[row, b]
+            flat = cols.ravel()
+            assert _has_row_duplicate(flat, k, m) == _has_row_duplicate_by_sorting(flat, k, m)
+            assert _has_row_duplicate(flat, k, m) == bool(k > 1 and trial % 2)
+            # unconstrained draws: duplicates wherever chance puts them
+            flat = rng.integers(0, n, size=m * k)
+            assert _has_row_duplicate(flat, k, m) == _has_row_duplicate_by_sorting(flat, k, m)
 
 
 class TestAllocationCounts:

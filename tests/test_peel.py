@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from collections import Counter, deque
@@ -180,6 +181,21 @@ def test_trace_is_deterministic():
     again = two_core(inst)
     assert first == again
     assert PeelTrace.from_json_dict(json.loads(first[1].dumps())) == first[1]
+
+
+def test_garbage_collector_state_is_restored():
+    inst = gen_unconstrained(3, 900, 1000, Seed(951))
+    was_on = gc.isenabled()
+    try:
+        gc.enable()
+        two_core(inst)
+        assert gc.isenabled()
+        gc.disable()
+        two_core(inst)
+        assert not gc.isenabled()
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def test_min_degree_two_input_is_fixed():
