@@ -253,47 +253,74 @@ def certify_amed(
 # Claim: H_3 <= -0.002 on the 0.001 grid near c = 1
 
 
-def _hk_box(k: int, A: Interval, z1: float, z2: float, C: Interval, LAM: Interval) -> Interval:
-    """Straight interval evaluation of H_k over a (alpha, c, lambda) box."""
-    B = _ONE - A
-    head = C * (entropy_int(A) + (ixlog_ratio(A, z1) + ixlog_ratio(B, z2)) * k)
-    s = Interval.point(z2) + Interval.point(z1)
-    d = Interval.point(z2) - Interval.point(z1)
-    num = f_int(LAM * s) + f_int(LAM * d)
-    den = f_int(LAM) * 2
-    return head + ilog(num / den)
-
-
-def _hk_dalpha(k: int, A: Interval, z1: float, z2: float, C: Interval) -> Interval:
-    B = _ONE - A
-    inner = ilog(B / A) + (ilog(A / Interval.point(z1)) - ilog(B / Interval.point(z2))) * k
-    return C * inner
-
-
 def _hk_dc(k: int, A: Interval, z1: float, z2: float) -> Interval:
+    """dH/dc, the bracket that c multiplies in H_k."""
     B = _ONE - A
     return entropy_int(A) + (ixlog_ratio(A, z1) + ixlog_ratio(B, z2)) * k
 
 
-def _hk_dlam(z1: float, z2: float, LAM: Interval) -> Interval:
-    s = Interval.point(z2) + Interval.point(z1)
-    d = Interval.point(z2) - Interval.point(z1)
+def _hk_tail(s: Interval, d: Interval, LAM: Interval) -> Interval:
+    """ln((f(lam s) + f(lam d)) / 2 f(lam)), with s = z2 + z1 and d = z2 - z1."""
+    num = f_int(LAM * s) + f_int(LAM * d)
+    den = f_int(LAM) * 2
+    return ilog(num / den)
+
+
+def _hk_dlam(s: Interval, d: Interval, LAM: Interval) -> Interval:
     num = s * fprime_int(LAM * s) + d * fprime_int(LAM * d)
     den = f_int(LAM * s) + f_int(LAM * d)
     return num / den - fprime_int(LAM) / f_int(LAM)
 
 
-def _hk_centered(k: int, A: Interval, z1: float, z2: float, C: Interval, LAM: Interval) -> Interval:
+def _zeta_sum_diff(z1: float, z2: float) -> tuple[Interval, Interval]:
+    Z1, Z2 = Interval.point(z1), Interval.point(z2)
+    return Z2 + Z1, Z2 - Z1
+
+
+def _hk_box(k: int, A: Interval, z1: float, z2: float, C: Interval, LAM: Interval) -> Interval:
+    """Straight interval evaluation of H_k over a (alpha, c, lambda) box."""
+    s, d = _zeta_sum_diff(z1, z2)
+    return C * _hk_dc(k, A, z1, z2) + _hk_tail(s, d, LAM)
+
+
+def _alpha_terms(k: int, A: Interval, z1: float, z2: float) -> tuple:
+    """The centered form's terms that depend on the alpha sub-box only:
+    dH/dc at its midpoint and over it, dH/dalpha / c over it, and A - mid."""
+    am = A.mid
+    B = _ONE - A
+    inner = ilog(B / A) + (ilog(A / Interval.point(z1)) - ilog(B / Interval.point(z2))) * k
+    return _hk_dc(k, Interval.point(am), z1, z2), _hk_dc(k, A, z1, z2), inner, A - am
+
+
+def _lambda_terms(s: Interval, d: Interval, C: Interval, LAM: Interval) -> tuple:
+    """The centered form's terms that depend on the (c, lambda) sub-range only:
+    c at its midpoint, C, C - mid, the lambda tail at its midpoint, and
+    dH/dlambda over LAM times LAM - mid."""
+    cm, lm = C.mid, LAM.mid
+    tail_mid = _hk_tail(s, d, Interval.point(lm))
+    return Interval.point(cm), C, C - cm, tail_mid, _hk_dlam(s, d, LAM) * (LAM - lm)
+
+
+def _centered(alpha: tuple, lam: tuple) -> Interval:
     """Mean-value form: H(mid) + dH/d(alpha,c,lambda)(box) . (box - mid).
 
     Much tighter than the straight box evaluation because the lambda and c
-    dependencies nearly cancel near the optimal zeta.
+    dependencies nearly cancel near the optimal zeta.  The four terms are
+    summed in this fixed order: interval sums round, so another order moves
+    the last bits of the bound and with them the certificate bytes.
     """
-    am, cm, lm = A.mid, C.mid, LAM.mid
-    f0 = _hk_box(k, Interval.point(am), z1, z2, Interval.point(cm), Interval.point(lm))
-    out = f0 + _hk_dalpha(k, A, z1, z2, C) * (A - am)
-    out = out + _hk_dc(k, A, z1, z2) * (C - cm)
-    return out + _hk_dlam(z1, z2, LAM) * (LAM - lm)
+    dc_mid, dc_box, inner, dA = alpha
+    Cm, C, dC, tail_mid, lam_part = lam
+    out = Cm * dc_mid + tail_mid
+    out = out + (C * inner) * dA
+    out = out + dc_box * dC
+    return out + lam_part
+
+
+def _hk_centered(k: int, A: Interval, z1: float, z2: float, C: Interval, LAM: Interval) -> Interval:
+    """The centered form over one (alpha, c, lambda) box."""
+    s, d = _zeta_sum_diff(z1, z2)
+    return _centered(_alpha_terms(k, A, z1, z2), _lambda_terms(s, d, C, LAM))
 
 
 def hk_cell_bound(
@@ -308,18 +335,23 @@ def hk_cell_bound(
     """Certified sup of H_k(alpha, zeta; c) over alpha_cell x c_range.
 
     Subdivides the box (c_div x a_div), bounds each sub-box by the centered
-    form, and returns the max.
+    form, and returns the max.  The terms that depend on alpha alone are
+    computed once per alpha sub-box and those that depend on (c, lambda)
+    alone once per c sub-range; each of the c_div * a_div sub-boxes then
+    only combines them.
     """
     z1, z2 = zeta
     if _lam_subs is None:
         _lam_subs = _lambda_subranges(k, c_range, c_div)
+    s, d = _zeta_sum_diff(z1, z2)
     alo, ahi = alpha_cell
     aedges = [alo + (ahi - alo) * i / a_div for i in range(a_div + 1)]
+    alphas = [_alpha_terms(k, Interval(aedges[j], aedges[j + 1]), z1, z2) for j in range(a_div)]
     worst = -math.inf
     for C, LAM in _lam_subs:
-        for j in range(a_div):
-            A = Interval(aedges[j], aedges[j + 1])
-            worst = max(worst, _hk_centered(k, A, z1, z2, C, LAM).hi)
+        lam = _lambda_terms(s, d, C, LAM)
+        for alpha in alphas:
+            worst = max(worst, _centered(alpha, lam).hi)
     return worst
 
 
@@ -570,7 +602,9 @@ def certify_monotonicity() -> Certificate:
 # Replay and dispatch
 
 
-def _replay_cell(cert: Certificate, cell: CoverCell) -> float:
+def _replay_cell(
+    cert: Certificate, cell: CoverCell, lam_subs: list[tuple[Interval, Interval]] | None
+) -> float:
     if cert.claim_id == "amed":
         return interval_s_k(cert.k, Interval(cell.lo, cell.hi)).hi
     if cert.claim_id == "k3grid":
@@ -581,6 +615,7 @@ def _replay_cell(cert: Certificate, cell: CoverCell) -> float:
             cert.c_range,
             cert.details.get("c_div", 2),
             cert.details.get("a_div", 2),
+            lam_subs,
         )
     if cert.claim_id == "monotone":
         fn = _SIGN_CLAIMS[cell.tag][0]
@@ -602,10 +637,15 @@ def replay_certificate(cert: Certificate) -> bool:
     """Re-verify a stored certificate without re-searching.
 
     Recomputes each cell's bound (using the stored zeta table where
-    applicable) and re-checks targets and cover completeness.
+    applicable) and re-checks targets and cover completeness.  The verified
+    lambda brackets of a k3grid certificate depend only on its c range, so
+    they are computed once and shared by every cell.
     """
+    lam_subs = None
+    if cert.claim_id == "k3grid":
+        lam_subs = _lambda_subranges(cert.k, cert.c_range, cert.details.get("c_div", 2))
     for cell in cert.cells:
-        fresh = _replay_cell(cert, cell)
+        fresh = _replay_cell(cert, cell, lam_subs)
         ok = fresh < cell.target if cell.strict else fresh <= cell.target
         if not ok:
             return False

@@ -31,27 +31,33 @@ from functools import lru_cache
 from xorsatlab.formulas import lambda_of
 
 _INF = math.inf
+_NEXT = math.nextafter
 
 
 def up(x: float, ulps: int = 2) -> float:
+    if ulps == 2:
+        return _NEXT(_NEXT(x, _INF), _INF)
     for _ in range(ulps):
-        x = math.nextafter(x, _INF)
+        x = _NEXT(x, _INF)
     return x
 
 
 def down(x: float, ulps: int = 2) -> float:
+    if ulps == 2:
+        return _NEXT(_NEXT(x, -_INF), -_INF)
     for _ in range(ulps):
-        x = math.nextafter(x, -_INF)
+        x = _NEXT(x, -_INF)
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
+        # false for inverted ends and for a NaN at either end
+        if not self.lo <= self.hi:
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
 
     # -- constructors -------------------------------------------------------
@@ -80,13 +86,10 @@ class Interval:
     def subset_of(self, other: "Interval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other) -> "Interval":
-        return other if isinstance(other, Interval) else Interval.point(float(other))
+    # -- arithmetic (a plain number operand is a point interval) -------------
 
     def __add__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if isinstance(other, Interval) else Interval.point(float(other))
         return Interval(down(self.lo + o.lo), up(self.hi + o.hi))
 
     __radd__ = __add__
@@ -95,28 +98,28 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if isinstance(other, Interval) else Interval.point(float(other))
         return Interval(down(self.lo - o.hi), up(self.hi - o.lo))
 
     def __rsub__(self, other) -> "Interval":
-        return self._coerce(other) - self
+        return Interval.point(float(other)) - self
 
     def __mul__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if isinstance(other, Interval) else Interval.point(float(other))
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return Interval(down(min(products)), up(max(products)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if isinstance(other, Interval) else Interval.point(float(other))
         if o.lo <= 0.0 <= o.hi:
             raise ZeroDivisionError(f"divisor interval [{o.lo}, {o.hi}] contains zero")
         quotients = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
         return Interval(down(min(quotients)), up(max(quotients)))
 
     def __rtruediv__(self, other) -> "Interval":
-        return self._coerce(other) / self
+        return Interval.point(float(other)) / self
 
     def sq(self) -> "Interval":
         """x^2 as an even power (tighter than self * self when 0 is inside)."""

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from xorsatlab import certify
 from xorsatlab.certify import (
     Certificate,
     CoverCell,
@@ -19,8 +20,15 @@ from xorsatlab.certify import (
     _hk_centered,
     _lambda_subranges,
 )
-from xorsatlab.formulas import H_k, ZetaChoice, s_k
-from xorsatlab.intervals import Interval
+from xorsatlab.formulas import H_k, ZetaChoice, _hk_terms, lambda_of, s_k
+from xorsatlab.intervals import (
+    Interval,
+    entropy_int,
+    f_int,
+    fprime_int,
+    ilog,
+    ixlog_ratio,
+)
 
 
 class TestIntervalSk:
@@ -137,6 +145,101 @@ class TestHkEnclosures:
             assert H_k(a, ZetaChoice(0.38, 0.64), c, 3) <= bound + 1e-12
 
 
+# Test-local copy of the per-sub-box evaluation that hk_cell_bound replaced:
+# every sub-box recomputed all of its alpha and lambda terms.
+
+_ONE = Interval.point(1.0)
+
+
+def _old_hk_box(k, A, z1, z2, C, LAM):
+    B = _ONE - A
+    head = C * (entropy_int(A) + (ixlog_ratio(A, z1) + ixlog_ratio(B, z2)) * k)
+    s = Interval.point(z2) + Interval.point(z1)
+    d = Interval.point(z2) - Interval.point(z1)
+    num = f_int(LAM * s) + f_int(LAM * d)
+    den = f_int(LAM) * 2
+    return head + ilog(num / den)
+
+
+def _old_hk_dalpha(k, A, z1, z2, C):
+    B = _ONE - A
+    inner = ilog(B / A) + (ilog(A / Interval.point(z1)) - ilog(B / Interval.point(z2))) * k
+    return C * inner
+
+
+def _old_hk_dc(k, A, z1, z2):
+    B = _ONE - A
+    return entropy_int(A) + (ixlog_ratio(A, z1) + ixlog_ratio(B, z2)) * k
+
+
+def _old_hk_dlam(z1, z2, LAM):
+    s = Interval.point(z2) + Interval.point(z1)
+    d = Interval.point(z2) - Interval.point(z1)
+    num = s * fprime_int(LAM * s) + d * fprime_int(LAM * d)
+    den = f_int(LAM * s) + f_int(LAM * d)
+    return num / den - fprime_int(LAM) / f_int(LAM)
+
+
+def _old_hk_centered(k, A, z1, z2, C, LAM):
+    am, cm, lm = A.mid, C.mid, LAM.mid
+    f0 = _old_hk_box(k, Interval.point(am), z1, z2, Interval.point(cm), Interval.point(lm))
+    out = f0 + _old_hk_dalpha(k, A, z1, z2, C) * (A - am)
+    out = out + _old_hk_dc(k, A, z1, z2) * (C - cm)
+    return out + _old_hk_dlam(z1, z2, LAM) * (LAM - lm)
+
+
+def _old_hk_cell_bound(k, alpha_cell, zeta, c_range, c_div, a_div):
+    z1, z2 = zeta
+    lam_subs = _lambda_subranges(k, c_range, c_div)
+    alo, ahi = alpha_cell
+    aedges = [alo + (ahi - alo) * i / a_div for i in range(a_div + 1)]
+    worst = -math.inf
+    for C, LAM in lam_subs:
+        for j in range(a_div):
+            A = Interval(aedges[j], aedges[j + 1])
+            worst = max(worst, _old_hk_centered(k, A, z1, z2, C, LAM).hi)
+    return worst
+
+
+def _near_optimal_zeta(k, amid, c_mid):
+    """The build's lattice descent on the float objective, from the build's start."""
+    lam_mid = lambda_of(k * c_mid)
+
+    def objective(z):
+        return _hk_terms(amid, z[0] / 1000, z[1] / 1000, c_mid, k, lam_mid)
+
+    z = certify._descend_zeta(objective, (round(amid * 1000), round((1.0 - amid) * 1000)), 1000)
+    return z[0] / 1000, z[1] / 1000
+
+
+class TestSharedTermsEquivalence:
+    def test_cell_bound_bit_equal_to_per_sub_box_evaluation(self):
+        rnd = random.Random(606)
+        for trial in range(200):
+            k = (3, 4)[trial % 2]
+            c_div, a_div = rnd.randint(1, 3), rnd.randint(1, 3)
+            c0 = rnd.uniform(0.99, 1.005)
+            c_range = (c0, min(1.01, c0 + rnd.uniform(0.0005, 0.005)))
+            alo = rnd.uniform(0.05, 0.45)
+            cell = (alo, alo + rnd.choice((0.001, 0.0005, 0.004)))
+            if trial % 4 < 2:
+                zeta = _near_optimal_zeta(k, 0.5 * (cell[0] + cell[1]), 0.5 * (c_range[0] + c_range[1]))
+            else:
+                zeta = (rnd.uniform(0.02, 0.98), rnd.uniform(0.02, 0.98))
+            new = hk_cell_bound(k, cell, zeta, c_range, c_div, a_div)
+            old = _old_hk_cell_bound(k, cell, zeta, c_range, c_div, a_div)
+            assert new == old, (k, cell, zeta, c_range, c_div, a_div)
+            C, LAM = _lambda_subranges(k, c_range, 1)[0]
+            A = Interval(*cell)
+            assert _hk_box(k, A, *zeta, C, LAM) == _old_hk_box(k, A, *zeta, C, LAM)
+            assert _hk_centered(k, A, *zeta, C, LAM) == _old_hk_centered(k, A, *zeta, C, LAM)
+
+    def test_passing_lambda_subranges_gives_the_same_bound(self):
+        subs = _lambda_subranges(3, (0.999, 1.001), 2)
+        args = (3, (0.300, 0.301), (0.360, 0.667), (0.999, 1.001), 2, 2)
+        assert hk_cell_bound(*args, subs) == hk_cell_bound(*args)
+
+
 class TestAlargeAndMonotone:
     def test_alarge_verifies(self):
         cert = certify_alarge_constants()
@@ -176,6 +279,25 @@ class TestCertificateLifecycle:
         back = Certificate.loads(blob)
         assert back.to_json_dict() == cert.to_json_dict()
         assert replay_certificate(back) is True
+
+    def test_k3grid_replay_evaluates_every_cell_and_brackets_lambda_once(self, monkeypatch):
+        cert = certify_k3_grid()
+        calls = {"hk_cell_bound": 0, "_lambda_subranges": 0}
+
+        def count(name):
+            fn = getattr(certify, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(certify, name, counted)
+
+        count("hk_cell_bound")
+        count("_lambda_subranges")
+        assert replay_certificate(cert) is True
+        assert calls["hk_cell_bound"] == len(cert.cells) == 301
+        assert calls["_lambda_subranges"] == 1
 
     def test_replay_rejects_tampered_cover(self):
         cert = certify_amed(5)

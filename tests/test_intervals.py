@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from xorsatlab.intervals import (
     Interval,
     clamp,
     cosh_gap,
+    down,
     entropy_int,
     f_int,
     fprime_int,
@@ -23,6 +25,7 @@ from xorsatlab.intervals import (
     lambda_interval,
     psi_int,
     rate_numerator,
+    up,
 )
 
 
@@ -42,6 +45,38 @@ def test_interval_basics():
     sq = Interval(-2.0, 1.0).sq()
     assert sq.lo == 0.0 and sq.hi >= 4.0
     assert Interval.hull(Interval(0.0, 1.0), Interval(3.0, 4.0)) == Interval(0.0, 4.0)
+
+
+def test_interval_rejects_nan_ends_and_is_frozen():
+    nan = math.nan
+    for lo, hi in ((nan, 1.0), (0.0, nan), (nan, nan), (1.0, 0.0), (math.inf, -math.inf)):
+        with pytest.raises(ValueError):
+            Interval(lo, hi)
+    assert Interval(-math.inf, math.inf).contains(0.0)
+    x = Interval(1.0, 2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.lo = 0.0
+    with pytest.raises((AttributeError, TypeError)):
+        x.extra = 0.0
+    assert not hasattr(x, "__dict__")
+    assert x == Interval(1.0, 2.0) and x != Interval(1.0, 3.0)
+    assert hash(x) == hash(Interval(1.0, 2.0)) == hash((1.0, 2.0))
+    assert len({x, Interval(1.0, 2.0), Interval(0.0, 2.0)}) == 2
+
+
+def test_two_ulp_padding_matches_stepwise_nextafter():
+    rnd = random.Random(21)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf, 1.7976931348623157e308]
+    for x in specials + [rnd.uniform(-1e3, 1e3) for _ in range(2000)]:
+        for ulps in (0, 1, 2, 3, 4, 6):
+            hi = lo = x
+            for _ in range(ulps):
+                hi = math.nextafter(hi, math.inf)
+                lo = math.nextafter(lo, -math.inf)
+            assert math.copysign(1.0, up(x, ulps)) == math.copysign(1.0, hi) and up(x, ulps) == hi
+            assert math.copysign(1.0, down(x, ulps)) == math.copysign(1.0, lo) and down(x, ulps) == lo
+        assert up(x) == up(x, 2) and down(x) == down(x, 2)
+    assert math.isnan(up(math.nan)) and math.isnan(down(math.nan))
 
 
 def test_clamp_is_domain_intersection():
