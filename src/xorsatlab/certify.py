@@ -602,9 +602,9 @@ def certify_monotonicity() -> Certificate:
 # Replay and dispatch
 
 
-def _replay_cell(
-    cert: Certificate, cell: CoverCell, lam_subs: list[tuple[Interval, Interval]] | None
-) -> float:
+def _replay_cell(cert: Certificate, cell: CoverCell, shared) -> float:
+    """Fresh bound of one cell; `shared` holds what every cell of the claim
+    uses (see replay_certificate)."""
     if cert.claim_id == "amed":
         return interval_s_k(cert.k, Interval(cell.lo, cell.hi)).hi
     if cert.claim_id == "k3grid":
@@ -615,7 +615,7 @@ def _replay_cell(
             cert.c_range,
             cert.details.get("c_div", 2),
             cert.details.get("a_div", 2),
-            lam_subs,
+            shared,
         )
     if cert.claim_id == "monotone":
         fn = _SIGN_CLAIMS[cell.tag][0]
@@ -625,11 +625,10 @@ def _replay_cell(
             if cell.lo == 0.0:
                 return _entropy_gap_taylor_cell(cell.hi)
             return _entropy_gap_direct(Interval(cell.lo, cell.hi)).hi
+        d_slack, fixed = shared
         if cell.tag == "rate-chain":
-            slack = max((c.bound for c in cert.cells if c.tag == "entropy-bound" and c.lo == 0.0), default=0.0)
-            return (_phi_chain(Interval.point(cell.lo).sq()) + Interval(0.0, max(slack, 0.0))).hi
-        fixed = {c.tag: c for c in _alarge_constant_cells()}
-        return fixed[cell.tag].bound
+            return (_phi_chain(Interval.point(cell.lo).sq()) + d_slack).hi
+        return fixed[cell.tag]
     raise ValueError(f"unknown claim {cert.claim_id!r}")
 
 
@@ -637,15 +636,21 @@ def replay_certificate(cert: Certificate) -> bool:
     """Re-verify a stored certificate without re-searching.
 
     Recomputes each cell's bound (using the stored zeta table where
-    applicable) and re-checks targets and cover completeness.  The verified
-    lambda brackets of a k3grid certificate depend only on its c range, so
-    they are computed once and shared by every cell.
+    applicable) and re-checks targets and cover completeness.  What every
+    cell of a claim shares is computed once: the verified lambda brackets of
+    a k3grid certificate, which depend only on its c range, and for alarge
+    the entropy slack that each rate-chain cell adds and the bounds of the
+    fixed constant inequalities.
     """
-    lam_subs = None
+    shared = None
     if cert.claim_id == "k3grid":
-        lam_subs = _lambda_subranges(cert.k, cert.c_range, cert.details.get("c_div", 2))
+        shared = _lambda_subranges(cert.k, cert.c_range, cert.details.get("c_div", 2))
+    elif cert.claim_id == "alarge":
+        slack = max((c.bound for c in cert.cells if c.tag == "entropy-bound" and c.lo == 0.0), default=0.0)
+        fixed = {c.tag: c.bound for c in _alarge_constant_cells()}
+        shared = (Interval(0.0, max(slack, 0.0)), fixed)
     for cell in cert.cells:
-        fresh = _replay_cell(cert, cell, lam_subs)
+        fresh = _replay_cell(cert, cell, shared)
         ok = fresh < cell.target if cell.strict else fresh <= cell.target
         if not ok:
             return False

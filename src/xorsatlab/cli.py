@@ -146,56 +146,32 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    payload = {}
     if args.config:
         with open(args.config) as fh:
             payload = json.load(fh)
-        # explicit flags override file values
-        overrides = {
-            "kind": args.kind,
-            "k": args.k,
-            "n": args.n,
-            "trials": args.trials,
-            "master_seed": args.seed,
-            "model": args.model,
-            "out": args.out,
-            "workers": args.workers,
-        }
-        payload.update({k: v for k, v in overrides.items() if v is not None})
-        payload.setdefault("workers", default_workers())
-        if args.c_grid:
-            payload["c_grid"] = args.c_grid
-        if args.m_list:
-            payload["m_list"] = args.m_list
-        if args.w_list:
-            payload["w_list"] = args.w_list
-        cfg = ExperimentConfig.from_json_dict(payload)
-    else:
-        required = {"kind": args.kind, "k": args.k, "n": args.n, "trials": args.trials}
-        missing = [name for name, v in required.items() if v is None]
-        if missing:
-            raise XorsatLabError(f"experiment needs --config or flags; missing {missing}")
-        cfg = ExperimentConfig(
-            kind=args.kind,
-            k=args.k,
-            n=args.n,
-            trials=args.trials,
-            master_seed=args.seed if args.seed is not None else 0,
-            model=args.model or "unconstrained",
-            c_grid=args.c_grid,
-            m_list=args.m_list,
-            w_list=args.w_list,
-            out=args.out,
-            workers=args.workers if args.workers is not None else default_workers(),
-        )
-        cfg.validate()
-    aggregates, _, summary = run_experiment(cfg)
-    out = {"aggregates": aggregates if isinstance(aggregates, (list, dict)) else [vars(a) for a in aggregates]}
-    if isinstance(aggregates, list) and aggregates and hasattr(aggregates[0], "__dataclass_fields__"):
-        from dataclasses import asdict
-
-        out["aggregates"] = [asdict(a) for a in aggregates]
-    out["csv_sha256"] = summary["csv_sha256"]
-    print(json.dumps(out))
+    # explicit flags override file values
+    flags = {
+        "kind": args.kind,
+        "k": args.k,
+        "n": args.n,
+        "trials": args.trials,
+        "master_seed": args.seed,
+        "model": args.model,
+        "c_grid": args.c_grid,
+        "m_list": args.m_list,
+        "w_list": args.w_list,
+        "out": args.out,
+        "workers": args.workers,
+    }
+    payload.update({k: v for k, v in flags.items() if v is not None})
+    missing = [name for name in ("kind", "k", "n", "trials") if name not in payload]
+    if missing:
+        raise XorsatLabError(f"experiment needs --config or flags; missing {missing}")
+    payload.setdefault("master_seed", 0)
+    payload.setdefault("workers", default_workers())
+    aggregates, _, summary = run_experiment(ExperimentConfig.from_json_dict(payload))
+    print(json.dumps({"aggregates": aggregates, "csv_sha256": summary["csv_sha256"]}))
     return 0
 
 

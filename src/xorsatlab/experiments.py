@@ -1,6 +1,9 @@
 """Monte Carlo experiment campaigns.
 
-Five experiment kinds, all driven by one ExperimentConfig:
+Five experiment kinds, all driven by one ExperimentConfig and run by one
+engine, ``run_experiment``.  The ``_KINDS`` table gives each kind its
+per-trial task, CSV header, per-point aggregate and, where the kind fixes
+one, its model:
 
 * ``sat_sweep``       - per density point: generate, peel (unconstrained
                         model), solve on GF(2), record satisfiability.
@@ -10,10 +13,15 @@ Five experiment kinds, all driven by one ExperimentConfig:
                         E[N^2]/E[N]^2 = X + 1 by full b-enumeration.
 * ``core_check``      - unconstrained model: 2-core order/size against the
                         predicted fractions.
-* ``collision_check`` - chip model: collision moments against gamma,
-                        gamma^2 and the e^{-gamma} acceptance rate.
+* ``collision_check`` - chip model at exactly one density: collision
+                        moments against gamma, gamma^2 and the e^{-gamma}
+                        acceptance rate; each trial is one sample.
 * ``window_check``    - constrained model at m = n +- w for a list of
                         widths w.
+
+``run_experiment(cfg)`` returns ``(aggregates, rows, summary)``: one
+aggregate dict per point (collision_check: its one point's dict), the
+per-trial row dicts in task order, and the summary dict.
 
 Reproducibility contract: every trial draws from the Philox stream
 (master, mix(point_index, trial_index)), so output is byte-identical for a
@@ -37,7 +45,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -48,9 +56,6 @@ from xorsatlab.gf2 import KERNEL_BACKEND, BitMatrix, solve
 from xorsatlab.instances import collision_count, gen_C_model, gen_constrained, gen_unconstrained
 from xorsatlab.peel import two_core
 from xorsatlab.rng import Seed, mix_streams
-
-_KINDS = ("sat_sweep", "critical_census", "core_check", "collision_check", "window_check")
-_COLLISION_CHUNK = 250
 
 WORKERS_ENV = "XORSAT_LAB_WORKERS"
 
@@ -88,6 +93,10 @@ class ExperimentConfig:
             raise ValueError("window_check needs w_list")
         if self.kind != "window_check" and not (self.c_grid or self.m_list):
             raise ValueError("need c_grid or m_list")
+        if self.kind == "collision_check" and len(self.points()) != 1:
+            raise ValueError("collision_check takes exactly one density (one c_grid or m_list entry)")
+        if self.kind == "critical_census" and self.n > 4000:
+            raise ValueError("census is limited to n <= 4000")
 
     def points(self) -> list[dict]:
         """Resolved (c, m) points; window_check yields m = n -+ w pairs."""
@@ -111,23 +120,9 @@ class ExperimentConfig:
         return cfg
 
 
-@dataclass
-class SweepRow:
-    """Aggregate of one sweep point (wall_time goes to the JSON summary only)."""
-
-    c: float
-    n: int
-    m: int
-    trials: int
-    sat_count: int
-    mean_nullity: float
-    mean_core_vars: float
-    mean_core_eqs: float
-    wall_time: float = 0.0
-
-
 # ---------------------------------------------------------------------------
-# Per-trial work (module level so the process pool can pickle tasks)
+# Per-trial work: module level so the process pool can pickle tasks.  Tasks
+# call two_core, solve and the generators through this module's globals.
 
 
 def _trial_seed(master: int, point_idx: int, trial_idx: int) -> Seed:
@@ -151,7 +146,7 @@ def _task_sat(params: dict, point_idx: int, trial_idx: int) -> dict:
         inst = gen_constrained(k, m, n, seed)
         res = _solve_instance(inst.rows, inst.rhs, inst.n)
         core_vars, core_eqs = n, m
-    return {
+    row = {
         "point": point_idx,
         "c": params["c"],
         "n": n,
@@ -164,6 +159,10 @@ def _task_sat(params: dict, point_idx: int, trial_idx: int) -> dict:
         "core_vars": core_vars,
         "core_eqs": core_eqs,
     }
+    if "w" in params:  # a window_check point
+        row["w"] = params["w"]
+        row["side"] = params["side"]
+    return row
 
 
 def _task_census(params: dict, point_idx: int, trial_idx: int) -> dict:
@@ -227,47 +226,23 @@ def _task_core(params: dict, point_idx: int, trial_idx: int) -> dict:
     }
 
 
-def _task_collision_chunk(params: dict, chunk_idx: int) -> list[dict]:
+def _task_collision(params: dict, point_idx: int, trial_idx: int) -> dict:
+    seed = _trial_seed(params["master"], point_idx, trial_idx)
     k, n, m = params["k"], params["n"], params["m"]
-    lo = chunk_idx * _COLLISION_CHUNK
-    hi = min(lo + _COLLISION_CHUNK, params["trials"])
-    rows = []
-    for sample_idx in range(lo, hi):
-        seed = _trial_seed(params["master"], 0, sample_idx)
-        alloc = gen_C_model(k, m, n, seed)
-        rows.append(
-            {
-                "sample": sample_idx,
-                "stream": seed.stream,
-                "n": n,
-                "m": m,
-                "collisions": collision_count(alloc),
-                "degree_retries": alloc.retries,
-            }
-        )
-    return rows
-
-
-def _task_window(params: dict, point_idx: int, trial_idx: int) -> dict:
-    row = _task_sat(params, point_idx, trial_idx)
-    row["w"] = params["w"]
-    row["side"] = params["side"]
-    return row
-
-
-_TASK_FNS = {
-    "sat_sweep": _task_sat,
-    "critical_census": _task_census,
-    "core_check": _task_core,
-    "window_check": _task_window,
-}
+    alloc = gen_C_model(k, m, n, seed)
+    return {
+        "sample": trial_idx,
+        "stream": seed.stream,
+        "n": n,
+        "m": m,
+        "collisions": collision_count(alloc),
+        "degree_retries": alloc.retries,
+    }
 
 
 def _run_one(task):
     kind, params, point_idx, trial_idx = task
-    if kind == "collision_check":
-        return _task_collision_chunk(params, point_idx)
-    return _TASK_FNS[kind](params, point_idx, trial_idx)
+    return _KINDS[kind][0](params, point_idx, trial_idx)
 
 
 def _map_tasks(tasks: list, workers: int) -> list:
@@ -280,22 +255,128 @@ def _map_tasks(tasks: list, workers: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Campaign drivers
+# Per-point aggregates: (config, point, the point's rows in trial order)
 
 
-_HEADERS = {
-    "sat_sweep": ["point", "c", "n", "m", "trial", "stream", "sat", "rank", "nullity", "core_vars", "core_eqs"],
-    "critical_census": ["point", "c", "n", "m", "trial", "stream", "sat", "nullity", "critical_sets", "identity_ok"],
-    "core_check": ["point", "c", "n", "m", "trial", "stream", "core_vars", "core_eqs", "ratio"],
-    "collision_check": ["sample", "stream", "n", "m", "collisions", "degree_retries"],
-    "window_check": ["point", "w", "side", "c", "n", "m", "trial", "stream", "sat", "rank", "nullity", "core_vars", "core_eqs"],
+def _agg_sat(cfg: ExperimentConfig, point: dict, sub: list[dict]) -> dict:
+    return {
+        "c": point["c"],
+        "n": cfg.n,
+        "m": point["m"],
+        "trials": len(sub),
+        "sat_count": sum(r["sat"] for r in sub),
+        "mean_nullity": float(np.mean([r["nullity"] for r in sub])),
+        "mean_core_vars": float(np.mean([r["core_vars"] for r in sub])),
+        "mean_core_eqs": float(np.mean([r["core_eqs"] for r in sub])),
+    }
+
+
+def _agg_census(cfg: ExperimentConfig, point: dict, sub: list[dict]) -> dict:
+    checked = [r for r in sub if r["identity_ok"] != ""]
+    return {
+        "c": point["c"],
+        "m": point["m"],
+        "n": cfg.n,
+        "trials": len(sub),
+        "mean_critical_sets": float(np.mean([int(r["critical_sets"]) for r in sub])),
+        "frac_rank_deficient": float(np.mean([r["nullity"] > 0 for r in sub])),
+        "identity_checked": len(checked),
+        "identity_ok": sum(r["identity_ok"] for r in checked),
+    }
+
+
+def _agg_core(cfg: ExperimentConfig, point: dict, sub: list[dict]) -> dict:
+    pred_v, pred_e = core_sizes(cfg.k, point["c"])
+    nonempty = [r for r in sub if r["core_vars"] > 0]
+    return {
+        "c": point["c"],
+        "m": point["m"],
+        "n": cfg.n,
+        "trials": len(sub),
+        "mean_core_vars_frac": float(np.mean([r["core_vars"] / cfg.n for r in sub])),
+        "mean_core_eqs_frac": float(np.mean([r["core_eqs"] / cfg.n for r in sub])),
+        "mean_ratio": float(np.mean([r["core_eqs"] / r["core_vars"] for r in nonempty])) if nonempty else None,
+        "empty_cores": len(sub) - len(nonempty),
+        "predicted_core_vars_frac": pred_v,
+        "predicted_core_eqs_frac": pred_e,
+    }
+
+
+def _agg_collision(cfg: ExperimentConfig, point: dict, sub: list[dict]) -> dict:
+    coll = np.array([r["collisions"] for r in sub], dtype=np.float64)
+    lam = lambda_of(cfg.k * point["m"] / cfg.n)
+    g = gamma(cfg.k, lam)
+    return {
+        "k": cfg.k,
+        "n": cfg.n,
+        "m": point["m"],
+        "samples": len(sub),
+        "mean_collisions": float(coll.mean()),
+        "second_factorial_moment": float((coll * (coll - 1)).mean()),
+        "p_zero": float((coll == 0).mean()),
+        "mean_degree_retries": float(np.mean([r["degree_retries"] for r in sub])),
+        "gamma": g,
+        "gamma_sq": g * g,
+        "exp_neg_gamma": math.exp(-g),
+        "lambda": lam,
+    }
+
+
+def _agg_window(cfg: ExperimentConfig, point: dict, sub: list[dict]) -> dict:
+    agg = {
+        "w": point["w"],
+        "side": point["side"],
+        "m": point["m"],
+        "n": cfg.n,
+        "trials": len(sub),
+        "sat_frac": float(np.mean([r["sat"] for r in sub])),
+    }
+    if point["side"] == "+":
+        agg["unsat_envelope"] = 2.0 ** (-point["w"])
+    return agg
+
+
+# ---------------------------------------------------------------------------
+# The campaign engine
+
+# kind -> (task fn, CSV header, per-point aggregate fn, forced model or None)
+_KINDS = {
+    "sat_sweep": (
+        _task_sat,
+        ["point", "c", "n", "m", "trial", "stream", "sat", "rank", "nullity", "core_vars", "core_eqs"],
+        _agg_sat,
+        None,
+    ),
+    "critical_census": (
+        _task_census,
+        ["point", "c", "n", "m", "trial", "stream", "sat", "nullity", "critical_sets", "identity_ok"],
+        _agg_census,
+        "constrained",
+    ),
+    "core_check": (
+        _task_core,
+        ["point", "c", "n", "m", "trial", "stream", "core_vars", "core_eqs", "ratio"],
+        _agg_core,
+        None,
+    ),
+    "collision_check": (
+        _task_collision,
+        ["sample", "stream", "n", "m", "collisions", "degree_retries"],
+        _agg_collision,
+        None,
+    ),
+    "window_check": (
+        _task_sat,
+        ["point", "w", "side", "c", "n", "m", "trial", "stream", "sat", "rank", "nullity", "core_vars", "core_eqs"],
+        _agg_window,
+        "constrained",
+    ),
 }
 
 
-def _csv_text(kind: str, rows: list[dict]) -> str:
+def _csv_text(header: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = _HEADERS[kind]
     writer.writerow(header)
     for row in rows:
         writer.writerow([_csv_field(row.get(col, "")) for col in header])
@@ -308,14 +389,41 @@ def _csv_field(v):
     return v
 
 
-def _persist(cfg: ExperimentConfig, rows: list[dict], aggregates, wall: float) -> dict:
-    text = _csv_text(cfg.kind, rows)
-    digest = hashlib.sha256(text.encode()).hexdigest()
+def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict] | dict, list[dict], dict]:
+    """Run one campaign and return (aggregates, per-trial rows, summary).
+
+    aggregates holds one dict per point, except for collision_check, whose
+    single point's dict is returned bare.  The summary is what is written
+    to <out>.summary.json when cfg.out is set, next to the CSV at cfg.out.
+    """
+    cfg.validate()
+    _, header, aggregate, model = _KINDS[cfg.kind]
+    if model is not None:
+        cfg = replace(cfg, model=model)
+    t0 = time.time()
+    points = cfg.points()
+    tasks = []
+    for point_idx, point in enumerate(points):
+        params = {
+            "master": cfg.master_seed,
+            "k": cfg.k,
+            "n": cfg.n,
+            "model": cfg.model,
+            "tiny_identity_max": cfg.tiny_identity_max,
+            **point,
+        }
+        tasks.extend((cfg.kind, params, point_idx, trial_idx) for trial_idx in range(cfg.trials))
+    rows = _map_tasks(tasks, cfg.workers)
+    # tasks are point-major and _map_tasks keeps their order
+    aggregates = [aggregate(cfg, point, rows[i * cfg.trials:(i + 1) * cfg.trials]) for i, point in enumerate(points)]
+    if cfg.kind == "collision_check":
+        aggregates = aggregates[0]
+    text = _csv_text(header, rows)
     summary = {
         "config": cfg.to_json_dict(),
         "aggregates": aggregates,
-        "csv_sha256": digest,
-        "wall_time_s": wall,
+        "csv_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "wall_time_s": time.time() - t0,
         "version": __version__,
         "kernel_backend": KERNEL_BACKEND,
     }
@@ -324,193 +432,7 @@ def _persist(cfg: ExperimentConfig, rows: list[dict], aggregates, wall: float) -
             fh.write(text)
         with open(cfg.out + ".summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)
-    return summary
-
-
-def _trial_tasks(cfg: ExperimentConfig, extra_params: dict | None = None):
-    tasks = []
-    for point_idx, point in enumerate(cfg.points()):
-        params = {
-            "master": cfg.master_seed,
-            "k": cfg.k,
-            "n": cfg.n,
-            "model": cfg.model,
-            "tiny_identity_max": cfg.tiny_identity_max,
-            **point,
-            **(extra_params or {}),
-        }
-        for trial_idx in range(cfg.trials):
-            tasks.append((cfg.kind, params, point_idx, trial_idx))
-    return tasks
-
-
-def run_sat_sweep(cfg: ExperimentConfig) -> tuple[list[SweepRow], list[dict], dict]:
-    """Returns (aggregate SweepRows, per-trial rows, summary)."""
-    cfg.validate()
-    if cfg.kind != "sat_sweep":
-        raise ValueError("config kind must be sat_sweep")
-    t0 = time.time()
-    rows = _map_tasks(_trial_tasks(cfg), cfg.workers)
-    per_point: dict[int, list[dict]] = {}
-    for row in rows:
-        per_point.setdefault(row["point"], []).append(row)
-    aggregates = []
-    for point_idx, point in enumerate(cfg.points()):
-        sub = per_point.get(point_idx, [])
-        aggregates.append(
-            SweepRow(
-                c=point["c"],
-                n=cfg.n,
-                m=point["m"],
-                trials=len(sub),
-                sat_count=sum(r["sat"] for r in sub),
-                mean_nullity=float(np.mean([r["nullity"] for r in sub])),
-                mean_core_vars=float(np.mean([r["core_vars"] for r in sub])),
-                mean_core_eqs=float(np.mean([r["core_eqs"] for r in sub])),
-            )
-        )
-    wall = time.time() - t0
-    for agg in aggregates:
-        agg.wall_time = wall / max(len(aggregates), 1)
-    summary = _persist(cfg, rows, [asdict(a) for a in aggregates], wall)
     return aggregates, rows, summary
-
-
-def run_critical_census(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], dict]:
-    cfg.validate()
-    if cfg.kind != "critical_census":
-        raise ValueError("config kind must be critical_census")
-    if cfg.n > 4000:
-        raise ValueError("census is limited to n <= 4000")
-    t0 = time.time()
-    cfg = _as_model(cfg, "constrained")
-    rows = _map_tasks(_trial_tasks(cfg), cfg.workers)
-    aggregates = []
-    for point_idx, point in enumerate(cfg.points()):
-        sub = [r for r in rows if r["point"] == point_idx]
-        checked = [r for r in sub if r["identity_ok"] != ""]
-        aggregates.append(
-            {
-                "c": point["c"],
-                "m": point["m"],
-                "n": cfg.n,
-                "trials": len(sub),
-                "mean_critical_sets": float(np.mean([int(r["critical_sets"]) for r in sub])),
-                "frac_rank_deficient": float(np.mean([r["nullity"] > 0 for r in sub])),
-                "identity_checked": len(checked),
-                "identity_ok": sum(r["identity_ok"] for r in checked),
-            }
-        )
-    summary = _persist(cfg, rows, aggregates, time.time() - t0)
-    return aggregates, rows, summary
-
-
-def run_core_check(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], dict]:
-    cfg.validate()
-    if cfg.kind != "core_check":
-        raise ValueError("config kind must be core_check")
-    t0 = time.time()
-    rows = _map_tasks(_trial_tasks(cfg), cfg.workers)
-    aggregates = []
-    for point_idx, point in enumerate(cfg.points()):
-        sub = [r for r in rows if r["point"] == point_idx]
-        pred_v, pred_e = core_sizes(cfg.k, point["c"])
-        nonempty = [r for r in sub if r["core_vars"] > 0]
-        aggregates.append(
-            {
-                "c": point["c"],
-                "m": point["m"],
-                "n": cfg.n,
-                "trials": len(sub),
-                "mean_core_vars_frac": float(np.mean([r["core_vars"] / cfg.n for r in sub])),
-                "mean_core_eqs_frac": float(np.mean([r["core_eqs"] / cfg.n for r in sub])),
-                "mean_ratio": float(np.mean([r["core_eqs"] / r["core_vars"] for r in nonempty])) if nonempty else None,
-                "empty_cores": len(sub) - len(nonempty),
-                "predicted_core_vars_frac": pred_v,
-                "predicted_core_eqs_frac": pred_e,
-            }
-        )
-    summary = _persist(cfg, rows, aggregates, time.time() - t0)
-    return aggregates, rows, summary
-
-
-def run_collision_check(cfg: ExperimentConfig) -> tuple[dict, list[dict], dict]:
-    """cfg.trials = number of chip-model samples; returns aggregate moments."""
-    cfg.validate()
-    if cfg.kind != "collision_check":
-        raise ValueError("config kind must be collision_check")
-    t0 = time.time()
-    point = cfg.points()[0]
-    params = {"master": cfg.master_seed, "k": cfg.k, "n": cfg.n, "trials": cfg.trials, **point}
-    n_chunks = (cfg.trials + _COLLISION_CHUNK - 1) // _COLLISION_CHUNK
-    tasks = [("collision_check", params, i, 0) for i in range(n_chunks)]
-    chunks = _map_tasks(tasks, cfg.workers)
-    rows = [row for chunk in chunks for row in chunk]
-    coll = np.array([r["collisions"] for r in rows], dtype=np.float64)
-    lam = lambda_of(cfg.k * point["m"] / cfg.n)
-    g = gamma(cfg.k, lam)
-    aggregate = {
-        "k": cfg.k,
-        "n": cfg.n,
-        "m": point["m"],
-        "samples": len(rows),
-        "mean_collisions": float(coll.mean()),
-        "second_factorial_moment": float((coll * (coll - 1)).mean()),
-        "p_zero": float((coll == 0).mean()),
-        "mean_degree_retries": float(np.mean([r["degree_retries"] for r in rows])),
-        "gamma": g,
-        "gamma_sq": g * g,
-        "exp_neg_gamma": math.exp(-g),
-        "lambda": lam,
-    }
-    summary = _persist(cfg, rows, aggregate, time.time() - t0)
-    return aggregate, rows, summary
-
-
-def run_window_check(cfg: ExperimentConfig) -> tuple[list[dict], list[dict], dict]:
-    cfg.validate()
-    if cfg.kind != "window_check":
-        raise ValueError("config kind must be window_check")
-    t0 = time.time()
-    cfg = _as_model(cfg, "constrained")
-    rows = _map_tasks(_trial_tasks(cfg), cfg.workers)
-    aggregates = []
-    for point_idx, point in enumerate(cfg.points()):
-        sub = [r for r in rows if r["point"] == point_idx]
-        sat_frac = float(np.mean([r["sat"] for r in sub]))
-        agg = {
-            "w": point["w"],
-            "side": point["side"],
-            "m": point["m"],
-            "n": cfg.n,
-            "trials": len(sub),
-            "sat_frac": sat_frac,
-        }
-        if point["side"] == "+":
-            agg["unsat_envelope"] = 2.0 ** (-point["w"])
-        aggregates.append(agg)
-    summary = _persist(cfg, rows, aggregates, time.time() - t0)
-    return aggregates, rows, summary
-
-
-def _as_model(cfg: ExperimentConfig, model: str) -> ExperimentConfig:
-    if cfg.model != model:
-        cfg = ExperimentConfig(**{**cfg.to_json_dict(), "model": model})
-    return cfg
-
-
-_RUNNERS = {
-    "sat_sweep": run_sat_sweep,
-    "critical_census": run_critical_census,
-    "core_check": run_core_check,
-    "collision_check": run_collision_check,
-    "window_check": run_window_check,
-}
-
-
-def run_experiment(cfg: ExperimentConfig):
-    cfg.validate()
-    return _RUNNERS[cfg.kind](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +494,8 @@ def emit_plot(csv_path: str | None, out_svg: str, mode: str = "sweep", **kw) -> 
 
 __all__ = [
     "ExperimentConfig",
-    "SweepRow",
     "WORKERS_ENV",
     "default_workers",
     "emit_plot",
-    "run_collision_check",
-    "run_core_check",
-    "run_critical_census",
     "run_experiment",
-    "run_sat_sweep",
-    "run_window_check",
 ]

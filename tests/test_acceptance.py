@@ -23,13 +23,7 @@ from xorsatlab.certify import (
     hk_cell_bound,
     interval_s_k,
 )
-from xorsatlab.experiments import (
-    ExperimentConfig,
-    run_collision_check,
-    run_core_check,
-    run_sat_sweep,
-    run_window_check,
-)
+from xorsatlab.experiments import ExperimentConfig, run_experiment
 from xorsatlab.gf2 import (
     BitMatrix,
     brute_force_critical_sets,
@@ -159,9 +153,9 @@ def test_criterion_05_s4_point_value():
 def test_criterion_06_unconstrained_transition():
     t0 = time.perf_counter()
     cfg = ExperimentConfig("sat_sweep", 3, 3000, 200, 20240806, "unconstrained", c_grid=[0.87, 0.97], workers=2)
-    aggs, _, _ = run_sat_sweep(cfg)
-    frac_lo = aggs[0].sat_count / aggs[0].trials
-    frac_hi = aggs[1].sat_count / aggs[1].trials
+    aggs, _, _ = run_experiment(cfg)
+    frac_lo = aggs[0]["sat_count"] / aggs[0]["trials"]
+    frac_hi = aggs[1]["sat_count"] / aggs[1]["trials"]
     assert frac_lo >= 0.9
     assert frac_hi <= 0.1
     assert 0.87 < F.c_star(3) < 0.97
@@ -172,13 +166,13 @@ def test_criterion_06_unconstrained_transition():
 def test_criterion_07_constrained_transition_and_window():
     t0 = time.perf_counter()
     cfg = ExperimentConfig("sat_sweep", 4, 1000, 200, 20240807, "constrained", m_list=[900, 1100], workers=2)
-    aggs, _, _ = run_sat_sweep(cfg)
-    frac_sat = aggs[0].sat_count / aggs[0].trials
-    frac_unsat_side = aggs[1].sat_count / aggs[1].trials
+    aggs, _, _ = run_experiment(cfg)
+    frac_sat = aggs[0]["sat_count"] / aggs[0]["trials"]
+    frac_unsat_side = aggs[1]["sat_count"] / aggs[1]["trials"]
     assert frac_sat >= 0.98
     assert frac_unsat_side <= 0.02
     wcfg = ExperimentConfig("window_check", 4, 1000, 500, 20240907, w_list=[15], workers=2)
-    waggs, _, _ = run_window_check(wcfg)
+    waggs, _, _ = run_experiment(wcfg)
     plus = next(a for a in waggs if a["side"] == "+")
     minus = next(a for a in waggs if a["side"] == "-")
     p = 2.0 * 2.0**-15
@@ -194,7 +188,7 @@ def test_criterion_07_constrained_transition_and_window():
 def test_criterion_08_core_statistics():
     t0 = time.perf_counter()
     cfg = ExperimentConfig("core_check", 3, 100_000, 20, 20240808, c_grid=[0.95])
-    aggs, rows, _ = run_core_check(cfg)
+    aggs, rows, _ = run_experiment(cfg)
     mu = F.mu_of(3, 0.95)
     pred_vars = (math.exp(mu) - 1 - mu) / math.exp(mu)
     pred_ratio = F.psi(mu) / 3.0
@@ -204,7 +198,7 @@ def test_criterion_08_core_statistics():
     assert abs(mean_ratio - pred_ratio) < 0.01
     cstar = F.c_star(3)
     cfg2 = ExperimentConfig("core_check", 3, 100_000, 20, 20240908, m_list=[round(cstar * 100_000)])
-    aggs2, _, _ = run_core_check(cfg2)
+    aggs2, _, _ = run_experiment(cfg2)
     assert 0.98 <= aggs2[0]["mean_ratio"] <= 1.02
     _report(8, time.perf_counter() - t0, 120.0,
             f"k=3 c=0.95 n=1e5: N/n {mean_vars:.4f} vs {pred_vars:.4f}, "
@@ -214,7 +208,7 @@ def test_criterion_08_core_statistics():
 def test_criterion_09_chip_model_statistics():
     t0 = time.perf_counter()
     cfg = ExperimentConfig("collision_check", 3, 500, 10_000, 20240809, m_list=[600], workers=2)
-    agg, _, _ = run_collision_check(cfg)
+    agg, _, _ = run_experiment(cfg)
     g = agg["gamma"]
     assert abs(agg["mean_collisions"] - g) < 0.05 * g
     assert abs(agg["second_factorial_moment"] - g * g) < 0.10 * g * g
@@ -250,13 +244,13 @@ def test_criterion_11_reproducibility_across_workers(tmp_path):
             "sat_sweep", 3, 400, 16, 424242, "unconstrained",
             c_grid=[0.85, 0.95], out=str(out), workers=workers,
         )
-        run_sat_sweep(cfg)
+        run_experiment(cfg)
         blobs[workers] = out.read_bytes()
         out2 = tmp_path / f"col_{workers}.csv"
         ccfg = ExperimentConfig(
             "collision_check", 3, 200, 600, 434343, m_list=[240], out=str(out2), workers=workers,
         )
-        run_collision_check(ccfg)
+        run_experiment(ccfg)
         blobs[f"col{workers}"] = out2.read_bytes()
     assert blobs[1] == blobs[4]
     assert blobs["col1"] == blobs["col4"]

@@ -299,6 +299,25 @@ class TestCertificateLifecycle:
         assert calls["hk_cell_bound"] == len(cert.cells) == 301
         assert calls["_lambda_subranges"] == 1
 
+    def test_alarge_replay_builds_shared_terms_once(self, monkeypatch):
+        cert = certify_alarge_constants()
+        calls = {"_alarge_constant_cells": 0, "_phi_chain": 0}
+
+        def count(name):
+            fn = getattr(certify, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(certify, name, counted)
+
+        count("_alarge_constant_cells")
+        count("_phi_chain")
+        assert replay_certificate(cert) is True
+        assert calls["_alarge_constant_cells"] == 1
+        assert calls["_phi_chain"] == sum(c.tag == "rate-chain" for c in cert.cells) == 226
+
     def test_replay_rejects_tampered_cover(self):
         cert = certify_amed(5)
         # punch a hole in the cover

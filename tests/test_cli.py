@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from xorsatlab.cli import main
 
 
@@ -93,6 +95,23 @@ def test_experiment_flags_and_config_file(tmp_path):
     code, out, _ = run_cli(["experiment", "--config", str(cfg_path), "--trials", "80"])
     assert code == 0
     assert json.loads(out)["aggregates"]["samples"] == 80
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"kind": "collision_check", "k": 3, "n": 60, "trials": 5, "master_seed": 4, "m_list": [80, 90]},
+     "error: collision_check takes exactly one density (one c_grid or m_list entry)"),
+    ({"kind": "sat_sweep", "k": 3, "n": 60, "master_seed": 4, "c_grid": [0.8]},
+     "error: experiment needs --config or flags; missing ['trials']"),
+], ids=["two_densities", "missing_trials"])
+def test_bad_experiment_config_exits_1(tmp_path, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out_csv = tmp_path / "c.csv"
+    code, out, err = run_cli(["experiment", "--config", str(cfg_path), "--out", str(out_csv)])
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config:")] == [message]
+    assert not out_csv.exists()
 
 
 def test_plot_subcommand(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,16 +6,7 @@ import numpy as np
 import pytest
 
 from xorsatlab import formulas as F
-from xorsatlab.experiments import (
-    ExperimentConfig,
-    emit_plot,
-    run_collision_check,
-    run_core_check,
-    run_critical_census,
-    run_experiment,
-    run_sat_sweep,
-    run_window_check,
-)
+from xorsatlab.experiments import ExperimentConfig, emit_plot, run_experiment
 from xorsatlab.gf2 import BitMatrix, count_critical_sets, rank, solve
 from xorsatlab.instances import gen_constrained
 from xorsatlab.rng import Seed
@@ -31,6 +23,10 @@ def test_config_validation():
         ExperimentConfig("sat_sweep", 3, 100, 5, 0).validate()
     with pytest.raises(ValueError):
         ExperimentConfig("window_check", 3, 100, 5, 0).validate()
+    with pytest.raises(ValueError, match="exactly one density"):
+        ExperimentConfig("collision_check", 3, 60, 5, 0, m_list=[80, 90]).validate()
+    with pytest.raises(ValueError, match="n <= 4000"):
+        ExperimentConfig("critical_census", 3, 5000, 1, 0, m_list=[4000]).validate()
     cfg = ExperimentConfig("sat_sweep", 3, 100, 5, 0, c_grid=[0.8, 0.9])
     cfg.validate()
     assert [p["m"] for p in cfg.points()] == [80, 90]
@@ -45,8 +41,8 @@ def test_sweep_reproducible_across_worker_counts(tmp_path):
         cfg = ExperimentConfig(
             "sat_sweep", 3, 250, 12, 777, "unconstrained", c_grid=[0.85, 0.95], out=str(out), workers=workers
         )
-        aggs, rows, summary = run_sat_sweep(cfg)
-        outs.append((out.read_bytes(), summary["csv_sha256"], [(a.c, a.sat_count) for a in aggs]))
+        aggs, rows, summary = run_experiment(cfg)
+        outs.append((out.read_bytes(), summary["csv_sha256"], [(a["c"], a["sat_count"]) for a in aggs]))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
     assert outs[0][2] == outs[1][2]
@@ -55,7 +51,7 @@ def test_sweep_reproducible_across_worker_counts(tmp_path):
 def test_sweep_rows_allow_single_trial_replay(tmp_path):
     out = tmp_path / "sweep.csv"
     cfg = ExperimentConfig("sat_sweep", 3, 150, 6, 555, "unconstrained", c_grid=[0.9], out=str(out))
-    _, rows, _ = run_sat_sweep(cfg)
+    _, rows, _ = run_experiment(cfg)
     row = rows[3]
     # regenerate the trial from the recorded stream and recheck satisfiability
     from xorsatlab.instances import gen_unconstrained
@@ -69,14 +65,14 @@ def test_sweep_rows_allow_single_trial_replay(tmp_path):
 
 def test_sweep_constrained_model():
     cfg = ExperimentConfig("sat_sweep", 3, 40, 6, 3, "constrained", m_list=[34, 44])
-    aggs, rows, _ = run_sat_sweep(cfg)
-    assert [a.m for a in aggs] == [34, 44]
+    aggs, rows, _ = run_experiment(cfg)
+    assert [a["m"] for a in aggs] == [34, 44]
     assert all(r["core_vars"] == 40 for r in rows)
 
 
 def test_census_identity_and_full_rank_all_rhs():
     cfg = ExperimentConfig("critical_census", 3, 6, 25, 99, m_list=[4])
-    aggs, rows, _ = run_critical_census(cfg)
+    aggs, rows, _ = run_experiment(cfg)
     assert aggs[0]["identity_checked"] == 25
     assert aggs[0]["identity_ok"] == 25
     # a full-row-rank instance has no critical sets and every rhs satisfiable
@@ -95,12 +91,12 @@ def test_census_identity_and_full_rank_all_rhs():
 
 def test_census_rejects_large_n():
     with pytest.raises(ValueError):
-        run_critical_census(ExperimentConfig("critical_census", 3, 5000, 1, 0, m_list=[4000]))
+        run_experiment(ExperimentConfig("critical_census", 3, 5000, 1, 0, m_list=[4000]))
 
 
 def test_core_check_aggregates():
     cfg = ExperimentConfig("core_check", 3, 4000, 6, 2024, c_grid=[0.7, 0.95])
-    aggs, rows, _ = run_core_check(cfg)
+    aggs, rows, _ = run_experiment(cfg)
     sub = aggs[0]
     assert sub["empty_cores"] >= 5  # far below the emergence threshold
     dense = aggs[1]
@@ -110,7 +106,7 @@ def test_core_check_aggregates():
 
 def test_collision_check_moments():
     cfg = ExperimentConfig("collision_check", 3, 250, 2500, 31, m_list=[300])
-    agg, rows, _ = run_collision_check(cfg)
+    agg, rows, _ = run_experiment(cfg)
     assert agg["samples"] == 2500
     g = agg["gamma"]
     assert abs(agg["mean_collisions"] - g) < 0.08 * g
@@ -120,7 +116,7 @@ def test_collision_check_moments():
 
 def test_window_check_shape_and_monotonicity():
     cfg = ExperimentConfig("window_check", 3, 120, 60, 8, w_list=[2, 5, 10])
-    aggs, rows, _ = run_window_check(cfg)
+    aggs, rows, _ = run_experiment(cfg)
     assert len(aggs) == 6
     plus = {a["w"]: a for a in aggs if a["side"] == "+"}
     assert plus[5]["unsat_envelope"] == 2.0**-5
@@ -129,6 +125,41 @@ def test_window_check_shape_and_monotonicity():
     for lo, hi in zip(by_m, by_m[1:]):
         sigma = math.sqrt(0.25 / cfg.trials)
         assert hi["sat_frac"] <= lo["sat_frac"] + 2 * sigma
+
+
+# csv_sha256 of small campaigns of every kind, as produced before the five
+# per-kind run functions were merged into run_experiment
+PINNED_CAMPAIGNS = {
+    "sat_sweep": (("sat_sweep", 3, 200, 5, 11), {"c_grid": [0.85, 0.95]},
+                  "1d31b161b3ec3927f4f17c8aa750226dc111195e759904bfdb1a264bafc66090"),
+    "sat_sweep_constrained": (("sat_sweep", 3, 40, 5, 3, "constrained"), {"m_list": [34, 44]},
+                              "2af76b7e2184d9498a2073e3a32134c8c29084965ce950aba8237df5a8976b70"),
+    "critical_census": (("critical_census", 3, 6, 6, 99), {"m_list": [4, 5]},
+                        "de386613749771a5263fbefffd97704cc511d3de9f248018900a39cc7f9103fd"),
+    "core_check": (("core_check", 3, 800, 4, 2024), {"c_grid": [0.7, 0.95]},
+                   "fd79a86b442271b012d7067553737a1f3a7930861d767ee8ec81407b7c739596"),
+    "collision_check": (("collision_check", 3, 60, 300, 17), {"m_list": [80]},
+                        "c8e8b2d19985779ebaed464f6c40c49c93de0207fddeec5b856c73020432197b"),
+    "window_check": (("window_check", 3, 120, 6, 8), {"w_list": [2, 5]},
+                     "ce746342e49530a55f8e1c95413ac92cc17f14d608e6036f1117401872d85233"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", list(PINNED_CAMPAIGNS))
+def test_campaign_csv_bytes_pinned(tmp_path, name, workers):
+    args, kwargs, digest = PINNED_CAMPAIGNS[name]
+    out = tmp_path / "pinned.csv"
+    _, _, summary = run_experiment(ExperimentConfig(*args, **kwargs, out=str(out), workers=workers))
+    assert summary["csv_sha256"] == digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_forced_model_shows_in_config_echo():
+    cfg = ExperimentConfig("window_check", 3, 40, 1, 2, "unconstrained", w_list=[3])
+    _, _, summary = run_experiment(cfg)
+    assert summary["config"] == {**cfg.to_json_dict(), "model": "constrained"}
+    assert cfg.model == "unconstrained"
 
 
 def test_run_experiment_dispatch():
@@ -191,12 +222,10 @@ class TestPlots:
 def test_summary_has_hash_and_echo(tmp_path):
     out = tmp_path / "c.csv"
     cfg = ExperimentConfig("collision_check", 3, 60, 100, 17, m_list=[80], out=str(out))
-    _, _, summary = run_collision_check(cfg)
+    _, _, summary = run_experiment(cfg)
     blob = json.loads((tmp_path / "c.csv.summary.json").read_text())
     assert blob["csv_sha256"] == summary["csv_sha256"]
     assert blob["config"]["master_seed"] == 17
-    import hashlib
-
     assert hashlib.sha256(out.read_bytes()).hexdigest() == summary["csv_sha256"]
 
 
