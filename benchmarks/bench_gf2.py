@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the compiled GF(2) kernel against the pure-Python fallback.
 
-Times forward elimination to row echelon form (``full=False``, the path
-`gf2.rank` and `gf2.solve` run) on random dense square systems and on
-peeled-core-shaped random sparse systems, for each backend.  Run from the
-repo root:
+Times forward elimination to row echelon form (what `gf2.rank` and
+`gf2.solve` run) on random dense square systems and on peeled-core-shaped
+random sparse systems, for each backend.  Run from the repo root, after
+building the compiled kernel in place:
 
+    python setup.py build_ext --inplace
     python benchmarks/bench_gf2.py [--sizes 512,1024,2048] [--repeat 3]
 """
 
@@ -43,7 +44,7 @@ def bench(fn, mat, ncols, repeat):
     for _ in range(repeat):
         work = mat.data.copy()
         t0 = time.perf_counter()
-        rank, _ = fn(work, ncols, False)
+        rank, _ = fn(work, ncols)
         best = min(best, time.perf_counter() - t0)
     return best, rank
 
@@ -58,6 +59,8 @@ def main() -> int:
     rng = np.random.default_rng(0)
     results = []
     print(f"backends: {', '.join(BACKENDS)}")
+    if "ext" not in BACKENDS:
+        print("compiled kernel not built; build it with: python setup.py build_ext --inplace")
     print(f"{'case':>18} {'size':>6} " + " ".join(f"{name:>12}" for name in BACKENDS) + "   speedup")
     for size in sizes:
         for case, make in (("dense", random_dense), ("sparse k=3", random_sparse)):

@@ -1,28 +1,10 @@
-"""Build script: compiles the optional GF(2) elimination kernel.
+"""Build script: the optional compiled GF(2) kernel (see src/xorsatlab/_kernel/__init__.py).
 
-The package is pure Python plus one optional Cython extension holding the
-hot word-packed elimination loop.  If Cython or a C compiler is missing the
-build silently falls back to the pure-Python kernel, which implements the
-same contract (see src/xorsatlab/_kernel/__init__.py).
+Without a C compiler or the Python headers, setuptools skips the extension
+(``optional=True``) and the pure-Python kernel, with the same contract, is used.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        "src/xorsatlab/_kernel/_ext.pyx",
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-        },
-    )
-    for ext in ext_modules:
-        ext.extra_compile_args = ["-O3"]
-except Exception as exc:  # pragma: no cover - depends on toolchain
-    print(f"xorsatlab: skipping compiled kernel ({exc!r}); pure-Python fallback will be used")
-
-setup(ext_modules=ext_modules)
+kernel = Extension("xorsatlab._kernel._ext", ["src/xorsatlab/_kernel/_ext.c"], extra_compile_args=["-O3"], optional=True)
+setup(ext_modules=[kernel])

@@ -1,25 +1,24 @@
 """GF(2) kernel selection.
 
-The hot loop exists twice: a Cython extension (`_ext`) and a pure-Python
-big-integer fallback (`fallback`).  Both implement::
+The hot loop exists twice: a C extension (`_ext`, built from `_ext.c`) and a
+pure-Python big-integer fallback (`fallback`).  Both implement::
 
-    eliminate_words(a, ncols, full) -> (rank, pivot_cols)
+    eliminate_words(a, ncols) -> (rank, pivot_cols)
 
 where ``a`` is a C-contiguous (rows, words) uint64 array holding row-major
 bit-packed rows (bit j of a row lives in word j >> 6 at position j & 63,
-bits at column indices >= ncols must be zero) and is reduced in place.
-With ``full=True`` the array is left in reduced row echelon form (which is
-unique, so the two backends produce identical arrays); with ``full=False``
-it is left in row echelon form: row i's first set bit is ``pivot_cols[i]``
-(ascending) and every row from ``rank`` down is zero.  The bits right of
-each pivot may differ between backends; they span the same row space.
-``gf2.solve`` back-substitutes on the ``full=False`` form.
+bits at column indices >= ncols must be zero) and is reduced in place to
+row echelon form: row i's first set bit is ``pivot_cols[i]`` (ascending)
+and every row from ``rank`` down is zero.  The bits right of each pivot may
+differ between backends; they span the same row space.  ``gf2.solve``
+back-substitutes on this form.
 
 The extension is preferred; set XORSATLAB_FORCE_FALLBACK=1 (read once, at
 import) to force the pure-Python kernels.  Only
 ``tests/test_gf2.py::test_fallback_env_selection`` sets it;
-``benchmarks/bench_gf2.py`` and the backend-equivalence test import
-``fallback`` directly, and ``perfbench`` runs whichever backend it finds.
+``benchmarks/bench_gf2.py`` and the backend-equivalence tests import
+``fallback`` directly (the tests build ``_ext`` out of tree), and
+``perfbench`` runs whichever backend it finds.
 """
 
 import os

@@ -29,7 +29,7 @@ def _write_rows(a: np.ndarray, rows: list[int]) -> None:
         buf[i * nbytes : (i + 1) * nbytes] = r.to_bytes(nbytes, "little")
 
 
-def eliminate_words(a: np.ndarray, ncols: int, full: bool = True) -> tuple[int, list[int]]:
+def eliminate_words(a: np.ndarray, ncols: int) -> tuple[int, list[int]]:
     """Reduce `a` in place over GF(2); return (rank, pivot columns).
 
     See xorsatlab._kernel.__doc__ for the contract.
@@ -48,14 +48,6 @@ def eliminate_words(a: np.ndarray, ncols: int, full: bool = True) -> tuple[int, 
                 break
             v ^= p
     cols = sorted(pivots)
-    if full:
-        # Clear pivot columns from the other pivot rows: unique RREF.
-        for c in reversed(cols):
-            pr = pivots[c]
-            mask = 1 << c
-            for c2 in cols:
-                if c2 != c and pivots[c2] & mask:
-                    pivots[c2] ^= pr
     out = [pivots[c] for c in cols]
     out.extend(0 for _ in range(m - len(out)))
     _write_rows(a, out)

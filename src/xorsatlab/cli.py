@@ -150,6 +150,8 @@ def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise XorsatLabError(f"experiment config must be a JSON object, not {type(payload).__name__}")
     # explicit flags override file values
     flags = {
         "kind": args.kind,

@@ -115,9 +115,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        cfg = cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
+        """Config from parsed JSON; unknown keys and mistyped fields raise ValueError."""
+        fields = cls.__dataclass_fields__
+        unknown = sorted(set(d) - set(fields))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for name, value in d.items():
+            if not _json_fits(fields[name].type, value):
+                raise ValueError(f"config field {name!r} must be {fields[name].type}, got {value!r}")
+        cfg = cls(**d)
         cfg.validate()
         return cfg
+
+
+def _json_fits(annotation: str, value) -> bool:
+    """Whether a parsed JSON value fits a field annotation such as "list[int] | None"."""
+    if annotation.endswith(" | None"):
+        return value is None or _json_fits(annotation[:-7], value)
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_json_fits(annotation[5:-1], v) for v in value)
+    types = {"str": str, "int": int, "float": (int, float)}[annotation]
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ class SolveResult:
 def rank(mat: BitMatrix) -> int:
     """GF(2) row rank; the input matrix is left unchanged."""
     work = mat.data.copy()
-    r, _ = eliminate_words(work, mat.cols, False)
+    r, _ = eliminate_words(work, mat.cols)
     return r
 
 
@@ -175,7 +175,7 @@ def solve(mat: BitMatrix, b: Sequence[int]) -> SolveResult:
     aug = np.zeros((mat.rows, _words_for(aug_cols)), dtype=np.uint64)
     aug[:, : mat.data.shape[1]] = mat.data
     aug[:, mat.cols >> 6] |= b.astype(np.uint64) << np.uint64(mat.cols & 63)
-    _, pivots = eliminate_words(aug, aug_cols, False)
+    _, pivots = eliminate_words(aug, aug_cols)
     rank_a = sum(1 for p in pivots if p < mat.cols)
     if len(pivots) != rank_a:
         return SolveResult(False, rank_a, None, None)

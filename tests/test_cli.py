@@ -102,7 +102,16 @@ def test_experiment_flags_and_config_file(tmp_path):
      "error: collision_check takes exactly one density (one c_grid or m_list entry)"),
     ({"kind": "sat_sweep", "k": 3, "n": 60, "master_seed": 4, "c_grid": [0.8]},
      "error: experiment needs --config or flags; missing ['trials']"),
-], ids=["two_densities", "missing_trials"])
+    ([1, 2], "error: experiment config must be a JSON object, not list"),
+    ({"kind": "sat_sweep", "k": "3", "n": 60, "trials": 2, "c_grid": [0.8]},
+     "error: config field 'k' must be int, got '3'"),
+    ({"kind": "sat_sweep", "k": 3, "n": 60, "trials": 2.5, "c_grid": [0.8]},
+     "error: config field 'trials' must be int, got 2.5"),
+    ({"kind": "sat_sweep", "k": 3, "n": 60, "trials": 2, "c_grid": [0.8], "worker": 2},
+     "error: unknown config keys: worker"),
+    ({"kind": "sat_sweep", "k": 3, "n": 60, "trials": 2, "m_list": [True, 50]},
+     "error: config field 'm_list' must be list[int] | None, got [True, 50]"),
+], ids=["two_densities", "missing_trials", "not_object", "str_k", "float_trials", "unknown_key", "bool_in_list"])
 def test_bad_experiment_config_exits_1(tmp_path, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))

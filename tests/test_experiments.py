@@ -155,6 +155,21 @@ def test_campaign_csv_bytes_pinned(tmp_path, name, workers):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", list(PINNED_CAMPAIGNS))
+def test_campaign_csv_same_under_both_kernels(monkeypatch, ext_kernel, name):
+    # the README's claim: campaign CSVs are byte-identical under either backend
+    from xorsatlab import gf2
+    from xorsatlab._kernel import fallback
+
+    args, kwargs, digest = PINNED_CAMPAIGNS[name]
+    digests = []
+    for kernel in (ext_kernel.eliminate_words, fallback.eliminate_words):
+        monkeypatch.setattr(gf2, "eliminate_words", kernel)
+        _, _, summary = run_experiment(ExperimentConfig(*args, **kwargs, workers=1))
+        digests.append(summary["csv_sha256"])
+    assert digests == [digest, digest]
+
+
 def test_forced_model_shows_in_config_echo():
     cfg = ExperimentConfig("window_check", 3, 40, 1, 2, "unconstrained", w_list=[3])
     _, _, summary = run_experiment(cfg)

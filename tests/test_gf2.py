@@ -173,29 +173,88 @@ def test_rhs_moment_identities(rng):
         assert mean_sq / mean**2 == count_critical_sets(mat) + 1
 
 
-def test_backends_agree_on_rref(rng):
-    from xorsatlab._kernel import KERNEL_BACKEND, eliminate_words
-
+def agreement_cases(rng):
+    """Matrices for the backend comparison: random shapes, empty shapes,
+    widths at word boundaries, and rank-deficient systems."""
     for _ in range(30):
         m, n = int(rng.integers(1, 70)), int(rng.integers(1, 70))
-        dense = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        yield rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+    for m, n in ((0, 0), (0, 5), (5, 0)):
+        yield np.zeros((m, n), dtype=np.uint8)
+    for cols in (63, 64, 65, 128):
+        for rows in (1, cols // 2, cols, cols + 7):
+            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+            yield dense
+            low = dense.copy()
+            low[rows // 2 :] = low[: rows - rows // 2]
+            yield low
+
+
+def test_backends_agree_on_rref(rng, ext_kernel):
+    from xorsatlab._kernel import KERNEL_BACKEND
+
+    for dense in agreement_cases(rng):
         mat = BitMatrix.from_dense(dense)
         a1, a2 = mat.data.copy(), mat.data.copy()
-        r1, p1 = eliminate_words(a1, n, True)
-        r2, p2 = fallback.eliminate_words(a2, n, True)
+        r1, p1 = ext_kernel.eliminate_words(a1, mat.cols)
+        r2, p2 = fallback.eliminate_words(a2, mat.cols)
         assert (r1, p1) == (r2, p2)
-        # full reduction yields the (unique) RREF, so the arrays must agree
+        assert r1 == rank_full_pivot(dense)
+        # row echelon form, which solve back-substitutes on
+        assert_row_echelon(a1, r1, p1)
+        assert_row_echelon(a2, r2, p2)
+        # the RREF is unique, so reducing both forms fully makes them equal
+        reduce_to_rref(a1, p1)
+        reduce_to_rref(a2, p2)
         assert (a1 == a2).all()
-        a3 = mat.data.copy()
-        r3, p3 = fallback.eliminate_words(a3, n, False)
-        assert (r3, p3) == (r1, p1)
-        # full=False leaves row echelon form, which solve back-substitutes on
-        assert_row_echelon(a3, r3, p3)
-        a4 = mat.data.copy()
-        r4, p4 = eliminate_words(a4, n, False)
-        assert (r4, p4) == (r1, p1)
-        assert_row_echelon(a4, r4, p4)
     assert KERNEL_BACKEND in ("ext", "python")
+
+
+def reduce_to_rref(a: np.ndarray, pivots: list[int]) -> None:
+    """Clear each pivot column from the other pivot rows of a row echelon form."""
+    rows = a[: len(pivots)]
+    for i, p in enumerate(pivots):
+        hits = (rows[:, p >> 6] >> np.uint64(p & 63)) & np.uint64(1) == 1
+        hits[i] = False
+        rows[hits] ^= rows[i]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda a: a[0],
+        lambda a: a.reshape(3, 1, 2),
+        lambda a: a.astype(np.int64),
+        lambda a: a.astype(np.uint32),
+        lambda a: a.astype(np.float64),
+        lambda a: a.astype(">u8"),
+        lambda a: a[::2],
+        lambda a: a.T,
+        lambda a: np.frombuffer(a.tobytes(), dtype=np.uint64).reshape(a.shape),
+        lambda a: a.tolist(),
+        lambda a: bytearray(a.tobytes()),
+    ],
+    ids=["1d", "3d", "int64", "uint32", "float64", "big_endian", "strided", "fortran", "read_only", "list", "bytearray"],
+)
+def test_ext_rejects_malformed_arrays(ext_kernel, make):
+    a = np.arange(6, dtype=np.uint64).reshape(3, 2)
+    bad = make(a)
+    with pytest.raises((TypeError, ValueError)):
+        ext_kernel.eliminate_words(bad, 64)
+    assert (a == np.arange(6, dtype=np.uint64).reshape(3, 2)).all()
+
+
+def test_ext_ignores_ncols_past_the_words(rng, ext_kernel):
+    # every bit of both words is set at random, so a kernel that read past a
+    # row would find pivots at columns >= 128
+    words = rng.integers(0, 2**64, size=(200, 2), dtype=np.uint64)
+    want = fallback.eliminate_words(words.copy(), 128)
+    assert want[0] == 128
+    for ncols in (129, 192, 10**6, 2**62):
+        a = words.copy()
+        assert ext_kernel.eliminate_words(a, ncols) == want
+        assert_row_echelon(a, *want)
+    assert ext_kernel.eliminate_words(np.zeros((0, 0), dtype=np.uint64), 2**62) == (0, [])
 
 
 def assert_row_echelon(a: np.ndarray, r: int, pivots: list[int]) -> None:
@@ -272,7 +331,8 @@ def reference_solve(mat: BitMatrix, b) -> SolveResult:
     aug[:, : mat.data.shape[1]] = mat.data
     word, bit = mat.cols >> 6, mat.cols & 63
     aug[:, word] |= b.astype(np.uint64) << np.uint64(bit)
-    _, pivots = fallback.eliminate_words(aug, aug_cols, True)
+    _, pivots = fallback.eliminate_words(aug, aug_cols)
+    reduce_to_rref(aug, pivots)
     rank_a = sum(1 for p in pivots if p < mat.cols)
     if len(pivots) != rank_a:
         return SolveResult(False, rank_a, None, None)
@@ -312,8 +372,8 @@ def solve_cases(rng):
     yield BitMatrix.zeros(4, 70), np.array([0, 1, 0, 0])
 
 
-@pytest.mark.parametrize("kernel", ["default", "fallback"])
-def test_solve_matches_rref_reference(rng, monkeypatch, kernel):
+@pytest.mark.parametrize("kernel", ["default", "fallback", "ext"])
+def test_solve_matches_rref_reference(rng, monkeypatch, request, kernel):
     from xorsatlab import gf2
     from xorsatlab.instances import gen_unconstrained
     from xorsatlab.peel import two_core
@@ -321,6 +381,8 @@ def test_solve_matches_rref_reference(rng, monkeypatch, kernel):
 
     if kernel == "fallback":
         monkeypatch.setattr(gf2, "eliminate_words", fallback.eliminate_words)
+    elif kernel == "ext":
+        monkeypatch.setattr(gf2, "eliminate_words", request.getfixturevalue("ext_kernel").eliminate_words)
     seen = set()
     for mat, b in solve_cases(rng):
         got = solve(mat, b)
