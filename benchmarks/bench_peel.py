@@ -42,7 +42,7 @@ def main() -> int:
         two_core_ms, (_, trace, stats) = best_ms(peel.two_core, inst, args.repeat)
         density_ms, density = best_ms(peel.core_density, inst, args.repeat)
         assert density == stats, "core_density disagrees with two_core"
-        rounds = peel._peel_rounds(peel._incidence(inst), inst.n, False)[-1]
+        rounds = peel._peel_rounds(peel._incidence(inst), inst.n)[-1]
         row = {
             "k": K,
             "n": n,

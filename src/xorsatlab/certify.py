@@ -628,7 +628,26 @@ def _replay_cell(cert: Certificate, cell: CoverCell, shared) -> float:
         d_slack, fixed = shared
         if cell.tag == "rate-chain":
             return (_phi_chain(Interval.point(cell.lo).sq()) + d_slack).hi
-        return fixed[cell.tag]
+        return fixed[cell.tag].bound
+    raise ValueError(f"unknown claim {cert.claim_id!r}")
+
+
+def _claimed_target(cert: Certificate, cell: CoverCell, shared) -> tuple[float, bool] | None:
+    """The (target, strict) pair the claim assigns to `cell`, or None for a
+    tag the claim does not have."""
+    if cert.claim_id in ("amed", "k3grid"):
+        return cert.details["target"], True
+    if cert.claim_id == "monotone":
+        if cell.tag not in _SIGN_CLAIMS:
+            return None
+        return (_ENDPOINT_SLACK if cell.lo == 0.0 else 0.0), False
+    if cert.claim_id == "alarge":
+        if cell.tag == "rate-chain" or (cell.tag == "entropy-bound" and cell.lo == 0.0):
+            return _CHAIN_SLACK, False
+        if cell.tag == "entropy-bound":
+            return 0.0, True
+        fixed = shared[1].get(cell.tag)
+        return None if fixed is None else (fixed.target, fixed.strict)
     raise ValueError(f"unknown claim {cert.claim_id!r}")
 
 
@@ -636,22 +655,34 @@ def replay_certificate(cert: Certificate) -> bool:
     """Re-verify a stored certificate without re-searching.
 
     Recomputes each cell's bound (using the stored zeta table where
-    applicable) and re-checks targets and cover completeness.  What every
-    cell of a claim shares is computed once: the verified lambda brackets of
-    a k3grid certificate, which depend only on its c range, and for alarge
-    the entropy slack that each rate-chain cell adds and the bounds of the
+    applicable) and checks it against the target the claim assigns to the
+    cell, which the stored target and strictness must equal; then checks
+    cover completeness over the claim's ranges and, for alarge, that every
+    constant inequality is present.  What every cell of a claim shares is
+    computed once: the verified lambda brackets of a k3grid certificate,
+    which depend only on its c range, and for alarge the entropy slack that
+    each rate-chain cell adds (recomputed, not read from the file) and the
     fixed constant inequalities.
     """
     shared = None
     if cert.claim_id == "k3grid":
         shared = _lambda_subranges(cert.k, cert.c_range, cert.details.get("c_div", 2))
     elif cert.claim_id == "alarge":
-        slack = max((c.bound for c in cert.cells if c.tag == "entropy-bound" and c.lo == 0.0), default=0.0)
-        fixed = {c.tag: c.bound for c in _alarge_constant_cells()}
+        slack = max(
+            (_entropy_gap_taylor_cell(c.hi) for c in cert.cells if c.tag == "entropy-bound" and c.lo == 0.0),
+            default=0.0,
+        )
+        fixed = {c.tag: c for c in _alarge_constant_cells()}
+        if not set(fixed) <= {c.tag for c in cert.cells}:
+            return False
         shared = (Interval(0.0, max(slack, 0.0)), fixed)
     for cell in cert.cells:
+        claimed = _claimed_target(cert, cell, shared)
+        if claimed is None or (cell.target, cell.strict) != claimed:
+            return False
+        target, strict = claimed
         fresh = _replay_cell(cert, cell, shared)
-        ok = fresh < cell.target if cell.strict else fresh <= cell.target
+        ok = fresh < target if strict else fresh <= target
         if not ok:
             return False
     if cert.claim_id == "amed":
@@ -662,8 +693,8 @@ def replay_certificate(cert: Certificate) -> bool:
         return check_cover(cert.cells, lo, hi)
     if cert.claim_id == "monotone":
         return all(
-            check_cover([c for c in cert.cells if c.tag == tag], lo, hi)
-            for tag, (lo, hi) in cert.details["ranges"].items()
+            check_cover([c for c in cert.cells if c.tag == tag], 0.0, upper)
+            for tag, (_, upper, _) in _SIGN_CLAIMS.items()
         )
     if cert.claim_id == "alarge":
         ent = [c for c in cert.cells if c.tag == "entropy-bound"]

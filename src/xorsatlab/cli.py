@@ -110,7 +110,7 @@ def _cmd_peel(args) -> int:
             out["solution_checked"] = True
     if args.trace_out and trace is not None:
         with open(args.trace_out, "w") as fh:
-            fh.write(trace.dumps())
+            fh.write(trace.dumps(inst))
     print(json.dumps(out))
     return 0
 

@@ -58,6 +58,7 @@ from xorsatlab.peel import two_core
 from xorsatlab.rng import Seed, mix_streams
 
 WORKERS_ENV = "XORSAT_LAB_WORKERS"
+TINY_IDENTITY_MAX = 10  # census: full b-enumeration when m, n are both <= this
 
 
 def default_workers() -> int:
@@ -80,11 +81,12 @@ class ExperimentConfig:
     w_list: list[int] | None = None
     out: str | None = None
     workers: int = 1
-    tiny_identity_max: int = 10  # census: full b-enumeration when m,n both <= this
 
     def validate(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.model not in ("unconstrained", "constrained"):
+            raise ValueError(f"unknown model {self.model!r}; expected unconstrained or constrained")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.c_grid is not None and any(b <= a for a, b in zip(self.c_grid, self.c_grid[1:])):
@@ -192,7 +194,7 @@ def _task_census(params: dict, point_idx: int, trial_idx: int) -> dict:
     nullity = m - res.rank
     critical = (1 << nullity) - 1
     identity_ok = ""
-    if m <= params["tiny_identity_max"] and n <= params["tiny_identity_max"]:
+    if m <= TINY_IDENTITY_MAX and n <= TINY_IDENTITY_MAX:
         identity_ok = int(_rhs_average_identity(mat, n, m, critical))
     return {
         "point": point_idx,
@@ -375,7 +377,7 @@ _KINDS = {
         _task_core,
         ["point", "c", "n", "m", "trial", "stream", "core_vars", "core_eqs", "ratio"],
         _agg_core,
-        None,
+        "unconstrained",
     ),
     "collision_check": (
         _task_collision,
@@ -427,7 +429,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict] | dict, list[dict]
             "k": cfg.k,
             "n": cfg.n,
             "model": cfg.model,
-            "tiny_identity_max": cfg.tiny_identity_max,
             **point,
         }
         tasks.extend((cfg.kind, params, point_idx, trial_idx) for trial_idx in range(cfg.trials))

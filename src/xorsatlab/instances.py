@@ -511,12 +511,6 @@ def collision_count(alloc: ChipAllocation) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
-def allocation_to_instance(alloc: ChipAllocation, rng) -> Instance:
-    """Relaxed instance view of a chip allocation (rows may repeat indices)."""
-    rhs = rng.integers(0, 2, size=alloc.m).tolist()
-    return Instance(alloc.k, alloc.n, alloc.m, alloc.row_column_lists(), rhs, MODEL_RELAXED)
-
-
 def gen_constrained(
     k: int, m: int, n: int, seed: Seed, max_rejections: int = 10**6
 ) -> Instance:
@@ -584,7 +578,6 @@ __all__ = [
     "MODEL_CONSTRAINED",
     "MODEL_RELAXED",
     "MODEL_UNCONSTRAINED",
-    "allocation_to_instance",
     "collision_count",
     "count_C_exact",
     "gen_C_model",

@@ -66,10 +66,6 @@ class Interval:
     def point(x: float) -> "Interval":
         return Interval(x, x)
 
-    @staticmethod
-    def hull(*vals: "Interval") -> "Interval":
-        return Interval(min(v.lo for v in vals), max(v.hi for v in vals))
-
     # -- queries ------------------------------------------------------------
 
     @property
@@ -82,9 +78,6 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def subset_of(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
 
     # -- arithmetic (a plain number operand is a point interval) -------------
 

@@ -10,10 +10,13 @@ Thaler, "Parallel Peeling Algorithms", arXiv:1302.7014): each round removes
 every live variable of degree <= 1 at once.  For each variable we keep its
 live degree and the XOR of the ids of its live equations; at degree 1 that
 XOR is the id of its one equation, so no incidence lists are kept.  When
-several variables of a round have the same equation, the first in round
-order takes it and the others are removed in the next round at degree 0.
-The trace lists rounds in order and, within a round, ascending ids (FIFO)
-or descending ids (LIFO), so it is reproducible.
+several variables of a round have the same equation, the least id takes it
+and the others are removed in the next round at degree 0.
+
+The trace is one (S, 2) int64 array of (variable, equation) removals:
+rounds in order, ascending variable ids within a round, equation -1 for a
+degree-0 removal.  It holds no equation rows; they are read from the
+instance, which lift-back and the JSON form both take.
 
 A solution of the core extends to a solution of the full system by
 replaying the trace backwards: each peeled variable had sole responsibility
@@ -34,45 +37,45 @@ import numpy as np
 from xorsatlab.instances import MODEL_CONSTRAINED, MODEL_RELAXED, Instance
 
 
-@dataclass
-class PeelStep:
-    """One removal: the variable, its equation (None when degree was 0),
-    and that equation's variable list at removal time."""
-
-    var: int
-    eq: int | None
-    eq_vars: list[int] | None
-
-
-@dataclass
+@dataclass(eq=False)
 class PeelTrace:
-    """Ordered removals plus the surviving (core) variable ids.
+    """Ordered removals plus the surviving (core) variable and equation ids.
 
+    steps is a C-contiguous (S, 2) int64 array of (variable, equation)
+    rows in removal order, equation -1 when the variable had degree 0.
     core_var_ids is sorted; the core instance indexes variables by their
     position in this list.
     """
 
     n: int
     m: int
-    steps: list[PeelStep]
+    steps: np.ndarray
     core_var_ids: list[int]
     core_eq_ids: list[int]
 
-    def to_json_dict(self) -> dict:
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PeelTrace):
+            return NotImplemented
+        return (self.n, self.m, self.core_var_ids, self.core_eq_ids) == (
+            other.n, other.m, other.core_var_ids, other.core_eq_ids) and np.array_equal(self.steps, other.steps)
+
+    def to_json_dict(self, inst: Instance) -> dict:
+        """JSON form; each step is [var, eq, inst.rows[eq]], or [var, null,
+        null] for a degree-0 removal, so `inst` must be the peeled instance."""
         return {
             "n": self.n,
             "m": self.m,
-            "steps": [[s.var, s.eq, s.eq_vars] for s in self.steps],
+            "steps": [[v, e, inst.rows[e]] if e >= 0 else [v, None, None] for v, e in self.steps.tolist()],
             "core_var_ids": self.core_var_ids,
             "core_eq_ids": self.core_eq_ids,
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+    def dumps(self, inst: Instance) -> str:
+        return json.dumps(self.to_json_dict(inst), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PeelTrace":
-        steps = [PeelStep(v, e, vs) for v, e, vs in d["steps"]]
+        steps = np.array([[v, -1 if e is None else e] for v, e, _ in d["steps"]], dtype=np.int64).reshape(-1, 2)
         return cls(d["n"], d["m"], steps, list(d["core_var_ids"]), list(d["core_eq_ids"]))
 
 
@@ -88,7 +91,7 @@ class CoreStats:
         return [self.core_vars, self.core_eqs, "" if self.ratio is None else repr(self.ratio)]
 
 
-def _peel_rounds(flat: np.ndarray, n: int, lifo: bool):
+def _peel_rounds(flat: np.ndarray, n: int):
     """Round-synchronous peel of the (m, k) incidence array `flat`.
 
     Returns (step_vars, step_eqs, var_alive, eq_alive, rounds): the removals
@@ -103,22 +106,18 @@ def _peel_rounds(flat: np.ndarray, n: int, lifo: bool):
     np.bitwise_xor.at(eqx, flat.ravel(), np.repeat(np.arange(m, dtype=np.int64), k))
     var_alive = np.ones(n, dtype=bool)
     eq_alive = np.ones(m, dtype=bool)
-    # ties go to the first claimant in round order: the least id for "fifo",
-    # the greatest for "lifo"
-    take, unclaimed = (np.maximum, -1) if lifo else (np.minimum, n)
-    claim = np.full(m, unclaimed, dtype=np.int64)
+    # ties go to the first claimant in round order, the least id
+    claim = np.full(m, n, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
     step_vars, step_eqs = [empty], [empty]
     frontier = np.flatnonzero(deg <= 1)
     rounds = 0
     while frontier.size:
         rounds += 1
-        if lifo:
-            frontier = frontier[::-1]
         eqs = np.where(deg[frontier] == 1, eqx[frontier], -1)
         one = eqs >= 0
         cand, cand_eqs = frontier[one], eqs[one]
-        take.at(claim, cand_eqs, cand)
+        np.minimum.at(claim, cand_eqs, cand)
         won = claim[cand_eqs] == cand
         peeled = ~one
         peeled[one] = won
@@ -145,36 +144,30 @@ def _incidence(inst: Instance) -> np.ndarray:
     return flat.reshape(inst.m, inst.k)
 
 
-def two_core(inst: Instance, order: str = "fifo") -> tuple[Instance, PeelTrace, CoreStats]:
+def two_core(inst: Instance) -> tuple[Instance, PeelTrace, CoreStats]:
     """Peel to the 2-core; returns (core instance, trace, stats).
 
     Each round removes every live variable of degree <= 1 at once, in
-    ascending id order ("fifo") or descending ("lifo").  A degree-1 variable
-    takes its equation unless an earlier variable of the same round took
-    it; it is then removed in the next round at degree 0.  The core keeps
+    ascending id order.  A degree-1 variable takes its equation unless a
+    smaller id of the same round took it; it is then removed in the next
+    round at degree 0.  The trace is the (S, 2) array of (variable,
+    equation) removals described in the module docstring.  The core keeps
     the original equation order with variables renumbered by rank in
-    core_var_ids, and it is the same for either order.
+    core_var_ids.
     """
-    if order not in ("fifo", "lifo"):
-        raise ValueError("order must be 'fifo' or 'lifo'")
     flat = _incidence(inst)
-    step_vars, step_eqs, var_alive, eq_alive, _ = _peel_rounds(flat, inst.n, order == "lifo")
+    step_vars, step_eqs, var_alive, eq_alive, _ = _peel_rounds(flat, inst.n)
     core_vars = np.flatnonzero(var_alive)
     core_eqs = np.flatnonzero(eq_alive)
     core_flat = (np.cumsum(var_alive) - 1)[flat[core_eqs]]
     if core_vars.size and np.bincount(core_flat.ravel(), minlength=core_vars.size).min() < 2:
         raise AssertionError("peeling left a variable of degree < 2 in the core")
-    # the trace and core rows are tens of thousands of small acyclic
-    # objects; at n = 1e5 the collector's passes over them while they are
-    # built cost more than the peel itself
+    # the core rows are tens of thousands of small lists; at n = 1e5 the
+    # collector's passes over them while they are built cost about as much
+    # as the rest of the call
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
-        eq_rows = iter(flat[step_eqs[step_eqs >= 0]].tolist())
-        steps = [
-            PeelStep(v, e, next(eq_rows)) if e >= 0 else PeelStep(v, None, None)
-            for v, e in zip(step_vars.tolist(), step_eqs.tolist())
-        ]
         core = Instance(
             k=inst.k,
             n=int(core_vars.size),
@@ -184,10 +177,11 @@ def two_core(inst: Instance, order: str = "fifo") -> tuple[Instance, PeelTrace, 
             model_tag=MODEL_CONSTRAINED,
             seed=inst.seed,
         )
-        trace = PeelTrace(inst.n, inst.m, steps, core_vars.tolist(), core_eqs.tolist())
     finally:
         if gc_was_on:
             gc.enable()
+    steps = np.column_stack((step_vars, step_eqs))
+    trace = PeelTrace(inst.n, inst.m, steps, core_vars.tolist(), core_eqs.tolist())
     return core, trace, _stats(core.n, core.m)
 
 
@@ -199,8 +193,9 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
     """Lift a core solution back to a full assignment satisfying `inst`.
 
     Raises ValueError if `core_solution` does not satisfy the core
-    equations.  Peeled variables of degree 0 get value 0; the rest are set
-    in reverse removal order so each satisfies its own equation.
+    equations.  Peeled variables of degree 0 keep value 0; the rest are set
+    in reverse removal order so each satisfies its own equation, whose
+    variables are read from `inst.rows`.
     """
     core_solution = [int(b) for b in core_solution]
     if len(core_solution) != len(trace.core_var_ids):
@@ -214,22 +209,20 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
             acc ^= x[v]
         if acc != inst.rhs[e]:
             raise ValueError(f"core solution violates core equation {e}")
-    for step in reversed(trace.steps):
-        if step.eq is None:
-            x[step.var] = 0
-            continue
-        acc = inst.rhs[step.eq]
-        for u in step.eq_vars:
-            if u != step.var:
-                acc ^= x[u]
-        x[step.var] = acc
+    for v, e in reversed(trace.steps.tolist()):
+        if e >= 0:
+            acc = inst.rhs[e]
+            for u in inst.rows[e]:
+                if u != v:
+                    acc ^= x[u]
+            x[v] = acc
     return x
 
 
 def core_density(inst: Instance) -> CoreStats:
     """Peel and report core order/size only; no trace or core is built."""
-    _, _, var_alive, eq_alive, _ = _peel_rounds(_incidence(inst), inst.n, False)
+    _, _, var_alive, eq_alive, _ = _peel_rounds(_incidence(inst), inst.n)
     return _stats(int(var_alive.sum()), int(eq_alive.sum()))
 
 
-__all__ = ["CoreStats", "PeelStep", "PeelTrace", "core_density", "extend_solution", "two_core"]
+__all__ = ["CoreStats", "PeelTrace", "core_density", "extend_solution", "two_core"]

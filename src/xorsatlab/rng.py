@@ -18,7 +18,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def splitmix64(x: int) -> int:
-    """One splitmix64 scrambling round (used to derive child streams)."""
+    """One splitmix64 scrambling round (used to derive per-trial streams)."""
     x = (x + _GOLDEN) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -45,13 +45,5 @@ class Seed:
         key = np.array([self.master & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, index: int) -> "Seed":
-        """Derived sub-stream; children of distinct (stream, index) never collide in practice."""
-        return Seed(self.master, mix_streams(self.stream, index))
-
     def to_dict(self) -> dict:
         return {"master": self.master, "stream": self.stream}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Seed":
-        return cls(int(d["master"]), int(d.get("stream", 0)))

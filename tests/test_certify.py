@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -335,6 +336,48 @@ class TestCertificateLifecycle:
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
             certify_claim("everything")
+
+
+@functools.lru_cache(maxsize=None)
+def _built_certificate(claim: str) -> str:
+    return certify_claim(claim, k=4 if claim == "amed" else None).dumps()
+
+
+def _loosen_every_target(cert):
+    for cell in cert.cells:
+        cell.target, cell.strict = 1e9, False
+
+
+def _cut_monotone_ranges(cert):
+    cert.details["ranges"] = {tag: [0.0, 1.0] for tag in cert.details["ranges"]}
+    cert.cells = [c for c in cert.cells if c.lo < 1.0]
+
+
+def _drop_alarge_constant(cert):
+    cert.cells = [c for c in cert.cells if c.tag != "R(3.5,x0)<0.4"]
+
+
+@pytest.mark.parametrize("claim,doctor", [
+    ("amed", None),
+    ("k3grid", None),
+    ("monotone", None),
+    ("alarge", None),
+    ("amed", _loosen_every_target),
+    ("k3grid", _loosen_every_target),
+    ("monotone", _loosen_every_target),
+    ("alarge", _loosen_every_target),
+    ("monotone", _cut_monotone_ranges),
+    ("alarge", _drop_alarge_constant),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_replay_checks_the_claim_not_the_file(claim, doctor):
+    # each doctored copy still has every fresh bound beat its stored target
+    # and a gap-free cover of its stored ranges
+    cert = Certificate.loads(_built_certificate(claim))
+    if doctor is None:
+        assert replay_certificate(cert) is True
+    else:
+        doctor(cert)
+        assert replay_certificate(cert) is False
 
 
 def test_check_cover_edge_cases():

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from xorsatlab.cli import main
+from xorsatlab.instances import Instance
+from xorsatlab.peel import two_core
 
 
 def run_cli(args, tmp_path=None):
@@ -61,6 +63,8 @@ def test_peel_subcommand(tmp_path):
     res = json.loads(out)
     assert res["consistent"] is True and res.get("solution_checked") is True
     assert trace.exists() and json.loads(trace.read_text())["n"] == 80
+    inst = Instance.loads(path.read_text())
+    assert trace.read_text() == two_core(inst)[1].dumps(inst)
 
 
 def test_certify_exit_codes(tmp_path):
@@ -111,7 +115,12 @@ def test_experiment_flags_and_config_file(tmp_path):
      "error: unknown config keys: worker"),
     ({"kind": "sat_sweep", "k": 3, "n": 60, "trials": 2, "m_list": [True, 50]},
      "error: config field 'm_list' must be list[int] | None, got [True, 50]"),
-], ids=["two_densities", "missing_trials", "not_object", "str_k", "float_trials", "unknown_key", "bool_in_list"])
+    ({"kind": "sat_sweep", "k": 3, "n": 60, "trials": 2, "c_grid": [0.8], "model": "unconstraned"},
+     "error: unknown model 'unconstraned'; expected unconstrained or constrained"),
+    ({"kind": "critical_census", "k": 3, "n": 8, "trials": 2, "m_list": [8], "tiny_identity_max": 10},
+     "error: unknown config keys: tiny_identity_max"),
+], ids=["two_densities", "missing_trials", "not_object", "str_k", "float_trials", "unknown_key", "bool_in_list",
+        "unknown_model", "retired_key"])
 def test_bad_experiment_config_exits_1(tmp_path, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))

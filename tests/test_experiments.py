@@ -27,6 +27,9 @@ def test_config_validation():
         ExperimentConfig("collision_check", 3, 60, 5, 0, m_list=[80, 90]).validate()
     with pytest.raises(ValueError, match="n <= 4000"):
         ExperimentConfig("critical_census", 3, 5000, 1, 0, m_list=[4000]).validate()
+    for model in ("foo", "unconstraned", "relaxed_C"):
+        with pytest.raises(ValueError, match="unknown model"):
+            ExperimentConfig("sat_sweep", 3, 100, 5, 0, model, c_grid=[0.5]).validate()
     cfg = ExperimentConfig("sat_sweep", 3, 100, 5, 0, c_grid=[0.8, 0.9])
     cfg.validate()
     assert [p["m"] for p in cfg.points()] == [80, 90]
@@ -175,6 +178,10 @@ def test_forced_model_shows_in_config_echo():
     _, _, summary = run_experiment(cfg)
     assert summary["config"] == {**cfg.to_json_dict(), "model": "constrained"}
     assert cfg.model == "unconstrained"
+    cfg = ExperimentConfig("core_check", 3, 40, 1, 2, "constrained", c_grid=[0.9])
+    _, _, summary = run_experiment(cfg)
+    assert summary["config"] == {**cfg.to_json_dict(), "model": "unconstrained"}
+    assert "tiny_identity_max" not in summary["config"]
 
 
 def test_run_experiment_dispatch():

@@ -44,7 +44,6 @@ def test_interval_basics():
         Interval(1.0, 1.0) / Interval(-1.0, 1.0)
     sq = Interval(-2.0, 1.0).sq()
     assert sq.lo == 0.0 and sq.hi >= 4.0
-    assert Interval.hull(Interval(0.0, 1.0), Interval(3.0, 4.0)) == Interval(0.0, 4.0)
 
 
 def test_interval_rejects_nan_ends_and_is_frozen():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 from collections import Counter, deque
@@ -17,7 +18,7 @@ from xorsatlab.instances import (
     gen_constrained,
     gen_unconstrained,
 )
-from xorsatlab.peel import CoreStats, PeelStep, PeelTrace, core_density, extend_solution, two_core
+from xorsatlab.peel import CoreStats, PeelTrace, core_density, extend_solution, two_core
 from xorsatlab.rng import Seed
 
 
@@ -47,22 +48,23 @@ def replay_trace(inst, trace):
             degree[v] += 1
     alive_eqs = set(range(inst.m))
     alive_vars = set(range(inst.n))
-    for step in trace.steps:
-        assert step.var in alive_vars
-        live = [e for e in alive_eqs if step.var in inst.rows[e]]
+    assert trace.steps.dtype == np.int64 and trace.steps.flags.c_contiguous
+    assert trace.steps.shape == (inst.n - len(trace.core_var_ids), 2)
+    for var, eq in trace.steps.tolist():
+        assert var in alive_vars
+        live = [e for e in alive_eqs if var in inst.rows[e]]
         assert len(live) <= 1
-        if step.eq is None:
+        if eq == -1:
             assert not live
         else:
-            assert live == [step.eq]
-            assert step.eq_vars == inst.rows[step.eq]
-            alive_eqs.remove(step.eq)
-        alive_vars.remove(step.var)
+            assert live == [eq]
+            alive_eqs.remove(eq)
+        alive_vars.remove(var)
     assert sorted(alive_vars) == trace.core_var_ids
     assert sorted(alive_eqs) == trace.core_eq_ids
 
 
-def sequential_two_core(inst, order="fifo"):
+def sequential_two_core(inst):
     """The sequential peel that the round-synchronous one replaced: a queue of
     degree-<=1 variables over per-variable incidence lists.  Returns
     (core_var_ids, core_eq_ids, core rows, core rhs, CoreStats)."""
@@ -75,7 +77,7 @@ def sequential_two_core(inst, order="fifo"):
     var_alive = [True] * inst.n
     queue = deque(v for v in range(inst.n) if degree[v] <= 1)
     while queue:
-        v = queue.popleft() if order == "fifo" else queue.pop()
+        v = queue.popleft()
         if not var_alive[v] or degree[v] > 1:
             continue
         var_alive[v] = False
@@ -97,9 +99,9 @@ def sequential_two_core(inst, order="fifo"):
     return core_var_ids, core_eq_ids, rows, rhs, CoreStats(n, m, (m / n) if n else None)
 
 
-def assert_matches_sequential(inst, order):
-    core, trace, stats = two_core(inst, order=order)
-    assert (trace.core_var_ids, trace.core_eq_ids, core.rows, core.rhs, stats) == sequential_two_core(inst, order)
+def assert_matches_sequential(inst):
+    core, trace, stats = two_core(inst)
+    assert (trace.core_var_ids, trace.core_eq_ids, core.rows, core.rhs, stats) == sequential_two_core(inst)
     assert (core.k, core.n, core.m, core.model_tag, core.seed) == (
         inst.k, len(trace.core_var_ids), len(trace.core_eq_ids), MODEL_CONSTRAINED, inst.seed)
     assert len(trace.steps) == inst.n - core.n
@@ -115,8 +117,7 @@ def test_matches_sequential_peel_on_random_instances():
         n = int(rng.integers(50, 3001)) if t % 4 else int(rng.integers(50, 400))
         c = float(rng.uniform(0.7, 1.1))
         inst = gen_unconstrained(k, int(c * n), n, Seed(800, t))
-        for order in ("fifo", "lifo"):
-            assert_matches_sequential(inst, order)
+        assert_matches_sequential(inst)
 
 
 @pytest.mark.parametrize(
@@ -134,19 +135,15 @@ def test_matches_sequential_peel_on_random_instances():
 )
 def test_matches_sequential_peel_on_edge_cases(k, n, rows):
     inst = Instance(k, n, len(rows), rows, [i % 2 for i in range(len(rows))], MODEL_UNCONSTRAINED)
-    for order in ("fifo", "lifo"):
-        assert_matches_sequential(inst, order)
+    assert_matches_sequential(inst)
 
 
 def test_shared_equation_goes_to_first_claimant_in_round_order():
     inst = Instance(3, 3, 1, [[0, 1, 2]], [1], MODEL_UNCONSTRAINED)
-    _, fifo, _ = two_core(inst, order="fifo")
-    assert fifo.steps == [PeelStep(0, 0, [0, 1, 2]), PeelStep(1, None, None), PeelStep(2, None, None)]
-    _, lifo, _ = two_core(inst, order="lifo")
-    assert lifo.steps == [PeelStep(2, 0, [0, 1, 2]), PeelStep(1, None, None), PeelStep(0, None, None)]
-    for trace in (fifo, lifo):
-        x = extend_solution([], trace, inst)
-        assert x[0] ^ x[1] ^ x[2] == 1
+    _, trace, _ = two_core(inst)
+    assert trace.steps.tolist() == [[0, 0], [1, -1], [2, -1]]
+    x = extend_solution([], trace, inst)
+    assert x[0] ^ x[1] ^ x[2] == 1
 
 
 def test_trace_is_rounds_then_ascending_ids():
@@ -155,24 +152,20 @@ def test_trace_is_rounds_then_ascending_ids():
     rows = [[0, 1, 2], [1, 2, 3], [3, 4, 6], [3, 4, 6]]
     inst = Instance(3, 7, len(rows), rows, [0] * len(rows), MODEL_UNCONSTRAINED)
     _, trace, _ = two_core(inst)
-    assert trace.steps == [
-        PeelStep(0, 0, [0, 1, 2]),
-        PeelStep(5, None, None),
-        PeelStep(1, 1, [1, 2, 3]),
-        PeelStep(2, None, None),
-    ]
+    assert trace.steps.tolist() == [[0, 0], [5, -1], [1, 1], [2, -1]]
+    assert trace.to_json_dict(inst)["steps"] == [[0, 0, [0, 1, 2]], [5, None, None], [1, 1, [1, 2, 3]], [2, None, None]]
     assert trace.core_var_ids == [3, 4, 6] and trace.core_eq_ids == [2, 3]
-    assert_matches_sequential(inst, "fifo")
+    assert_matches_sequential(inst)
 
 
 def test_constrained_instance_has_no_steps():
     inst = gen_constrained(3, 60, 50, Seed(900))
     core, trace, stats = two_core(inst)
-    assert not trace.steps
+    assert trace.steps.shape == (0, 2)
     assert core.rows == inst.rows and core.rhs == inst.rhs
     assert trace.core_var_ids == list(range(50)) and trace.core_eq_ids == list(range(60))
     assert stats == CoreStats(50, 60, 60 / 50)
-    assert_matches_sequential(inst, "fifo")
+    assert_matches_sequential(inst)
 
 
 def test_trace_is_deterministic():
@@ -180,7 +173,7 @@ def test_trace_is_deterministic():
     first = two_core(inst)
     again = two_core(inst)
     assert first == again
-    assert PeelTrace.from_json_dict(json.loads(first[1].dumps())) == first[1]
+    assert PeelTrace.from_json_dict(json.loads(first[1].dumps(inst))) == first[1]
 
 
 def test_garbage_collector_state_is_restored():
@@ -202,7 +195,7 @@ def test_min_degree_two_input_is_fixed():
     rows = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
     inst = Instance(3, 4, 4, rows, [1, 0, 0, 1], MODEL_UNCONSTRAINED)
     core, trace, stats = two_core(inst)
-    assert not trace.steps
+    assert trace.steps.shape == (0, 2)
     assert core.rows == rows and core.rhs == inst.rhs
     assert stats.core_vars == 4 and stats.core_eqs == 4 and stats.ratio == 1.0
 
@@ -229,22 +222,11 @@ def test_matches_naive_fixed_point(rng):
         replay_trace(inst, trace)
 
 
-def test_order_invariance_fifo_lifo():
-    for t in range(20):
-        inst = gen_unconstrained(3, 170, 200, Seed(200, t))
-        core_f, tr_f, _ = two_core(inst, order="fifo")
-        core_l, tr_l, _ = two_core(inst, order="lifo")
-        assert core_f.rows == core_l.rows and core_f.rhs == core_l.rhs
-        assert tr_f.core_eq_ids == tr_l.core_eq_ids
-    with pytest.raises(ValueError):
-        two_core(inst, order="random")
-
-
 def test_degree_zero_variables_peel_with_no_equation():
     inst = Instance(2, 5, 2, [[0, 1], [0, 1]], [0, 1], MODEL_UNCONSTRAINED)
     core, trace, stats = two_core(inst)
-    orphans = [s for s in trace.steps if s.eq is None]
-    assert {s.var for s in orphans} == {2, 3, 4}
+    orphans = [v for v, e in trace.steps.tolist() if e == -1]
+    assert set(orphans) == {2, 3, 4}
     assert stats.core_vars == 2 and stats.core_eqs == 2
     # inconsistent pair stays in the core and cannot be satisfied
     mat = gf2.BitMatrix.from_sparse_rows(core.n, core.rows)
@@ -302,9 +284,21 @@ def test_peel_free_extension_is_identity():
 def test_trace_serialization_round_trip():
     inst = gen_unconstrained(3, 80, 100, Seed(400))
     _, trace, _ = two_core(inst)
-    again = PeelTrace.from_json_dict(trace.to_json_dict())
+    again = PeelTrace.from_json_dict(trace.to_json_dict(inst))
     assert again == trace
-    assert PeelTrace.from_json_dict(__import__("json").loads(trace.dumps()).copy()) == trace
+    assert PeelTrace.from_json_dict(__import__("json").loads(trace.dumps(inst)).copy()) == trace
+
+
+def test_trace_json_and_core_bytes_pinned():
+    # trace JSON, core rows, core rhs and CoreStats of k=3, n=1000 instances
+    # at c = 0.75..0.978 (five of them have an empty core)
+    h = hashlib.sha256()
+    for t in range(20):
+        inst = gen_unconstrained(3, 750 + 12 * t, 1000, Seed(1100, t))
+        core, trace, stats = two_core(inst)
+        h.update(trace.dumps(inst).encode())
+        h.update(json.dumps([core.rows, core.rhs, stats.csv_fields()]).encode())
+    assert h.hexdigest() == "34560b815ac88d35a8d5514b52c205dd2944eeaf9b5edeed06d1754e1d1fa8b3"
 
 
 def test_core_density_against_prediction_single_shot():
