@@ -5,7 +5,8 @@ cell carrying an interval-arithmetic upper bound strictly below the claim's
 target.  Covers are found adaptively (greedy marching with width doubling,
 or a zeta-lattice search per cell for the k=3 grid) but verification never
 depends on how the cover was found: a stored certificate replays by
-re-evaluating each cell bound.
+re-evaluating each cell bound against the claim's default statement, with
+the cell bound, target and cover ranges building uses (``_CLAIMS``).
 
 Claims:
 
@@ -36,6 +37,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import chain
+from typing import Any, Callable, NamedTuple
 
 from xorsatlab.formulas import _hk_terms, lambda_of
 from xorsatlab.intervals import (
@@ -60,6 +64,7 @@ _ONE = Interval.point(1.0)
 _X0 = "0.4514"  # right end of the chained-rate range
 _ENDPOINT_SLACK = 1e-15
 _CHAIN_SLACK = 1e-12
+_TAYLOR_HI = 0.1  # right end of the alarge entropy bound's Taylor cell at x = 0
 
 
 # ---------------------------------------------------------------------------
@@ -157,37 +162,54 @@ def check_cover(cells: list[CoverCell], lo: float, hi: float) -> bool:
     return reach >= hi
 
 
-def _finish(cert: Certificate) -> Certificate:
+def _covers(cert: Certificate, shared) -> bool:
+    """The cells of each tag cover the range the claim gives that tag."""
+    ranges = _CLAIMS[cert.claim_id].ranges(cert, shared)
+    return all(check_cover([c for c in cert.cells if c.tag == tag], lo, hi) for tag, (lo, hi) in ranges.items())
+
+
+def _contains(outer, inner: tuple[float, float]) -> bool:
+    return outer is not None and outer[0] <= inner[0] and inner[1] <= outer[1]
+
+
+def _states_at_least(cert: Certificate, alpha_range: tuple[float, float], target: float) -> bool:
+    """The stored target is at or below `target` and the stored alpha range contains `alpha_range`."""
+    return cert.details["target"] <= target and _contains(cert.details["alpha_range"], alpha_range)
+
+
+def _finish(cert: Certificate, shared) -> Certificate:
+    """Global bound and verdict: every cell passes and the cells cover the claim's ranges."""
+    covered = _covers(cert, shared)
+    if not covered:
+        cert.details["cover_gap"] = True
+    cert.verified = covered and all(c.passes() for c in cert.cells)
     if not cert.cells:
         cert.global_bound = math.inf
-        cert.verified = False
-        return cert
-    targets = {c.target for c in cert.cells}
-    if len(targets) == 1:
+    elif len({c.target for c in cert.cells}) == 1:
         cert.global_bound = max(c.bound for c in cert.cells)
         cert.details["bound_kind"] = "max cell bound (uniform target)"
     else:
         cert.global_bound = max(c.bound - c.target for c in cert.cells)
         cert.details["bound_kind"] = "max (bound - target) over cells"
-    cert.verified = all(c.passes() for c in cert.cells) and not cert.details.get("cover_gap", False)
     return cert
 
 
 # ---------------------------------------------------------------------------
 # Greedy adaptive marching
 
+_MARCH_BUDGET = 10**5  # cells per march
 
-def _march(tag, lo, hi, evaluate, target, budget=10**5, strict=True, w0=None):
-    """Left-to-right cover of [lo, hi]: grow width on success, halve on failure."""
+
+def _march(make, lo, hi, w0=None):
+    """Left-to-right cover of [lo, hi] by make(a, b) cells: grow width on success, halve on failure."""
     cells: list[CoverCell] = []
     a = lo
     w = w0 if w0 is not None else (hi - lo)
     while a < hi:
-        if len(cells) >= budget or w < 1e-12:
+        if len(cells) >= _MARCH_BUDGET or w < 1e-12:
             return cells, False, a
         b = min(a + w, hi)
-        bound = evaluate(Interval(a, b))
-        cell = CoverCell(tag, a, b, bound, target, strict)
+        cell = make(a, b)
         if cell.passes():
             cells.append(cell)
             a = b
@@ -221,12 +243,12 @@ _AMED_TARGET = {4: -1e-5, 5: -0.005, 6: -0.03}
 _AMED_RIGHT = 0.2743
 
 
-def certify_amed(
-    k: int,
-    target: float | None = None,
-    alpha_range: tuple[float, float] | None = None,
-    budget: int = 10**5,
-) -> Certificate:
+def _amed_statement(k: int) -> tuple[tuple[float, float], float]:
+    """The default (alpha range, target) of the s_k claim."""
+    return (_AMED_LEFT.get(k, 1.0 / k), _AMED_RIGHT), _AMED_TARGET.get(k, -0.03)
+
+
+def certify_amed(k: int, target: float | None = None, alpha_range: tuple[float, float] | None = None) -> Certificate:
     """Cover [left_k, 0.2743] with cells certifying s_k < target.
 
     Defaults: left/target (0.1681, -1e-5) for k=4, (0.1840, -0.005) for
@@ -234,19 +256,18 @@ def certify_amed(
     """
     if k < 4:
         raise ValueError("the s_k negativity claim needs k >= 4")
-    if target is None:
-        target = _AMED_TARGET.get(k, -0.03)
-    if alpha_range is None:
-        alpha_range = (_AMED_LEFT.get(k, 1.0 / k), _AMED_RIGHT)
-    lo, hi = alpha_range
-    cells, ok, stopped = _march("s_k", lo, hi, lambda A: interval_s_k(k, A).hi, target, budget)
-    cert = Certificate("amed", k, None, cells, math.nan, False, {"alpha_range": [lo, hi], "target": target})
+    default_range, default_target = _amed_statement(k)
+    lo, hi = alpha_range or default_range
+    target = default_target if target is None else target
+    cert = Certificate("amed", k, None, [], math.nan, False, {"alpha_range": [lo, hi], "target": target})
+    cert.cells, ok, stopped = _march(partial(_amed_cell, cert, None, "s_k"), lo, hi)
     if not ok:
         cert.details["failed_at"] = stopped
-        cert.details["cover_gap"] = True
-    elif not check_cover(cells, lo, hi):
-        cert.details["cover_gap"] = True
-    return _finish(cert)
+    return _finish(cert, None)
+
+
+def _amed_cell(cert: Certificate, shared, tag: str, lo: float, hi: float, zeta=None) -> CoverCell:
+    return CoverCell(tag, lo, hi, interval_s_k(cert.k, Interval(lo, hi)).hi, cert.details["target"])
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +407,13 @@ def _descend_zeta(objective, z: tuple[int, int], lattice: int, max_steps: int = 
     return z
 
 
-def certify_k3_grid(
-    c_range: tuple[float, float] = (0.999, 1.001),
-    target: float = -0.002,
-    c_div: int = 2,
-    a_div: int = 2,
-) -> Certificate:
+_K3_ALPHA = (0.099, 0.400)  # the cells [j/1000, (j+1)/1000], j = 99..399
+_K3_C_RANGE = (0.999, 1.001)
+_K3_TARGET = -0.002
+_K3_C_DIV = _K3_A_DIV = 2  # c sub-ranges and alpha sub-boxes per cell bound
+
+
+def certify_k3_grid(c_range: tuple[float, float] = _K3_C_RANGE, target: float = _K3_TARGET) -> Certificate:
     """For each alpha cell [j/1000, (j+1)/1000], j = 99..399, find a 0.001-lattice
     zeta minimizing the certified H_3 bound over (cell x c_range) and certify it
     below `target`."""
@@ -401,11 +423,18 @@ def certify_k3_grid(
         raise ValueError("c_range width must be <= 0.02")
     k = 3
     lattice = 1000
-    lam_subs = _lambda_subranges(k, c_range, c_div)
     c_mid = 0.5 * (c_range[0] + c_range[1])
     lam_mid = lambda_of(k * c_mid)
     edges = [j / lattice for j in range(99, 401)]
-    cells: list[CoverCell] = []
+    details = {
+        "alpha_range": [edges[0], edges[-1]],
+        "target": target,
+        "c_div": _K3_C_DIV,
+        "a_div": _K3_A_DIV,
+        "zeta_lattice": 1.0 / lattice,
+    }
+    cert = Certificate("k3grid", k, c_range, [], math.nan, False, details)
+    lam_subs = _lambda_subranges(k, c_range, _K3_C_DIV)
     failures = []
     prev_z: tuple[int, int] | None = None
     for lo, hi in zip(edges, edges[1:]):
@@ -416,44 +445,32 @@ def certify_k3_grid(
 
         start = prev_z or (round(amid * lattice), round((1.0 - amid) * lattice))
         z = _descend_zeta(objective, start, lattice)
-        accepted = None
-        for radius in (1, 2, 3):
-            ring = [
-                (z[0] + dx, z[1] + dy)
-                for dx in range(-radius, radius + 1)
-                for dy in range(-radius, radius + 1)
-                if 1 <= z[0] + dx < lattice and 1 <= z[1] + dy < lattice
-            ]
-            ring.sort(key=objective)
-            for cand in ring[: 4 * radius]:
-                zeta = (cand[0] / lattice, cand[1] / lattice)
-                bound = hk_cell_bound(k, (lo, hi), zeta, c_range, c_div, a_div, lam_subs)
-                if bound < target:
-                    accepted = CoverCell("hk", lo, hi, bound, target, True, zeta)
-                    prev_z = cand
-                    break
-            if accepted:
+        # the 4r best lattice points of each ring of radius r around z, r = 1, 2, 3
+        rings = (
+            sorted(
+                ((z[0] + dx, z[1] + dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)
+                 if 1 <= z[0] + dx < lattice and 1 <= z[1] + dy < lattice),
+                key=objective,
+            )[: 4 * r]
+            for r in (1, 2, 3)
+        )
+        for cand in chain.from_iterable(rings):
+            cell = _k3_cell(cert, lam_subs, "hk", lo, hi, (cand[0] / lattice, cand[1] / lattice))
+            if cell.passes():
+                prev_z = cand
                 break
-        if accepted is None:
-            zeta = (z[0] / lattice, z[1] / lattice)
-            bound = hk_cell_bound(k, (lo, hi), zeta, c_range, c_div, a_div, lam_subs)
-            cells.append(CoverCell("hk", lo, hi, bound, target, True, zeta))
-            failures.append([lo, hi])
         else:
-            cells.append(accepted)
-    details = {
-        "alpha_range": [edges[0], edges[-1]],
-        "target": target,
-        "c_div": c_div,
-        "a_div": a_div,
-        "zeta_lattice": 1.0 / lattice,
-    }
+            cell = _k3_cell(cert, lam_subs, "hk", lo, hi, (z[0] / lattice, z[1] / lattice))
+            failures.append([lo, hi])
+        cert.cells.append(cell)
     if failures:
         details["failed_cells"] = failures
-    cert = Certificate("k3grid", k, c_range, cells, math.nan, False, details)
-    if not check_cover(cells, edges[0], edges[-1]):
-        cert.details["cover_gap"] = True
-    return _finish(cert)
+    return _finish(cert, lam_subs)
+
+
+def _k3_cell(cert: Certificate, lam_subs, tag: str, lo: float, hi: float, zeta=None) -> CoverCell:
+    bound = hk_cell_bound(cert.k, (lo, hi), zeta, cert.c_range, _K3_C_DIV, _K3_A_DIV, lam_subs)
+    return CoverCell(tag, lo, hi, bound, cert.details["target"], True, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +539,6 @@ def certify_alarge_constants() -> Certificate:
     """Constant inequalities plus the entropy bound on [0, 1] and the chained
     rate bound H_4(alpha, (alpha, 1-alpha); 1) <= -x^2/15 + 1e-12 on a 0.002
     grid of x = 1 - 2 alpha in [0, 0.4514]."""
-    cells = _alarge_constant_cells()
-    # entropy bound: Taylor cell at the x = 0 equality point, marching beyond
-    taylor_hi = 0.1
-    tb = _entropy_gap_taylor_cell(taylor_hi)
-    cells.append(CoverCell("entropy-bound", 0.0, taylor_hi, tb, _CHAIN_SLACK, strict=False))
-    march_cells, ok, stopped = _march(
-        "entropy-bound", taylor_hi, 1.0, lambda X: _entropy_gap_direct(X).hi, 0.0, w0=0.01
-    )
-    cells.extend(march_cells)
     details: dict = {
         "x0": _X0,
         "entropy_bound_range": [0.0, 1.0],
@@ -540,24 +548,40 @@ def certify_alarge_constants() -> Certificate:
         "using R(lambda(4), x) <= R(3.5, x0) < 0.4 (psi(3.5) <= 4 puts lambda(4) >= 3.5; "
         "R monotonicities are the 'monotone' certificate)",
     }
+    cert = Certificate("alarge", 4, None, _alarge_constant_cells(), math.nan, False, details)
+    # entropy bound: Taylor cell at the x = 0 equality point, marching beyond
+    cert.cells.append(_alarge_cell(cert, None, "entropy-bound", 0.0, _TAYLOR_HI))
+    march_cells, ok, stopped = _march(partial(_alarge_cell, cert, None, "entropy-bound"), _TAYLOR_HI, 1.0, w0=0.01)
+    cert.cells.extend(march_cells)
     if not ok:
-        details["cover_gap"] = True
         details["failed_at"] = stopped
-    d_slack = Interval(0.0, max(tb, 0.0))
     # chained rate bound cells: phi(a^2) + entropy slack <= 1e-12, phi decreasing
+    shared = _alarge_shared(cert)
     x0 = float(Fraction(_X0))
     grid = [round(0.002 * i, 6) for i in range(int(x0 / 0.002) + 1)]
     if grid[-1] < x0:
         grid.append(x0)
-    for a, b in zip(grid, grid[1:]):
-        val = (_phi_chain(Interval.point(a).sq()) + d_slack).hi
-        cells.append(CoverCell("rate-chain", a, b, val, _CHAIN_SLACK, strict=False))
-    cert = Certificate("alarge", 4, None, cells, math.nan, False, details)
-    ent_cells = [c for c in cells if c.tag == "entropy-bound"]
-    chain_cells = [c for c in cells if c.tag == "rate-chain"]
-    if not check_cover(ent_cells, 0.0, 1.0) or not check_cover(chain_cells, 0.0, x0):
-        cert.details["cover_gap"] = True
-    return _finish(cert)
+    cert.cells.extend(_alarge_cell(cert, shared, "rate-chain", a, b) for a, b in zip(grid, grid[1:]))
+    return _finish(cert, shared)
+
+
+def _alarge_shared(cert: Certificate) -> tuple[Interval, dict[str, CoverCell]]:
+    """The slack each rate-chain cell adds (recomputed from the x = 0 entropy cell) and the constants by tag."""
+    slack = max((_entropy_gap_taylor_cell(c.hi) for c in cert.cells if c.tag == "entropy-bound" and c.lo == 0.0),
+                default=0.0)
+    return Interval(0.0, max(slack, 0.0)), {c.tag: c for c in _alarge_constant_cells()}
+
+
+def _alarge_cell(cert: Certificate, shared, tag: str, lo: float, hi: float, zeta=None) -> CoverCell | None:
+    """The entropy cells use no shared term; a constant inequality is its own cell."""
+    if tag == "entropy-bound" and lo == 0.0:
+        return CoverCell(tag, lo, hi, _entropy_gap_taylor_cell(hi), _CHAIN_SLACK, False)
+    if tag == "entropy-bound":
+        return CoverCell(tag, lo, hi, _entropy_gap_direct(Interval(lo, hi)).hi, 0.0)
+    d_slack, fixed = shared
+    if tag == "rate-chain":
+        return CoverCell(tag, lo, hi, (_phi_chain(Interval.point(lo).sq()) + d_slack).hi, _CHAIN_SLACK, False)
+    return fixed.get(tag)
 
 
 # ---------------------------------------------------------------------------
@@ -579,142 +603,106 @@ def certify_monotonicity() -> Certificate:
     positive-coefficient series (lower bound exact at 0) against the
     documented 1e-15 slack, the rest by direct interval marching.
     """
-    cells: list[CoverCell] = []
-    details: dict = {"ranges": {}}
-    for tag, (fn, upper, series_hi) in _SIGN_CLAIMS.items():
-        head = fn(Interval(0.0, series_hi))
-        cells.append(CoverCell(tag, 0.0, series_hi, -head.lo, _ENDPOINT_SLACK, strict=False))
-        march_cells, ok, stopped = _march(
-            tag, series_hi, upper, lambda X, fn=fn: -fn(X).lo, 0.0, strict=False, w0=0.25
-        )
-        cells.extend(march_cells)
-        details["ranges"][tag] = [0.0, upper]
+    cert = Certificate("monotone", None, None, [], math.nan, False, {"ranges": {}})
+    for tag, (_, upper, series_hi) in _SIGN_CLAIMS.items():
+        make = partial(_sign_cell, cert, None, tag)
+        cert.cells.append(make(0.0, series_hi))
+        march_cells, ok, stopped = _march(make, series_hi, upper, w0=0.25)
+        cert.cells.extend(march_cells)
+        cert.details["ranges"][tag] = [0.0, upper]
         if not ok:
-            details["cover_gap"] = True
-            details.setdefault("failed_at", {})[tag] = stopped
-        elif not check_cover([c for c in cells if c.tag == tag], 0.0, upper):
-            details["cover_gap"] = True
-    cert = Certificate("monotone", None, None, cells, math.nan, False, details)
-    return _finish(cert)
+            cert.details.setdefault("failed_at", {})[tag] = stopped
+    return _finish(cert, None)
+
+
+def _sign_cell(cert: Certificate, shared, tag: str, lo: float, hi: float, zeta=None) -> CoverCell | None:
+    if tag not in _SIGN_CLAIMS:
+        return None
+    bound = -_SIGN_CLAIMS[tag][0](Interval(lo, hi)).lo
+    return CoverCell(tag, lo, hi, bound, _ENDPOINT_SLACK if lo == 0.0 else 0.0, False)
 
 
 # ---------------------------------------------------------------------------
-# Replay and dispatch
+# The claim table, replay and dispatch
 
 
-def _replay_cell(cert: Certificate, cell: CoverCell, shared) -> float:
-    """Fresh bound of one cell; `shared` holds what every cell of the claim
-    uses (see replay_certificate)."""
-    if cert.claim_id == "amed":
-        return interval_s_k(cert.k, Interval(cell.lo, cell.hi)).hi
-    if cert.claim_id == "k3grid":
-        return hk_cell_bound(
-            cert.k,
-            (cell.lo, cell.hi),
-            cell.zeta,
-            cert.c_range,
-            cert.details.get("c_div", 2),
-            cert.details.get("a_div", 2),
-            shared,
-        )
-    if cert.claim_id == "monotone":
-        fn = _SIGN_CLAIMS[cell.tag][0]
-        return -fn(Interval(cell.lo, cell.hi)).lo
-    if cert.claim_id == "alarge":
-        if cell.tag == "entropy-bound":
-            if cell.lo == 0.0:
-                return _entropy_gap_taylor_cell(cell.hi)
-            return _entropy_gap_direct(Interval(cell.lo, cell.hi)).hi
-        d_slack, fixed = shared
-        if cell.tag == "rate-chain":
-            return (_phi_chain(Interval.point(cell.lo).sq()) + d_slack).hi
-        return fixed[cell.tag].bound
-    raise ValueError(f"unknown claim {cert.claim_id!r}")
+class _Claim(NamedTuple):
+    """What building and replaying one claim share.  `shared(cert)` is what
+    every cell of a certificate uses, computed once per certificate."""
+
+    params: tuple[str, ...]  # the certify_claim parameters the builder takes
+    build: Callable[..., Certificate]
+    states: Callable[[Certificate], bool]  # the stored statement implies the default one
+    shared: Callable[[Certificate], Any]
+    cell: Callable[..., CoverCell | None]  # (cert, shared, tag, lo, hi, zeta) -> cell; None for a foreign tag
+    ranges: Callable[[Certificate, Any], dict]  # tag -> (lo, hi) its cells must cover
 
 
-def _claimed_target(cert: Certificate, cell: CoverCell, shared) -> tuple[float, bool] | None:
-    """The (target, strict) pair the claim assigns to `cell`, or None for a
-    tag the claim does not have."""
-    if cert.claim_id in ("amed", "k3grid"):
-        return cert.details["target"], True
-    if cert.claim_id == "monotone":
-        if cell.tag not in _SIGN_CLAIMS:
-            return None
-        return (_ENDPOINT_SLACK if cell.lo == 0.0 else 0.0), False
-    if cert.claim_id == "alarge":
-        if cell.tag == "rate-chain" or (cell.tag == "entropy-bound" and cell.lo == 0.0):
-            return _CHAIN_SLACK, False
-        if cell.tag == "entropy-bound":
-            return 0.0, True
-        fixed = shared[1].get(cell.tag)
-        return None if fixed is None else (fixed.target, fixed.strict)
-    raise ValueError(f"unknown claim {cert.claim_id!r}")
+_CLAIMS = {
+    "amed": _Claim(
+        params=("k", "target"), build=lambda k=4, target=None: certify_amed(k, target),
+        states=lambda cert: (isinstance(cert.k, int) and cert.k >= 4
+                             and _states_at_least(cert, *_amed_statement(cert.k))),
+        shared=lambda cert: None, cell=_amed_cell,
+        ranges=lambda cert, shared: {"s_k": cert.details["alpha_range"]},
+    ),
+    "k3grid": _Claim(
+        params=("target", "c_range"), build=certify_k3_grid,
+        states=lambda cert: (cert.k == 3 and _contains(cert.c_range, _K3_C_RANGE)
+                             and _states_at_least(cert, _K3_ALPHA, _K3_TARGET)),
+        shared=lambda cert: _lambda_subranges(cert.k, cert.c_range, _K3_C_DIV), cell=_k3_cell,
+        ranges=lambda cert, shared: {"hk": cert.details["alpha_range"]},
+    ),
+    "alarge": _Claim(
+        params=(), build=certify_alarge_constants,
+        states=lambda cert: True, shared=_alarge_shared, cell=_alarge_cell,
+        # both marched ranges, and each constant's own point or range, so every constant is present
+        ranges=lambda cert, shared: {"entropy-bound": (0.0, 1.0), "rate-chain": (0.0, float(Fraction(_X0))),
+                                     **{tag: (c.lo, c.hi) for tag, c in shared[1].items()}},
+    ),
+    "monotone": _Claim(
+        params=(), build=certify_monotonicity,
+        states=lambda cert: True, shared=lambda cert: None, cell=_sign_cell,
+        ranges=lambda cert, shared: {tag: (0.0, upper) for tag, (_, upper, _) in _SIGN_CLAIMS.items()},
+    ),
+}
 
 
 def replay_certificate(cert: Certificate) -> bool:
-    """Re-verify a stored certificate without re-searching.
+    """Re-verify a stored certificate against its claim without re-searching.
 
-    Recomputes each cell's bound (using the stored zeta table where
-    applicable) and checks it against the target the claim assigns to the
-    cell, which the stored target and strictness must equal; then checks
-    cover completeness over the claim's ranges and, for alarge, that every
-    constant inequality is present.  What every cell of a claim shares is
-    computed once: the verified lambda brackets of a k3grid certificate,
-    which depend only on its c range, and for alarge the entropy slack that
-    each rate-chain cell adds (recomputed, not read from the file) and the
-    fixed constant inequalities.
+    The certificate must state at least the claim's default statement (an
+    amed or k3grid target at or below the default, ranges containing the
+    default ones, k = 3 for k3grid); each cell must carry the (target,
+    strict) pair the claim assigns it, and its bound, recomputed with the
+    stored zeta where there is one and the module's subdivisions, must beat
+    that target; the cells must cover the claim's ranges.  What every cell
+    shares (k3grid's lambda brackets, alarge's entropy slack and constant
+    inequalities) is computed once, never read from the file.
     """
-    shared = None
-    if cert.claim_id == "k3grid":
-        shared = _lambda_subranges(cert.k, cert.c_range, cert.details.get("c_div", 2))
-    elif cert.claim_id == "alarge":
-        slack = max(
-            (_entropy_gap_taylor_cell(c.hi) for c in cert.cells if c.tag == "entropy-bound" and c.lo == 0.0),
-            default=0.0,
-        )
-        fixed = {c.tag: c for c in _alarge_constant_cells()}
-        if not set(fixed) <= {c.tag for c in cert.cells}:
+    claim = _CLAIMS.get(cert.claim_id)
+    if claim is None or not claim.states(cert):
+        return False
+    shared = claim.shared(cert)
+    for stored in cert.cells:
+        fresh = claim.cell(cert, shared, stored.tag, stored.lo, stored.hi, stored.zeta)
+        if fresh is None or (fresh.target, fresh.strict) != (stored.target, stored.strict) or not fresh.passes():
             return False
-        shared = (Interval(0.0, max(slack, 0.0)), fixed)
-    for cell in cert.cells:
-        claimed = _claimed_target(cert, cell, shared)
-        if claimed is None or (cell.target, cell.strict) != claimed:
-            return False
-        target, strict = claimed
-        fresh = _replay_cell(cert, cell, shared)
-        ok = fresh < target if strict else fresh <= target
-        if not ok:
-            return False
-    if cert.claim_id == "amed":
-        lo, hi = cert.details["alpha_range"]
-        return check_cover(cert.cells, lo, hi)
-    if cert.claim_id == "k3grid":
-        lo, hi = cert.details["alpha_range"]
-        return check_cover(cert.cells, lo, hi)
-    if cert.claim_id == "monotone":
-        return all(
-            check_cover([c for c in cert.cells if c.tag == tag], 0.0, upper)
-            for tag, (_, upper, _) in _SIGN_CLAIMS.items()
-        )
-    if cert.claim_id == "alarge":
-        ent = [c for c in cert.cells if c.tag == "entropy-bound"]
-        chain = [c for c in cert.cells if c.tag == "rate-chain"]
-        return check_cover(ent, 0.0, 1.0) and check_cover(chain, 0.0, float(Fraction(_X0)))
-    return False
+    return _covers(cert, shared)
 
 
 def certify_claim(claim: str, k: int | None = None, target: float | None = None,
                   c_range: tuple[float, float] | None = None) -> Certificate:
-    """CLI dispatch: claim in {amed, k3grid, alarge, monotone}."""
-    if claim == "amed":
-        return certify_amed(k if k is not None else 4, target)
-    if claim == "k3grid":
-        return certify_k3_grid(c_range or (0.999, 1.001), target if target is not None else -0.002)
-    if claim == "alarge":
-        return certify_alarge_constants()
-    if claim == "monotone":
-        return certify_monotonicity()
-    raise ValueError(f"unknown claim {claim!r}; expected amed, k3grid, alarge or monotone")
+    """CLI dispatch: claim in {amed, k3grid, alarge, monotone}.  A parameter
+    the claim does not take must be None."""
+    if claim not in _CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; expected amed, k3grid, alarge or monotone")
+    spec = _CLAIMS[claim]
+    given = {name: v for name, v in (("k", k), ("target", target), ("c_range", c_range)) if v is not None}
+    extra = [name for name in given if name not in spec.params]
+    if extra:
+        raise ValueError(f"the {claim} claim takes no {' or '.join(extra)}")
+    return spec.build(**given)
 
 
 __all__ = [

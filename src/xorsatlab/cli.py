@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="interval-arithmetic negativity certificates; exit 0 iff verified")
     p.add_argument("--claim", required=True, choices=["amed", "k3grid", "alarge", "monotone"])
     p.add_argument("--k", type=int, help="k for the amed claim (default 4)")
-    p.add_argument("--target", type=float, help="override the negativity target")
+    p.add_argument("--target", type=float, help="override the negativity target (amed, k3grid)")
     p.add_argument("--c-lo", type=float, help="k3grid density range lower end")
     p.add_argument("--c-hi", type=float, help="k3grid density range upper end")
     p.add_argument("--out", help="write the certificate JSON here")

@@ -53,7 +53,7 @@ import numpy as np
 from xorsatlab import __version__
 from xorsatlab.formulas import core_sizes, gamma, lambda_of
 from xorsatlab.gf2 import KERNEL_BACKEND, BitMatrix, solve
-from xorsatlab.instances import collision_count, gen_C_model, gen_constrained, gen_unconstrained
+from xorsatlab.instances import MODEL_RELAXED, collision_count, gen_C_model, gen_constrained, gen_unconstrained
 from xorsatlab.peel import two_core
 from xorsatlab.rng import Seed, mix_streams
 
@@ -383,7 +383,7 @@ _KINDS = {
         _task_collision,
         ["sample", "stream", "n", "m", "collisions", "degree_retries"],
         _agg_collision,
-        None,
+        MODEL_RELAXED,
     ),
     "window_check": (
         _task_sat,

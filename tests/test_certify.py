@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 
@@ -357,6 +358,42 @@ def _drop_alarge_constant(cert):
     cert.cells = [c for c in cert.cells if c.tag != "R(3.5,x0)<0.4"]
 
 
+def _raise_stated_target(cert):
+    cert.details["target"] = 1e9
+    for cell in cert.cells:
+        cell.target = 1e9
+
+
+def _cut_amed_range(cert):
+    cert.details["alpha_range"] = [0.25, 0.2743]
+    cert.cells = [c for c in cert.cells if c.hi > 0.25]
+
+
+def _flatten_zetas(cert):
+    # on its own a control: these zetas fail their cells at the stored subdivisions
+    for cell in cert.cells:
+        cell.zeta = (0.5, 0.5)
+
+
+def _no_c_subranges(cert):
+    # with no c sub-range hk_cell_bound returns -inf for any zeta
+    _flatten_zetas(cert)
+    cert.details["c_div"] = -1
+
+
+def _no_alpha_subboxes(cert):
+    _flatten_zetas(cert)
+    cert.details["a_div"] = -1
+
+
+def _relabel_k(cert):
+    cert.k = 4
+
+
+def _narrow_c_range(cert):
+    cert.c_range = (0.9999, 1.0001)
+
+
 @pytest.mark.parametrize("claim,doctor", [
     ("amed", None),
     ("k3grid", None),
@@ -368,6 +405,13 @@ def _drop_alarge_constant(cert):
     ("alarge", _loosen_every_target),
     ("monotone", _cut_monotone_ranges),
     ("alarge", _drop_alarge_constant),
+    ("amed", _raise_stated_target),
+    ("amed", _cut_amed_range),
+    ("k3grid", _flatten_zetas),
+    ("k3grid", _no_c_subranges),
+    ("k3grid", _no_alpha_subboxes),
+    ("k3grid", _relabel_k),
+    ("k3grid", _narrow_c_range),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_replay_checks_the_claim_not_the_file(claim, doctor):
     # each doctored copy still has every fresh bound beat its stored target
@@ -378,6 +422,22 @@ def test_replay_checks_the_claim_not_the_file(claim, doctor):
     else:
         doctor(cert)
         assert replay_certificate(cert) is False
+
+
+def test_replay_accepts_a_stricter_target():
+    cert = certify_amed(4, target=-1.2e-5)
+    assert cert.verified
+    assert replay_certificate(Certificate.loads(cert.dumps())) is True
+
+
+# sha256 of the concatenated dumps() of amed (k=4), k3grid (target -0.002),
+# alarge and monotone, the order perfbench's certify_all hashes them in
+CERTIFICATE_SHA256 = "63d8e635551e4090b459d402a8c87fb8c62d3708757867f67f8fdefc3143589f"
+
+
+def test_certificate_bytes_pinned():
+    text = "".join(_built_certificate(claim) for claim in ("amed", "k3grid", "alarge", "monotone"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256
 
 
 def test_check_cover_edge_cases():

@@ -80,6 +80,20 @@ def test_certify_exit_codes(tmp_path):
     assert json.loads(out)["verified"] is False
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--claim", "alarge", "--target", "5"], "error: the alarge claim takes no target"),
+    (["--claim", "k3grid", "--k", "5"], "error: the k3grid claim takes no k"),
+    (["--claim", "monotone", "--c-lo", "0.5", "--c-hi", "0.6"], "error: the monotone claim takes no c_range"),
+], ids=["alarge_target", "k3grid_k", "monotone_c_range"])
+def test_certify_rejects_flags_the_claim_does_not_take(tmp_path, argv, message):
+    cert_path = tmp_path / "cert.json"
+    code, out, err = run_cli(["certify", *argv, "--out", str(cert_path)])
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config:")] == [message]
+    assert not cert_path.exists()
+
+
 def test_experiment_flags_and_config_file(tmp_path):
     out_csv = tmp_path / "s.csv"
     code, out, _ = run_cli([

@@ -182,6 +182,9 @@ def test_forced_model_shows_in_config_echo():
     _, _, summary = run_experiment(cfg)
     assert summary["config"] == {**cfg.to_json_dict(), "model": "unconstrained"}
     assert "tiny_identity_max" not in summary["config"]
+    cfg = ExperimentConfig("collision_check", 3, 40, 2, 2, "constrained", m_list=[40])
+    _, _, summary = run_experiment(cfg)
+    assert summary["config"] == {**cfg.to_json_dict(), "model": "relaxed_C"}
 
 
 def test_run_experiment_dispatch():
