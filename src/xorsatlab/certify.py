@@ -41,6 +41,7 @@ from functools import partial
 from itertools import chain
 from typing import Any, Callable, NamedTuple
 
+from xorsatlab.errors import CertificateFormatError, from_json, json_value
 from xorsatlab.formulas import _hk_terms, lambda_of
 from xorsatlab.intervals import (
     Interval,
@@ -88,22 +89,7 @@ class CoverCell:
         return self.bound < self.target if self.strict else self.bound <= self.target
 
     def to_json_dict(self) -> dict:
-        d = {
-            "tag": self.tag,
-            "lo": self.lo,
-            "hi": self.hi,
-            "bound": self.bound,
-            "target": self.target,
-            "strict": self.strict,
-        }
-        if self.zeta is not None:
-            d["zeta"] = list(self.zeta)
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CoverCell":
-        zeta = tuple(d["zeta"]) if "zeta" in d and d["zeta"] is not None else None
-        return cls(d["tag"], d["lo"], d["hi"], d["bound"], d["target"], d.get("strict", True), zeta)
+        return {name: v for name, v in vars(self).items() if name != "zeta" or v is not None}
 
 
 @dataclass
@@ -117,34 +103,22 @@ class Certificate:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "k": self.k,
-            "c_range": list(self.c_range) if self.c_range else None,
-            "cells": [c.to_json_dict() for c in self.cells],
-            "global_bound": self.global_bound,
-            "verified": self.verified,
-            "details": self.details,
-        }
+        return dict(vars(self), cells=[c.to_json_dict() for c in self.cells])
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Certificate":
-        return cls(
-            claim_id=d["claim_id"],
-            k=d["k"],
-            c_range=tuple(d["c_range"]) if d.get("c_range") else None,
-            cells=[CoverCell.from_json_dict(c) for c in d["cells"]],
-            global_bound=d["global_bound"],
-            verified=d["verified"],
-            details=d.get("details", {}),
-        )
+        return from_json(cls, d, CertificateFormatError, "certificate")
 
     @classmethod
     def loads(cls, text: str) -> "Certificate":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CertificateFormatError(f"certificate file is not JSON: {exc}") from None
+        return cls.from_json_dict(d)
 
 
 def check_cover(cells: list[CoverCell], lo: float, hi: float) -> bool:
@@ -162,24 +136,28 @@ def check_cover(cells: list[CoverCell], lo: float, hi: float) -> bool:
     return reach >= hi
 
 
-def _covers(cert: Certificate, shared) -> bool:
+def _covers(cert: Certificate, ranges: dict) -> bool:
     """The cells of each tag cover the range the claim gives that tag."""
-    ranges = _CLAIMS[cert.claim_id].ranges(cert, shared)
     return all(check_cover([c for c in cert.cells if c.tag == tag], lo, hi) for tag, (lo, hi) in ranges.items())
 
 
-def _contains(outer, inner: tuple[float, float]) -> bool:
-    return outer is not None and outer[0] <= inner[0] and inner[1] <= outer[1]
+def _contains(outer: tuple[float, float], inner: tuple[float, float]) -> bool:
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
-def _states_at_least(cert: Certificate, alpha_range: tuple[float, float], target: float) -> bool:
-    """The stored target is at or below `target` and the stored alpha range contains `alpha_range`."""
-    return cert.details["target"] <= target and _contains(cert.details["alpha_range"], alpha_range)
+def _states_at_least(cert: Certificate, alpha_range: tuple[float, float], target: float, domain) -> bool:
+    """Stored target <= `target`; the stored alpha range contains `alpha_range` and lies in `domain`."""
+    try:
+        stored_target = json_value(float, cert.details.get("target"), CertificateFormatError, "target")
+        stored_range = json_value(tuple[float, float], cert.details.get("alpha_range"), CertificateFormatError, "range")
+    except CertificateFormatError:
+        return False
+    return stored_target <= target and _contains(stored_range, alpha_range) and _contains(domain, stored_range)
 
 
 def _finish(cert: Certificate, shared) -> Certificate:
     """Global bound and verdict: every cell passes and the cells cover the claim's ranges."""
-    covered = _covers(cert, shared)
+    covered = _covers(cert, _CLAIMS[cert.claim_id].ranges(cert, shared))
     if not covered:
         cert.details["cover_gap"] = True
     cert.verified = covered and all(c.passes() for c in cert.cells)
@@ -241,6 +219,12 @@ def interval_s_k(k: int, a: Interval) -> Interval:
 _AMED_LEFT = {4: 0.1681, 5: 0.1840, 6: 0.1666}
 _AMED_TARGET = {4: -1e-5, 5: -0.005, 6: -0.03}
 _AMED_RIGHT = 0.2743
+_AMED_DOMAIN = (0.0, 0.5)  # interval_s_k's alpha domain
+
+
+def _amed_k_ok(k) -> bool:
+    """The amed k rule, shared by build and replay: interval_s_k needs -2.0 * k exact."""
+    return isinstance(k, int) and 4 <= k <= 2**53
 
 
 def _amed_statement(k: int) -> tuple[tuple[float, float], float]:
@@ -254,8 +238,8 @@ def certify_amed(k: int, target: float | None = None, alpha_range: tuple[float, 
     Defaults: left/target (0.1681, -1e-5) for k=4, (0.1840, -0.005) for
     k=5, (0.1666, -0.03) for k=6, (1/k, -0.03) beyond.
     """
-    if k < 4:
-        raise ValueError("the s_k negativity claim needs k >= 4")
+    if not _amed_k_ok(k):
+        raise ValueError("the s_k negativity claim needs an integer k with 4 <= k <= 2**53")
     default_range, default_target = _amed_statement(k)
     lo, hi = alpha_range or default_range
     target = default_target if target is None else target
@@ -408,21 +392,29 @@ def _descend_zeta(objective, z: tuple[int, int], lattice: int, max_steps: int = 
 
 
 _K3_ALPHA = (0.099, 0.400)  # the cells [j/1000, (j+1)/1000], j = 99..399
+_K3_LATTICE = 1000  # alpha cells and zeta coordinates are multiples of 1/1000
+_K3_DOMAIN = (1 / _K3_LATTICE, 0.5)  # alpha ranges a replayed k3grid certificate may state
+# the lattice's zeta coordinates; nearer the unit square's edge a cell bound can take
+# the log of a non-positive enclosure
+_K3_ZETA = (1 / _K3_LATTICE, (_K3_LATTICE - 1) / _K3_LATTICE)
 _K3_C_RANGE = (0.999, 1.001)
 _K3_TARGET = -0.002
 _K3_C_DIV = _K3_A_DIV = 2  # c sub-ranges and alpha sub-boxes per cell bound
+
+
+def _k3_c_range_ok(c_range) -> bool:
+    """The k3grid c range rule, shared by build and replay: inside [0.99, 1.01], at most 0.02 wide."""
+    return c_range is not None and 0.99 <= c_range[0] < c_range[1] <= 1.01 and c_range[1] - c_range[0] <= 0.02
 
 
 def certify_k3_grid(c_range: tuple[float, float] = _K3_C_RANGE, target: float = _K3_TARGET) -> Certificate:
     """For each alpha cell [j/1000, (j+1)/1000], j = 99..399, find a 0.001-lattice
     zeta minimizing the certified H_3 bound over (cell x c_range) and certify it
     below `target`."""
-    if not (0.99 <= c_range[0] < c_range[1] <= 1.01):
-        raise ValueError("c_range must lie inside [0.99, 1.01]")
-    if c_range[1] - c_range[0] > 0.02:
-        raise ValueError("c_range width must be <= 0.02")
+    if not _k3_c_range_ok(c_range):
+        raise ValueError(f"c_range must lie inside [0.99, 1.01] and be at most 0.02 wide, got {tuple(c_range)}")
     k = 3
-    lattice = 1000
+    lattice = _K3_LATTICE
     c_mid = 0.5 * (c_range[0] + c_range[1])
     lam_mid = lambda_of(k * c_mid)
     edges = [j / lattice for j in range(99, 401)]
@@ -492,8 +484,10 @@ def _entropy_gap_taylor_cell(hi: float) -> float:
 
     D and D' vanish at 0 (equality point) and
     D'' = -x^2 (10 - x^2) / ((x^2+2)^2 (1 - x^2)) <= 0, so the bound is a
-    few ulps wide; direct evaluation can never certify this cell.
-    """
+    few ulps wide; direct evaluation can never certify this cell.  D'' has
+    a pole at 1: a hi outside [0, 1/2] gets the bound +inf."""
+    if not 0.0 <= hi <= 0.5:
+        return math.inf
     X = Interval(0.0, hi)
     d0 = _entropy_gap_direct(Interval.point(0.0))
     # D'(x) = 2x/(x^2+2) - (1/2) ln((1+x)/(1-x)), exactly 0 at x = 0
@@ -572,7 +566,7 @@ def _alarge_shared(cert: Certificate) -> tuple[Interval, dict[str, CoverCell]]:
     return Interval(0.0, max(slack, 0.0)), {c.tag: c for c in _alarge_constant_cells()}
 
 
-def _alarge_cell(cert: Certificate, shared, tag: str, lo: float, hi: float, zeta=None) -> CoverCell | None:
+def _alarge_cell(cert: Certificate, shared, tag: str, lo: float, hi: float, zeta=None) -> CoverCell:
     """The entropy cells use no shared term; a constant inequality is its own cell."""
     if tag == "entropy-bound" and lo == 0.0:
         return CoverCell(tag, lo, hi, _entropy_gap_taylor_cell(hi), _CHAIN_SLACK, False)
@@ -581,7 +575,7 @@ def _alarge_cell(cert: Certificate, shared, tag: str, lo: float, hi: float, zeta
     d_slack, fixed = shared
     if tag == "rate-chain":
         return CoverCell(tag, lo, hi, (_phi_chain(Interval.point(lo).sq()) + d_slack).hi, _CHAIN_SLACK, False)
-    return fixed.get(tag)
+    return fixed[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +609,7 @@ def certify_monotonicity() -> Certificate:
     return _finish(cert, None)
 
 
-def _sign_cell(cert: Certificate, shared, tag: str, lo: float, hi: float, zeta=None) -> CoverCell | None:
-    if tag not in _SIGN_CLAIMS:
-        return None
+def _sign_cell(cert: Certificate, shared, tag: str, lo: float, hi: float, zeta=None) -> CoverCell:
     bound = -_SIGN_CLAIMS[tag][0](Interval(lo, hi)).lo
     return CoverCell(tag, lo, hi, bound, _ENDPOINT_SLACK if lo == 0.0 else 0.0, False)
 
@@ -634,22 +626,23 @@ class _Claim(NamedTuple):
     build: Callable[..., Certificate]
     states: Callable[[Certificate], bool]  # the stored statement implies the default one
     shared: Callable[[Certificate], Any]
-    cell: Callable[..., CoverCell | None]  # (cert, shared, tag, lo, hi, zeta) -> cell; None for a foreign tag
-    ranges: Callable[[Certificate, Any], dict]  # tag -> (lo, hi) its cells must cover
+    cell: Callable[..., CoverCell]  # (cert, shared, tag, lo, hi, zeta) -> cell
+    ranges: Callable[[Certificate, Any], dict]  # tag -> (lo, hi) its cells must lie in and cover
 
 
 _CLAIMS = {
     "amed": _Claim(
         params=("k", "target"), build=lambda k=4, target=None: certify_amed(k, target),
-        states=lambda cert: (isinstance(cert.k, int) and cert.k >= 4
-                             and _states_at_least(cert, *_amed_statement(cert.k))),
+        states=lambda cert: _amed_k_ok(cert.k) and _states_at_least(cert, *_amed_statement(cert.k), _AMED_DOMAIN),
         shared=lambda cert: None, cell=_amed_cell,
         ranges=lambda cert, shared: {"s_k": cert.details["alpha_range"]},
     ),
     "k3grid": _Claim(
         params=("target", "c_range"), build=certify_k3_grid,
-        states=lambda cert: (cert.k == 3 and _contains(cert.c_range, _K3_C_RANGE)
-                             and _states_at_least(cert, _K3_ALPHA, _K3_TARGET)),
+        states=lambda cert: (cert.k == 3 and _k3_c_range_ok(cert.c_range) and _contains(cert.c_range, _K3_C_RANGE)
+                             and _states_at_least(cert, _K3_ALPHA, _K3_TARGET, _K3_DOMAIN)
+                             and all(c.zeta and all(_K3_ZETA[0] <= z <= _K3_ZETA[1] for z in c.zeta)
+                                     for c in cert.cells)),
         shared=lambda cert: _lambda_subranges(cert.k, cert.c_range, _K3_C_DIV), cell=_k3_cell,
         ranges=lambda cert, shared: {"hk": cert.details["alpha_range"]},
     ),
@@ -672,23 +665,29 @@ def replay_certificate(cert: Certificate) -> bool:
     """Re-verify a stored certificate against its claim without re-searching.
 
     The certificate must state at least the claim's default statement (an
-    amed or k3grid target at or below the default, ranges containing the
-    default ones, k = 3 for k3grid); each cell must carry the (target,
-    strict) pair the claim assigns it, and its bound, recomputed with the
-    stored zeta where there is one and the module's subdivisions, must beat
-    that target; the cells must cover the claim's ranges.  What every cell
-    shares (k3grid's lambda brackets, alarge's entropy slack and constant
-    inequalities) is computed once, never read from the file.
-    """
+    amed or k3grid target at or below the default, alpha ranges containing
+    the default ones, k and c range within the build's rules, k = 3 and
+    lattice zetas for k3grid); each cell must lie in the range the claim
+    gives its tag, carry the (target, strict) pair the claim assigns it,
+    and its bound, recomputed with the stored zeta where there is one and
+    the module's subdivisions, must beat that target; the cells must cover
+    the claim's ranges.  What every cell shares (k3grid's lambda brackets,
+    alarge's entropy slack and constant inequalities) is computed once,
+    never read from the file.  Whatever `Certificate.loads` accepts replays
+    to True or False."""
     claim = _CLAIMS.get(cert.claim_id)
     if claim is None or not claim.states(cert):
         return False
     shared = claim.shared(cert)
+    ranges = claim.ranges(cert, shared)
     for stored in cert.cells:
-        fresh = claim.cell(cert, shared, stored.tag, stored.lo, stored.hi, stored.zeta)
-        if fresh is None or (fresh.target, fresh.strict) != (stored.target, stored.strict) or not fresh.passes():
+        lo, hi = ranges.get(stored.tag, (math.nan, math.nan))
+        if not lo <= stored.lo <= stored.hi <= hi:
             return False
-    return _covers(cert, shared)
+        fresh = claim.cell(cert, shared, stored.tag, stored.lo, stored.hi, stored.zeta)
+        if (fresh.target, fresh.strict) != (stored.target, stored.strict) or not fresh.passes():
+            return False
+    return _covers(cert, ranges)
 
 
 def certify_claim(claim: str, k: int | None = None, target: float | None = None,

@@ -150,28 +150,10 @@ def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config) as fh:
             payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise XorsatLabError(f"experiment config must be a JSON object, not {type(payload).__name__}")
-    # explicit flags override file values
-    flags = {
-        "kind": args.kind,
-        "k": args.k,
-        "n": args.n,
-        "trials": args.trials,
-        "master_seed": args.seed,
-        "model": args.model,
-        "c_grid": args.c_grid,
-        "m_list": args.m_list,
-        "w_list": args.w_list,
-        "out": args.out,
-        "workers": args.workers,
-    }
-    payload.update({k: v for k, v in flags.items() if v is not None})
-    missing = [name for name in ("kind", "k", "n", "trials") if name not in payload]
-    if missing:
-        raise XorsatLabError(f"experiment needs --config or flags; missing {missing}")
-    payload.setdefault("master_seed", 0)
-    payload.setdefault("workers", default_workers())
+    if isinstance(payload, dict):  # the config reader refuses anything else
+        # explicit flags override file values; each flag's dest is its config field
+        given = {name: v for name in ExperimentConfig.__dataclass_fields__ if (v := getattr(args, name)) is not None}
+        payload = {"master_seed": 0, "workers": default_workers(), **payload, **given}
     aggregates, _, summary = run_experiment(ExperimentConfig.from_json_dict(payload))
     print(json.dumps({"aggregates": aggregates, "csv_sha256": summary["csv_sha256"]}))
     return 0
@@ -255,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED", help="master seed")
     p.add_argument("--model", choices=["unconstrained", "constrained"])
     p.add_argument("--c-grid", type=_csv_floats, dest="c_grid", help="comma-separated densities")
     p.add_argument("--m-list", type=_csv_ints, dest="m_list", help="comma-separated equation counts")

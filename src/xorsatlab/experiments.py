@@ -51,6 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from xorsatlab import __version__
+from xorsatlab.errors import from_json
 from xorsatlab.formulas import core_sizes, gamma, lambda_of
 from xorsatlab.gf2 import KERNEL_BACKEND, BitMatrix, solve
 from xorsatlab.instances import MODEL_RELAXED, collision_count, gen_C_model, gen_constrained, gen_unconstrained
@@ -85,7 +86,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.model not in ("unconstrained", "constrained"):
+        # a kind's forced model (collision_check's relaxed_C) is valid for that kind, so its echo runs again
+        if self.model not in ("unconstrained", "constrained", _KINDS[self.kind][3] or "constrained"):
             raise ValueError(f"unknown model {self.model!r}; expected unconstrained or constrained")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -117,27 +119,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        """Config from parsed JSON; unknown keys and mistyped fields raise ValueError."""
-        fields = cls.__dataclass_fields__
-        unknown = sorted(set(d) - set(fields))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for name, value in d.items():
-            if not _json_fits(fields[name].type, value):
-                raise ValueError(f"config field {name!r} must be {fields[name].type}, got {value!r}")
-        cfg = cls(**d)
+        """Config from parsed JSON; a missing, unknown or mistyped key or an invalid config raise ValueError."""
+        cfg = from_json(cls, d, ValueError, "config")
         cfg.validate()
         return cfg
-
-
-def _json_fits(annotation: str, value) -> bool:
-    """Whether a parsed JSON value fits a field annotation such as "list[int] | None"."""
-    if annotation.endswith(" | None"):
-        return value is None or _json_fits(annotation[:-7], value)
-    if annotation.startswith("list["):
-        return isinstance(value, list) and all(_json_fits(annotation[5:-1], v) for v in value)
-    types = {"str": str, "int": int, "float": (int, float)}[annotation]
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from xorsatlab.errors import BudgetExceededError, InstanceFormatError, RejectionBudgetError
+from xorsatlab.errors import BudgetExceededError, InstanceFormatError, RejectionBudgetError, from_json
 from xorsatlab.formulas import gamma as _gamma
 from xorsatlab.formulas import lambda_of, var_Z
 from xorsatlab.rng import Seed
@@ -107,41 +107,16 @@ class Instance:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        d = {
-            "k": self.k,
-            "n": self.n,
-            "m": self.m,
-            "rows": self.rows,
-            "rhs": self.rhs,
-            "model_tag": self.model_tag,
-        }
-        d["seed"] = self.seed.to_dict() if self.seed is not None else None
-        return d
+        return dict(vars(self), seed=self.seed.to_dict() if self.seed is not None else None)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Instance":
-        """Parse `to_json_dict` output; raise InstanceFormatError on a missing or
-        mistyped key or an invalid instance."""
-        if not isinstance(d, dict):
-            raise InstanceFormatError(f"instance JSON must be an object, not {type(d).__name__}")
-        seed = d.get("seed")
-        if seed is not None:
-            if not isinstance(seed, dict):
-                raise InstanceFormatError("instance JSON 'seed' must be an object or null")
-            stream = _json_field(seed, "stream", _is_int) if "stream" in seed else 0
-            seed = Seed(_json_field(seed, "master", _is_int), stream)
-        inst = cls(
-            k=_json_field(d, "k", _is_int),
-            n=_json_field(d, "n", _is_int),
-            m=_json_field(d, "m", _is_int),
-            rows=[list(row) for row in _json_field(d, "rows", lambda v: _is_list_of(v, _is_int_list))],
-            rhs=list(_json_field(d, "rhs", _is_int_list)),
-            model_tag=_json_field(d, "model_tag", lambda v: isinstance(v, str)),
-            seed=seed,
-        )
+        """Parse `to_json_dict` output; raise InstanceFormatError on a missing,
+        unknown or mistyped key or an invalid instance."""
+        inst = from_json(cls, d, InstanceFormatError, "instance")
         inst.validate()
         return inst
 
@@ -252,26 +227,6 @@ def _get_varint(blob: bytes, pos: int) -> tuple[int, int]:
                 raise InstanceFormatError(f"non-canonical varint at byte {start}")
             return v, pos
         shift += 7
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_list_of(v, ok) -> bool:
-    return isinstance(v, list) and all(map(ok, v))
-
-
-def _is_int_list(v) -> bool:
-    return _is_list_of(v, _is_int)
-
-
-def _json_field(d: dict, key: str, ok):
-    if key not in d:
-        raise InstanceFormatError(f"instance JSON has no {key!r}")
-    if not ok(d[key]):
-        raise InstanceFormatError(f"instance JSON {key!r} has the wrong type")
-    return d[key]
 
 
 # ---------------------------------------------------------------------------

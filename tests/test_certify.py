@@ -1,11 +1,16 @@
 import functools
 import hashlib
+import json
 import math
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorsatlab import certify
+from xorsatlab.errors import CertificateFormatError
 from xorsatlab.certify import (
     Certificate,
     CoverCell,
@@ -83,6 +88,13 @@ class TestAmed:
         with pytest.raises(ValueError):
             certify_amed(3)
 
+    def test_rejects_a_k_beyond_exact_floats(self):
+        # -2.0 * k would overflow, and 1 / k would raise OverflowError
+        with pytest.raises(ValueError, match="4 <= k <= 2"):
+            certify_amed(10**400)
+        with pytest.raises(ValueError, match="4 <= k <= 2"):
+            certify_amed(2**53 + 1)
+
     def test_unreachable_target_reports_failure(self):
         cert = certify_amed(4, target=-1.0)
         assert not cert.verified
@@ -113,6 +125,9 @@ class TestK3Grid:
             certify_k3_grid((0.9, 1.0))
         with pytest.raises(ValueError):
             certify_k3_grid((0.99, 1.011))
+        # once died inside lambda_interval, psi^{-1} at c = 0.5
+        with pytest.raises(ValueError, match="c_range must lie inside"):
+            certify_k3_grid((0.5, 1.5))
 
 
 class TestHkEnclosures:
@@ -422,6 +437,119 @@ def test_replay_checks_the_claim_not_the_file(claim, doctor):
     else:
         doctor(cert)
         assert replay_certificate(cert) is False
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("claim,edits,outcome", [
+    ("k3grid", [(("c_range",), [0.5, 1.5])], False),
+    ("k3grid", [(("c_range",), [-math.inf, math.inf])], False),
+    ("k3grid", [(("c_range",), [0.999])], "format"),
+    ("amed", [(("details", "target"), _DROP)], False),
+    ("amed", [(("details", "alpha_range"), _DROP)], False),
+    ("amed", [(("details", "target"), "x")], False),
+    ("amed", [(("k",), 10**400)], False),
+    ("amed", [(("details",), _DROP)], False),
+    ("k3grid", [(("details",), _DROP)], False),
+    ("amed", [(("details",), [])], "format"),
+    ("amed", [(("cells",), _DROP)], "format"),
+    ("amed", [(("cells", 0, "lo"), "0.2")], "format"),
+    ("amed", [(("cells", 0, "lo"), math.nan)], False),
+    ("amed", [(("cells", 0, "hi"), 0.0)], False),
+    ("amed", [(("cells", 0, "lo"), -1.0)], False),
+    ("amed", [(("details", "alpha_range"), [-1.0, 0.2743]), (("cells", 0, "lo"), -1.0)], False),
+    ("amed", [(("cells", 0, "tag"), _DROP)], "format"),
+    ("k3grid", [(("cells", 5, "zeta"), [math.nan, 0.5])], False),
+    ("k3grid", [(("cells", 5, "zeta"), [0, 0.5])], False),
+    ("k3grid", [(("cells", 5, "zeta"), [-0.1, 0.5])], False),
+    ("k3grid", [(("cells", 5, "zeta"), [1e308, 0.5])], False),
+    ("k3grid", [(("cells", 5, "zeta"), [1e-300, 0.5])], False),
+    ("k3grid", [(("cells", 5, "zeta"), [0.3, 0.5, 0.2])], "format"),
+    ("k3grid", [(("cells", 5, "zeta"), None)], False),
+    ("k3grid", [(("details", "alpha_range"), "ab")], False),
+    ("k3grid", [(("details", "alpha_range"), [5e-324, 0.4]), (("cells", 0, "lo"), 5e-324)], False),
+    ("alarge", [(("cells", -1, "lo"), 1e300)], False),
+    ("alarge", [(("cells", 7, "hi"), 0.9999999999999999)], False),  # the x = 0 entropy cell
+    ("amed", [(("claim_id",), [5])], "format"),
+    ("monotone", [(("extra",), 1)], "format"),
+])
+def test_replay_never_raises(claim, edits, outcome):
+    d = json.loads(_built_certificate(claim))
+    for (*parents, last), value in edits:
+        holder = functools.reduce(operator.getitem, parents, d)
+        if value is _DROP:
+            del holder[last]
+        else:
+            holder[last] = value
+    try:
+        cert = Certificate.loads(json.dumps(d))
+    except CertificateFormatError:
+        assert outcome == "format"
+        return
+    assert replay_certificate(cert) is outcome
+
+
+# a third each: any float (NaN and inf too), a pair of floats, anything else JSON holds
+_odd_values = st.one_of(
+    st.floats(),
+    st.lists(st.floats(), min_size=2, max_size=2),
+    st.none()
+    | st.booleans()
+    | st.text(max_size=2)
+    | st.integers(-5, 10)
+    | st.just(10**400)
+    | st.lists(st.floats(), max_size=3)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def doctored_certificate_json(draw):
+    """A built certificate with one to three keys dropped, retyped, or their (lo, hi) pair inverted or widened."""
+    d = json.loads(_built_certificate(draw(st.sampled_from(("amed", "k3grid", "alarge", "monotone")))))
+    for _ in range(draw(st.integers(1, 3))):
+        cells = d["cells"] if isinstance(d.get("cells"), list) else []
+        holders = [d] + [h for h in [d.get("details"), *cells] if isinstance(h, dict)]
+        holder = draw(st.sampled_from(holders))
+        key = draw(st.sampled_from(sorted(holder) + ["target", "alpha_range", "zeta", "extra"]))
+        op = draw(st.sampled_from(["drop", "set", "invert", "widen"]))
+        pair = ("lo", "hi") if "lo" in holder and "hi" in holder else None
+        if op == "drop":
+            holder.pop(key, None)
+        elif op == "set" or pair is None:
+            holder[key] = draw(_odd_values)
+        elif op == "invert":
+            holder["lo"], holder["hi"] = holder["hi"], holder["lo"]
+        elif all(isinstance(holder[end], float) for end in pair):
+            width = draw(st.floats(0.0, math.inf))
+            holder["lo"], holder["hi"] = holder["lo"] - width, holder["hi"] + width
+    return json.dumps(d)
+
+
+class TestCertificateFormatFuzz:
+    """Any doctored certificate either replays to a bool or fails to load with CertificateFormatError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doctored_certificate_json())
+    def test_replay_is_total(self, text):
+        try:
+            cert = Certificate.loads(text)
+        except CertificateFormatError:
+            return
+        assert isinstance(replay_certificate(cert), bool)
+
+
+def test_dumps_loads_dumps_byte_identical():
+    unverified = [certify_k3_grid(target=-0.005), certify_amed(4, target=-1.0)]
+    assert "failed_cells" in unverified[0].details and {"failed_at", "cover_gap"} <= set(unverified[1].details)
+    for text in [_built_certificate(c) for c in ("amed", "k3grid", "alarge", "monotone")] + [c.dumps() for c in unverified]:
+        assert Certificate.loads(text).dumps() == text
+
+
+def test_loads_refuses_non_json():
+    with pytest.raises(CertificateFormatError, match="not JSON"):
+        Certificate.loads('{"claim_id": "amed"')
 
 
 def test_replay_accepts_a_stricter_target():

@@ -94,6 +94,18 @@ def test_certify_rejects_flags_the_claim_does_not_take(tmp_path, argv, message):
     assert not cert_path.exists()
 
 
+def test_certify_amed_huge_k_exits_1(tmp_path):
+    # 1 / k and -2.0 * k overflow a float far below this k
+    cert_path = tmp_path / "cert.json"
+    code, out, err = run_cli(["certify", "--claim", "amed", "--k", "1" + "0" * 400, "--out", str(cert_path)])
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config:")] == [
+        "error: the s_k negativity claim needs an integer k with 4 <= k <= 2**53"
+    ]
+    assert not cert_path.exists()
+
+
 def test_experiment_flags_and_config_file(tmp_path):
     out_csv = tmp_path / "s.csv"
     code, out, _ = run_cli([
@@ -119,8 +131,8 @@ def test_experiment_flags_and_config_file(tmp_path):
     ({"kind": "collision_check", "k": 3, "n": 60, "trials": 5, "master_seed": 4, "m_list": [80, 90]},
      "error: collision_check takes exactly one density (one c_grid or m_list entry)"),
     ({"kind": "sat_sweep", "k": 3, "n": 60, "master_seed": 4, "c_grid": [0.8]},
-     "error: experiment needs --config or flags; missing ['trials']"),
-    ([1, 2], "error: experiment config must be a JSON object, not list"),
+     "error: config JSON has no 'trials'"),
+    ([1, 2], "error: config JSON must be an object, not list"),
     ({"kind": "sat_sweep", "k": "3", "n": 60, "trials": 2, "c_grid": [0.8]},
      "error: config field 'k' must be int, got '3'"),
     ({"kind": "sat_sweep", "k": 3, "n": 60, "trials": 2.5, "c_grid": [0.8]},

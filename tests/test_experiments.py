@@ -30,6 +30,11 @@ def test_config_validation():
     for model in ("foo", "unconstraned", "relaxed_C"):
         with pytest.raises(ValueError, match="unknown model"):
             ExperimentConfig("sat_sweep", 3, 100, 5, 0, model, c_grid=[0.5]).validate()
+    # the reader refuses a config with missing fields or one that is not an object
+    with pytest.raises(ValueError, match="config JSON has no 'n', 'trials', 'master_seed'"):
+        ExperimentConfig.from_json_dict({"kind": "sat_sweep", "k": 3, "c_grid": [0.5]})
+    with pytest.raises(ValueError, match="config JSON must be an object, not list"):
+        ExperimentConfig.from_json_dict(["kind", "sat_sweep"])
     cfg = ExperimentConfig("sat_sweep", 3, 100, 5, 0, c_grid=[0.8, 0.9])
     cfg.validate()
     assert [p["m"] for p in cfg.points()] == [80, 90]
@@ -156,6 +161,15 @@ def test_campaign_csv_bytes_pinned(tmp_path, name, workers):
     _, _, summary = run_experiment(ExperimentConfig(*args, **kwargs, out=str(out), workers=workers))
     assert summary["csv_sha256"] == digest
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", list(PINNED_CAMPAIGNS))
+def test_config_echo_runs_again(name):
+    # a summary's config echo (with any forced model) reads back and reproduces the CSV
+    args, kwargs, digest = PINNED_CAMPAIGNS[name]
+    _, _, summary = run_experiment(ExperimentConfig(*args, **kwargs))
+    _, _, again = run_experiment(ExperimentConfig.from_json_dict(summary["config"]))
+    assert summary["csv_sha256"] == again["csv_sha256"] == digest
 
 
 @pytest.mark.parametrize("name", list(PINNED_CAMPAIGNS))

@@ -358,12 +358,14 @@ class TestSerialization:
         for d, message in [
             ([], "must be an object"),
             ({"k": 3, "n": 4}, "no 'm'"),
-            ({**good, "m": "1"}, "'m' has the wrong type"),
-            ({**good, "k": True}, "'k' has the wrong type"),
-            ({**good, "rows": [[0, 1, 3.0]]}, "'rows' has the wrong type"),
-            ({**good, "rhs": 1}, "'rhs' has the wrong type"),
+            ({**good, "m": "1"}, "'m' must be int, got '1'"),
+            ({**good, "k": True}, "'k' must be int, got True"),
+            ({**good, "rows": [[0, 1, 3.0]]}, r"'rows' must be list\[list\[int\]\]"),
+            ({**good, "rhs": 1}, r"'rhs' must be list\[int\], got 1"),
             ({**good, "seed": {"stream": 1}}, "no 'master'"),
             ({**good, "seed": 5}, "'seed' must be"),
+            ({**good, "extra": 1}, "unknown instance keys: extra"),
+            ({**good, "seed": {"master": 2, "salt": 1}}, "unknown Seed keys: salt"),
             ({**good, "k": 0, "rows": [[]]}, "need k >= 1"),
             # refused by counting row slots, before a degree tally of 1e15 entries
             ({**good, "n": 10**15, "model_tag": "constrained"}, "degree < 2"),
