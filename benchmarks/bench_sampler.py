@@ -20,7 +20,6 @@ import json
 import time
 
 from xorsatlab import instances
-from xorsatlab.formulas import lambda_of
 from xorsatlab.rng import Seed
 
 K, N = 4, 1000
@@ -43,7 +42,7 @@ def main() -> int:
     instances._gen_C = counted_gen_C
     try:
         for m in (int(s) for s in args.ms.split(",")):
-            p_hit = instances._hit_probability(lambda_of(K * m / N), N, K * m)
+            p_hit = instances._degree_law(K, m, N).p_hit
             for sampler in (instances.gen_constrained, instances.gen_C_model):
                 tally.update(attempts=0, retries=0)
                 t0 = time.perf_counter()

@@ -99,6 +99,9 @@ class ExperimentConfig:
             raise ValueError("need c_grid or m_list")
         if self.kind == "collision_check" and len(self.points()) != 1:
             raise ValueError("collision_check takes exactly one density (one c_grid or m_list entry)")
+        if self.kind == "collision_check" and (self.k < 3 or self.k * self.points()[0]["m"] <= 2 * self.n):
+            # gamma and the tilt of the collision law need both
+            raise ValueError(f"collision_check needs k >= 3 and km > 2n, got k={self.k}, m={self.points()[0]['m']}, n={self.n}")
         if self.kind == "critical_census" and self.n > 4000:
             raise ValueError("census is limited to n <= 4000")
 

@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,28 +83,28 @@ class Instance:
             raise InstanceFormatError(f"need k >= 1 and n >= 0, got k={self.k}, n={self.n}")
         if len(self.rows) != self.m or len(self.rhs) != self.m:
             raise InstanceFormatError("row/rhs count does not match m")
-        for row in self.rows:
-            if len(row) != self.k:
-                raise InstanceFormatError("row weight does not match k")
-            for a, b in zip(row, row[1:]):
-                if self.model_tag == MODEL_RELAXED:
-                    if b < a:
-                        raise InstanceFormatError("relaxed rows must be sorted")
-                elif b <= a:
-                    raise InstanceFormatError("row indices must be strictly increasing")
-            for j in row:
-                if not 0 <= j < self.n:
-                    raise InstanceFormatError(f"variable index {j} out of range")
-        if any(b not in (0, 1) for b in self.rhs):
+        if set(map(len, self.rows)) - {self.k}:
+            raise InstanceFormatError("row weight does not match k")
+        try:  # each check reads all rows at once; a bad index is looked up only on failure
+            flat = np.fromiter(map(operator.index, chain.from_iterable(self.rows)), np.int64, self.k * self.m)
+        except TypeError:  # operator.index refuses a float rather than truncate it
+            bad = next(j for j in chain.from_iterable(self.rows) if not hasattr(type(j), "__index__"))
+            raise InstanceFormatError(f"variable index {bad!r} is not an integer") from None
+        except OverflowError:  # an index beyond int64: compare Python ints instead
+            flat = np.array([*chain.from_iterable(self.rows)], dtype=object)
+        relaxed = self.model_tag == MODEL_RELAXED  # sorted rows, repeats allowed
+        if (np.diff(flat.reshape(self.m, self.k), axis=1) < (0 if relaxed else 1)).any():
+            raise InstanceFormatError("relaxed rows must be sorted" if relaxed else "row indices must be strictly increasing")
+        if flat.size and (flat.min() < 0 or flat.max() >= self.n):
+            bad = next(j for j in chain.from_iterable(self.rows) if not 0 <= j < self.n)
+            raise InstanceFormatError(f"variable index {bad} out of range")
+        if not {*self.rhs} <= {0, 1}:
             raise InstanceFormatError("rhs must be 0/1")
-        if self.model_tag == MODEL_CONSTRAINED and self.n:
-            # n degrees of at least 2 need 2n of the km row slots; checked
-            # first so an absurd n is refused before the tally is allocated
-            km = self.k * self.m
-            if 2 * self.n > km or np.bincount(
-                np.fromiter(chain.from_iterable(self.rows), dtype=np.int64, count=km), minlength=self.n
-            ).min() < 2:
-                raise InstanceFormatError("constrained instance has a variable of degree < 2")
+        # 2n > km is checked first, so an absurd n is refused before the tally is allocated
+        if self.model_tag == MODEL_CONSTRAINED and self.n and (
+            2 * self.n > self.k * self.m or np.bincount(flat, minlength=self.n).min() < 2
+        ):
+            raise InstanceFormatError("constrained instance has a variable of degree < 2")
 
     # -- serialization ------------------------------------------------------
 
@@ -307,7 +309,6 @@ def _tpois_pmf(lam: float) -> np.ndarray:
     return pvals
 
 
-@lru_cache(maxsize=64)
 def _hit_probability(lam: float, n: int, total: int) -> float:
     """P(S_n = total), S_n the sum of n i.i.d. >=2-truncated Poisson(lam).
 
@@ -329,54 +330,58 @@ def _hit_probability(lam: float, n: int, total: int) -> float:
     return float(np.mean(phi**n * np.exp(-step * (total * r % size))).real)
 
 
-class _DegreeStream:
-    """Supplier of sum-conditioned truncated-Poisson degree multisets.
+class _DegreeLaw(NamedTuple):
+    """Column totals of the chip model: n i.i.d. >=2-truncated Poisson(lam)
+    values, lam = psi^{-1}(km / n), given that they sum to `total` = km.
 
-    A hit is n i.i.d. truncated-Poisson values conditioned on summing to
-    `total`.  It is drawn as the histogram of n - 1 values (one multinomial
-    over the pmf table: O(#values) work instead of O(n)) plus a last value
-    t = total - (their sum), accepted with probability p(t) / max p.  An
-    accepted pair has probability proportional to P(n - 1 values) p(t) on
-    the event that the sum hits, which is exactly the conditioned law.  Rows
-    come in fixed batches, so consumption of the underlying stream (hence
-    every downstream sample) is reproducible, and extra hits of a batch are
-    queued, being i.i.d.
-
-    A hit is returned in ascending order; the conditioned law is
-    exchangeable, so one uniform relabelling of the columns arranges it.
+    `pmf` is over `values` = 2, 3, ...; `accept` = pmf / max pmf; `p_hit` =
+    P(S_n = km).  When km = 2n every total is 2 and lam is 0.
     """
 
-    def __init__(self, rng, lam: float, n: int, total: int):
-        self.rng = rng
-        self.n = n
-        self.total = total
-        self.trivial = total == 2 * n
-        if not self.trivial:
-            self.pvals = _tpois_pmf(lam)
-            self.values = np.arange(2, 2 + len(self.pvals), dtype=np.int64)
-            self.accept = self.pvals / self.pvals.max()
-            self.p_hit = _hit_probability(lam, n, total)
-        self.pending: list[np.ndarray] = []
+    n: int
+    total: int
+    lam: float
+    values: np.ndarray
+    pmf: np.ndarray
+    accept: np.ndarray
+    p_hit: float
 
-    def next(self) -> tuple[np.ndarray, int]:
-        """(ascending degree vector, candidate count).
 
-        The count is the number of whole vectors that resampling until the
-        sum hits would have examined, this hit included; that count is
-        Geometric(P(S_n = total)) and independent of the hit, so it is drawn
-        from that law directly.
-        """
-        if self.trivial:
-            return np.full(self.n, 2, dtype=np.int64), 0
-        while not self.pending:
-            hists = self.rng.multinomial(self.n - 1, self.pvals, size=_DEGREE_BATCH)
-            slot = self.total - 2 - hists @ self.values  # the last value t, less 2
-            fits = (slot >= 0) & (slot < len(self.pvals))
-            u = self.rng.random(_DEGREE_BATCH)
-            for h in np.flatnonzero(fits)[u[fits] < self.accept[slot[fits]]]:
-                hists[h, slot[h]] += 1
-                self.pending.append(np.repeat(self.values, hists[h]))
-        return self.pending.pop(0), int(self.rng.geometric(self.p_hit))
+@lru_cache(maxsize=64)
+def _degree_law(k: int, m: int, n: int) -> _DegreeLaw:
+    """The column-total law of the (k, m, n) chip model, computed once per shape."""
+    km = k * m
+    if km < 2 * n:
+        raise ValueError(f"column sums >= 2 need km >= 2n, got km={km}, 2n={2 * n}")
+    if km == 2 * n:
+        return _DegreeLaw(n, km, 0.0, np.array([2]), np.ones(1), np.ones(1), 1.0)
+    lam = lambda_of(km / n)
+    pmf = _tpois_pmf(lam)
+    values = np.arange(2, 2 + len(pmf), dtype=np.int64)
+    return _DegreeLaw(n, km, lam, values, pmf, pmf / pmf.max(), _hit_probability(lam, n, km))
+
+
+def _degrees(rng, law: _DegreeLaw):
+    """Yield (ascending column totals, candidate count) pairs from `law`.
+
+    A candidate's n - 1 free totals are one histogram over the pmf table (a
+    multinomial: O(#values) work, not O(n)); its last total t is kept with
+    probability p(t) / max p, which leaves exactly the conditioned law.
+    Histograms come in fixed batches, so `rng` is consumed reproducibly; a
+    batch's hits are i.i.d., yielded in order and expanded only then.  The
+    count, the candidates plain resampling would have examined, is
+    Geometric(p_hit) and independent of the hit, so it is drawn directly.
+    """
+    while law.lam == 0.0:  # km = 2n: every total is 2 and nothing is drawn
+        yield np.full(law.n, 2, dtype=np.int64), 0
+    while True:
+        hists = rng.multinomial(law.n - 1, law.pmf, size=_DEGREE_BATCH)
+        slot = law.total - 2 - hists @ law.values  # the last value t, less 2
+        fits = (slot >= 0) & (slot < len(law.pmf))
+        u = rng.random(_DEGREE_BATCH)
+        for h in np.flatnonzero(fits)[u[fits] < law.accept[slot[fits]]]:
+            hists[h, slot[h]] += 1
+            yield np.repeat(law.values, hists[h]), int(rng.geometric(law.p_hit))
 
 
 @dataclass
@@ -385,10 +390,8 @@ class ChipAllocation:
 
     Chip identity is kept (not just cell counts) because the sampler is
     uniform over chip->column maps; `cell_counts` gives the sparse
-    (row, col) -> count view.  `retries` is the number of i.i.d. degree
-    vectors that resampling until the column totals sum to km would have
-    examined, the hit included; it is drawn from that count's exact
-    Geometric(P(S_n = km)) law (0 when every degree is forced to 2).
+    (row, col) -> count view.  `retries` is the candidate count `_degrees`
+    gave with the column totals (0 when every total is forced to 2).
     """
 
     k: int
@@ -420,21 +423,11 @@ class ChipAllocation:
             raise ValueError("column degrees must all be >= 2")
 
 
-def _degree_stream(rng, k: int, m: int, n: int) -> _DegreeStream:
-    km = k * m
-    if km < 2 * n:
-        raise ValueError(f"chip model needs km >= 2n, got km={km}, 2n={2 * n}")
-    lam = 0.0 if km == 2 * n else lambda_of(km / n)
-    return _DegreeStream(rng, lam, n, km)
-
-
-def _gen_C(rng, k: int, m: int, n: int, degrees_from: _DegreeStream | None = None) -> ChipAllocation:
-    """One chip allocation up to column labels: column j takes the j-th
-    smallest degree; callers relabel with `rng.permutation(n)`."""
-    if degrees_from is None:
-        degrees_from = _degree_stream(rng, k, m, n)
-    degrees, tries = degrees_from.next()
-    chip_columns = np.repeat(np.arange(n, dtype=np.int64), degrees)
+def _gen_C(rng, k: int, m: int, n: int, degrees) -> ChipAllocation:
+    """One chip allocation up to column labels, from the next hit of the `_degrees` generator
+    `degrees`: column j takes the j-th smallest total; callers relabel with `rng.permutation(n)`."""
+    totals, tries = next(degrees)
+    chip_columns = np.repeat(np.arange(n, dtype=np.int64), totals)
     rng.shuffle(chip_columns)
     return ChipAllocation(k, m, n, chip_columns, tries)
 
@@ -442,7 +435,7 @@ def _gen_C(rng, k: int, m: int, n: int, degrees_from: _DegreeStream | None = Non
 def gen_C_model(k: int, m: int, n: int, seed: Seed) -> ChipAllocation:
     """Uniform chip allocation: row sums k (labeled chips), column sums >= 2."""
     rng = seed.generator()
-    alloc = _gen_C(rng, k, m, n)
+    alloc = _gen_C(rng, k, m, n, _degrees(rng, _degree_law(k, m, n)))
     alloc.chip_columns = rng.permutation(n)[alloc.chip_columns]
     alloc.validate()
     return alloc
@@ -478,12 +471,11 @@ def gen_constrained(
     """
     if k > n:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
-    if k * m < 2 * n:
-        raise ValueError(f"constrained model needs km >= 2n, got km={k * m}, 2n={2 * n}")
+    law = _degree_law(k, m, n)
     rng = seed.generator()
-    degrees = _degree_stream(rng, k, m, n)
+    degrees = _degrees(rng, law)
     for _ in range(max_rejections):
-        alloc = _gen_C(rng, k, m, n, degrees_from=degrees)
+        alloc = _gen_C(rng, k, m, n, degrees)
         if not _has_row_duplicate(alloc.chip_columns, k, m):
             alloc.chip_columns = rng.permutation(n)[alloc.chip_columns]
             rows = alloc.row_column_lists()
@@ -491,11 +483,10 @@ def gen_constrained(
             inst = Instance(k, n, m, rows, rhs, MODEL_CONSTRAINED, seed)
             inst.validate()
             return inst
-    lam = 0.0 if k * m == 2 * n else lambda_of(k * m / n)
-    expected = math.exp(-_gamma(k, lam)) if lam > 0 else float("nan")
+    expected = math.exp(-_gamma(k, law.lam)) if law.lam > 0 and k >= 3 else float("nan")
     raise RejectionBudgetError(
         f"no collision-free allocation in {max_rejections} tries for k={k}, m={m}, n={n} "
-        f"(tilt {lam:.4f}, expected acceptance ~{expected:.3g})"
+        f"(tilt {law.lam:.4f}, expected acceptance ~{expected:.3g})"
     )
 
 

@@ -34,6 +34,7 @@ from itertools import chain
 
 import numpy as np
 
+from xorsatlab.errors import from_json, json_value
 from xorsatlab.instances import MODEL_CONSTRAINED, MODEL_RELAXED, Instance
 
 
@@ -75,8 +76,12 @@ class PeelTrace:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PeelTrace":
-        steps = np.array([[v, -1 if e is None else e] for v, e, _ in d["steps"]], dtype=np.int64).reshape(-1, 2)
-        return cls(d["n"], d["m"], steps, list(d["core_var_ids"]), list(d["core_eq_ids"]))
+        """Parse `to_json_dict` output; raise ValueError on a missing, unknown or mistyped key."""
+        if isinstance(d, dict) and "steps" in d:  # the [var, eq, row] steps, read into the (S, 2) array
+            steps = json_value(
+                list[tuple[int, int | None, list[int] | None]], d["steps"], ValueError, "peel trace field 'steps'")
+            d = dict(d, steps=np.array([(v, -1 if e is None else e) for v, e, _ in steps], np.int64).reshape(-1, 2))
+        return from_json(cls, d, ValueError, "peel trace")
 
 
 @dataclass

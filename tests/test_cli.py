@@ -130,6 +130,10 @@ def test_experiment_flags_and_config_file(tmp_path):
 @pytest.mark.parametrize("config,message", [
     ({"kind": "collision_check", "k": 3, "n": 60, "trials": 5, "master_seed": 4, "m_list": [80, 90]},
      "error: collision_check takes exactly one density (one c_grid or m_list entry)"),
+    ({"kind": "collision_check", "k": 3, "n": 60, "trials": 50, "master_seed": 4, "m_list": [40]},
+     "error: collision_check needs k >= 3 and km > 2n, got k=3, m=40, n=60"),
+    ({"kind": "collision_check", "k": 2, "n": 60, "trials": 50, "master_seed": 4, "m_list": [80]},
+     "error: collision_check needs k >= 3 and km > 2n, got k=2, m=80, n=60"),
     ({"kind": "sat_sweep", "k": 3, "n": 60, "master_seed": 4, "c_grid": [0.8]},
      "error: config JSON has no 'trials'"),
     ([1, 2], "error: config JSON must be an object, not list"),
@@ -145,8 +149,8 @@ def test_experiment_flags_and_config_file(tmp_path):
      "error: unknown model 'unconstraned'; expected unconstrained or constrained"),
     ({"kind": "critical_census", "k": 3, "n": 8, "trials": 2, "m_list": [8], "tiny_identity_max": 10},
      "error: unknown config keys: tiny_identity_max"),
-], ids=["two_densities", "missing_trials", "not_object", "str_k", "float_trials", "unknown_key", "bool_in_list",
-        "unknown_model", "retired_key"])
+], ids=["two_densities", "collision_km_2n", "collision_k2", "missing_trials", "not_object", "str_k", "float_trials",
+        "unknown_key", "bool_in_list", "unknown_model", "retired_key"])
 def test_bad_experiment_config_exits_1(tmp_path, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))

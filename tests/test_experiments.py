@@ -25,6 +25,12 @@ def test_config_validation():
         ExperimentConfig("window_check", 3, 100, 5, 0).validate()
     with pytest.raises(ValueError, match="exactly one density"):
         ExperimentConfig("collision_check", 3, 60, 5, 0, m_list=[80, 90]).validate()
+    # gamma and the collision law's tilt need k >= 3 and km > 2n: refused before any trial runs
+    with pytest.raises(ValueError, match=r"^collision_check needs k >= 3 and km > 2n, got k=3, m=40, n=60$"):
+        ExperimentConfig("collision_check", 3, 60, 50, 0, m_list=[40]).validate()
+    with pytest.raises(ValueError, match=r"^collision_check needs k >= 3 and km > 2n, got k=2, m=80, n=60$"):
+        ExperimentConfig("collision_check", 2, 60, 50, 0, m_list=[80]).validate()
+    ExperimentConfig("collision_check", 3, 60, 50, 0, m_list=[41]).validate()
     with pytest.raises(ValueError, match="n <= 4000"):
         ExperimentConfig("critical_census", 3, 5000, 1, 0, m_list=[4000]).validate()
     for model in ("foo", "unconstraned", "relaxed_C"):

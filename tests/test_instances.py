@@ -1,7 +1,9 @@
+import hashlib
 import math
+import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from xorsatlab.errors import BudgetExceededError, InstanceFormatError, Rejection
 from xorsatlab.instances import (
     ChipAllocation,
     Instance,
-    _degree_stream,
+    _degree_law,
+    _degrees,
+    _gen_C,
     _has_row_duplicate,
     _hit_probability,
     collision_count,
@@ -171,15 +175,18 @@ class TestConstrained:
         target = math.exp(-F.gamma(k, lam))
         attempts = 3_000
         rng = Seed(31).generator()
-        from xorsatlab.instances import _gen_C
-
-        accepted = sum(collision_count(_gen_C(rng, k, m, n)) == 0 for _ in range(attempts))
+        accepted = sum(
+            collision_count(_gen_C(rng, k, m, n, _degrees(rng, _degree_law(k, m, n)))) == 0 for _ in range(attempts)
+        )
         assert abs(accepted / attempts - target) < 0.25 * target
 
     def test_budget_error_has_diagnostics(self):
         with pytest.raises(RejectionBudgetError) as err:
             gen_constrained(3, 600, 500, Seed(1), max_rejections=1)
         assert "acceptance" in str(err.value)
+        # k = 2 has no gamma: the budget error reads nan instead of failing in gamma
+        with pytest.raises(RejectionBudgetError, match="expected acceptance ~nan"):
+            gen_constrained(2, 30, 20, Seed(1), max_rejections=0)
 
     def test_uniform_over_tiny_spaces(self):
         # A_{3,3} with k=3 has a single matrix (rows forced to {0,1,2});
@@ -240,12 +247,13 @@ class TestSamplerInternals:
         for d in product(range(2, total + 1), repeat=n):
             if sum(d) == total:
                 law[tuple(sorted(d))] += Fraction(1, math.prod(math.factorial(x) for x in d))
-        stream = _degree_stream(np.random.default_rng(total), 1, total, n)
+        degree_law = _degree_law(1, total, n)
+        stream = _degrees(np.random.default_rng(total), degree_law)
         samples = 20_000
         counts = Counter()
         tries = 0
         for _ in range(samples):
-            degrees, t = stream.next()
+            degrees, t = next(stream)
             counts[tuple(degrees.tolist())] += 1
             tries += t
         assert set(counts) <= set(law)
@@ -254,8 +262,27 @@ class TestSamplerInternals:
         expected = [samples * float(law[key] / weight) for key in keys]
         assert chi2_pvalue([counts.get(key, 0) for key in keys], expected) > CHI2_SIGNIFICANCE
         # the candidate counts are Geometric(p_hit): mean 1/p_hit, sd sqrt(1-p)/p
-        p_hit = stream.p_hit
+        p_hit = degree_law.p_hit
         assert abs(tries / samples - 1 / p_hit) < 5 * math.sqrt((1 - p_hit) / samples) / p_hit
+
+    def test_chip_streams_pinned(self):
+        # the draws of the degree generator, the chip sampler and the
+        # constrained sampler, as produced by the queue-based degree stream
+        # the generator replaced; (2, 30, 30) is the km = 2n case
+        h = hashlib.sha256()
+        for k, m, n in [(3, 40, 30), (4, 1100, 1000), (2, 30, 30)]:
+            for degrees, count in islice(_degrees(Seed(k, n).generator(), _degree_law(k, m, n)), 300):
+                h.update(degrees.astype("<i8").tobytes())
+                h.update(count.to_bytes(8, "little"))
+        assert h.hexdigest() == "0d4a9fbb6ec9bc9b2563c458117b2afe81f85e69cebf4607a2c4bb1d6e7d18e9"
+        h = hashlib.sha256()
+        for i in range(50):
+            h.update(gen_C_model(3, 80, 60, Seed(17, i)).chip_columns.astype("<i8").tobytes())
+        assert h.hexdigest() == "437cc5995ee19d37d35bd2af63d6a9a93f1afea762e5ba115891e10d575c5502"
+        h = hashlib.sha256()
+        for i in range(30):
+            h.update(gen_constrained(3, 44, 40, Seed(3, i)).to_bytes())
+        assert h.hexdigest() == "5b55fcd6e7a38ad96a0a095755526e5b6870beddbce41069a05001773d61f5eb"
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_row_duplicate_check_matches_sorting(self, k):
@@ -384,6 +411,14 @@ class TestSerialization:
             inst.validate()
         relaxed = Instance(3, 5, 1, [[0, 1, 1]], [0], "relaxed_C")
         relaxed.validate()
+        Instance(2, 3, 1, [[np.int64(0), True]], [np.int64(1)], "unconstrained").validate()
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", None, np.float64(1.0)])
+    def test_validation_refuses_a_non_integer_index(self, bad):
+        # refused, not truncated to an integer index
+        inst = Instance(2, 3, 1, [[0, bad]], [0], "unconstrained")
+        with pytest.raises(InstanceFormatError, match=f"^variable index {re.escape(repr(bad))} is not an integer$"):
+            inst.validate()
 
 
 @st.composite
@@ -405,6 +440,78 @@ def small_instances(draw):
     except InstanceFormatError:  # a constrained draw with a degree < 2
         inst.model_tag = "unconstrained"
     return inst
+
+
+def _validate_by_loop(inst):
+    """The per-index loop `Instance.validate` replaced, kept as its oracle."""
+    if inst.model_tag not in ("unconstrained", "constrained", "relaxed_C"):
+        raise InstanceFormatError(f"unknown model_tag {inst.model_tag!r}")
+    if inst.k < 1 or inst.n < 0:
+        raise InstanceFormatError(f"need k >= 1 and n >= 0, got k={inst.k}, n={inst.n}")
+    if len(inst.rows) != inst.m or len(inst.rhs) != inst.m:
+        raise InstanceFormatError("row/rhs count does not match m")
+    for row in inst.rows:
+        if len(row) != inst.k:
+            raise InstanceFormatError("row weight does not match k")
+        for a, b in zip(row, row[1:]):
+            if inst.model_tag == "relaxed_C":
+                if b < a:
+                    raise InstanceFormatError("relaxed rows must be sorted")
+            elif b <= a:
+                raise InstanceFormatError("row indices must be strictly increasing")
+        for j in row:
+            if not 0 <= j < inst.n:
+                raise InstanceFormatError(f"variable index {j} out of range")
+    if any(b not in (0, 1) for b in inst.rhs):
+        raise InstanceFormatError("rhs must be 0/1")
+    if inst.model_tag == "constrained" and inst.n:
+        km = inst.k * inst.m
+        if 2 * inst.n > km or np.bincount(
+            np.fromiter(chain.from_iterable(inst.rows), dtype=np.int64, count=km), minlength=inst.n
+        ).min() < 2:
+            raise InstanceFormatError("constrained instance has a variable of degree < 2")
+
+
+_FAULTS = ["none", "ragged", "unsorted", "repeat", "negative", "too_large", "huge", "rhs", "extra_variable"]
+
+
+@st.composite
+def instances_with_one_fault(draw):
+    """A valid instance with at most one fault injected into one row, its rhs or n.
+
+    A repeat is a fault except under relaxed_C; an extra variable has degree
+    0, a fault only under constrained."""
+    inst = draw(small_instances().filter(lambda inst: inst.m > 0))
+    fault = draw(st.sampled_from(_FAULTS))
+    row = inst.rows[draw(st.integers(0, inst.m - 1))]
+    at = draw(st.integers(0, inst.k - 1))
+    if fault == "ragged" and draw(st.booleans()):
+        row.insert(at, row[at])
+    elif fault == "ragged":
+        row.pop(at)
+    elif fault == "unsorted":
+        row.reverse()
+    elif fault == "repeat" and at:
+        row[at] = row[at - 1]
+    elif fault == "negative":
+        row[at] = draw(st.integers(-3, -1))
+    elif fault == "too_large":
+        row[at] = inst.n + draw(st.integers(0, 2))
+    elif fault == "huge":
+        row[at] = draw(st.sampled_from([2**70, -(2**70), 2**63]))
+    elif fault == "rhs":
+        inst.rhs[draw(st.integers(0, inst.m - 1))] = 2
+    elif fault == "extra_variable":
+        inst.n += 1
+    return inst
+
+
+def _refusal(validate, inst):
+    try:
+        validate(inst)
+    except InstanceFormatError as exc:
+        return str(exc)
+    return None
 
 
 @st.composite
@@ -468,6 +575,11 @@ class TestFormatFuzz:
         assert Instance.loads(inst.dumps()) == inst
         blob = inst.to_bytes()
         assert Instance.from_bytes(blob).to_bytes() == blob
+
+    @settings(max_examples=400, deadline=None)
+    @given(instances_with_one_fault())
+    def test_validate_matches_the_loop(self, inst):
+        assert _refusal(Instance.validate, inst) == _refusal(_validate_by_loop, inst)
 
     @settings(max_examples=50, deadline=None)
     @given(small_instances())

@@ -289,6 +289,25 @@ def test_trace_serialization_round_trip():
     assert PeelTrace.from_json_dict(__import__("json").loads(trace.dumps(inst)).copy()) == trace
 
 
+_GOOD_TRACE = {"n": 2, "m": 1, "steps": [[0, 0, [0, 1]], [1, None, None]], "core_var_ids": [], "core_eq_ids": []}
+
+
+@pytest.mark.parametrize("d,message", [
+    ({}, "peel trace JSON has no 'n', 'm', 'steps', 'core_var_ids', 'core_eq_ids'"),
+    ([_GOOD_TRACE], "peel trace JSON must be an object, not list"),
+    ({**_GOOD_TRACE, "steps": [[0]]},
+     "peel trace field 'steps' must be list[tuple[int, int | None, list[int] | None]], got [[0]]"),
+    ({**_GOOD_TRACE, "n": "x"}, "peel trace field 'n' must be int, got 'x'"),
+    ({**_GOOD_TRACE, "rows": []}, "unknown peel trace keys: rows"),
+], ids=["empty", "list", "short_step", "str_n", "unknown_key"])
+def test_trace_reader_refuses_malformed_json(d, message):
+    with pytest.raises(ValueError) as err:
+        PeelTrace.from_json_dict(d)
+    assert type(err.value) is ValueError and str(err.value) == message
+    good = PeelTrace.from_json_dict(_GOOD_TRACE)
+    assert good.steps.tolist() == [[0, 0], [1, -1]] and good.steps.dtype == np.int64
+
+
 def test_trace_json_and_core_bytes_pinned():
     # trace JSON, core rows, core rhs and CoreStats of k=3, n=1000 instances
     # at c = 0.75..0.978 (five of them have an empty core)
