@@ -59,12 +59,8 @@ def _cmd_gen(args) -> int:
         if args.c is None:
             raise XorsatLabError("gen needs --m or --c")
         args.m = round(args.c * args.n)
-    if args.model == "constrained":
-        inst = gen_constrained(args.k, args.m, args.n, seed)
-    elif args.model == "unconstrained":
-        inst = gen_unconstrained(args.k, args.m, args.n, seed)
-    else:
-        raise XorsatLabError(f"unknown model {args.model!r}")
+    gen = gen_constrained if args.model == "constrained" else gen_unconstrained  # argparse restricts --model
+    inst = gen(args.k, args.m, args.n, seed)
     _save_instance(inst, args.out)
     return 0
 
@@ -117,8 +113,7 @@ def _cmd_peel(args) -> int:
 
 def _cmd_threshold(args) -> int:
     c = args.c if args.c is not None else 1.0
-    report = threshold_report(args.k, c)
-    print(json.dumps(report.to_dict()))
+    print(json.dumps(threshold_report(args.k, c)))
     return 0
 
 

@@ -54,12 +54,13 @@ from xorsatlab import __version__
 from xorsatlab.errors import from_json
 from xorsatlab.formulas import core_sizes, gamma, lambda_of
 from xorsatlab.gf2 import KERNEL_BACKEND, BitMatrix, solve
-from xorsatlab.instances import MODEL_RELAXED, collision_count, gen_C_model, gen_constrained, gen_unconstrained
+from xorsatlab.instances import collision_count, gen_C_model, gen_constrained, gen_unconstrained
 from xorsatlab.peel import two_core
 from xorsatlab.rng import Seed, mix_streams
 
 WORKERS_ENV = "XORSAT_LAB_WORKERS"
 TINY_IDENTITY_MAX = 10  # census: full b-enumeration when m, n are both <= this
+MODEL_RELAXED = "relaxed_C"  # collision_check's model label: the chip model, which makes no Instance
 
 
 def default_workers() -> int:

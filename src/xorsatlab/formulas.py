@@ -377,80 +377,37 @@ def exact_EY(k: int, m: int, n: int, ell: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Model parameters and report
+# Threshold report
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Density point (k, c = m/n); optionally pinned to integer sizes."""
-
-    k: int
-    c: float
-    n: int | None = None
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 3:
-            raise ValueError("k must be >= 3")
-        if self.c * self.k <= 2:
-            raise ValueError("need c > 2/k")
-
-
-@dataclass
-class ThresholdReport:
-    """All scalar threshold quantities for a density point (k, c)."""
-
-    k: int
-    c: float
-    lam: float
-    gamma: float
-    alpha_k: float
-    c_hat: float
-    mu: float | None
-    c_star: float
-    core_frac_vars: float | None
-    core_frac_eqs: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "c": self.c,
-            "lambda": self.lam,
-            "gamma": self.gamma,
-            "alpha_k": self.alpha_k,
-            "c_hat": self.c_hat,
-            "mu": self.mu,
-            "c_star": self.c_star,
-            "core_frac_vars": self.core_frac_vars,
-            "core_frac_eqs": self.core_frac_eqs,
-        }
-
-
-def threshold_report(k: int, c: float) -> ThresholdReport:
-    params = ModelParams(k, c)
-    lam = lambda_of(params.c * k)
+def threshold_report(k: int, c: float) -> dict:
+    """All scalar threshold quantities for a density point (k, c), as printed
+    by `xorsatlab threshold`; mu and the core fractions are None below c_hat."""
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    if c * k <= 2:
+        raise ValueError("need c > 2/k")
+    lam = lambda_of(c * k)
     mu = mu_of(k, c)
-    fv, fe = core_sizes(k, c)
-    return ThresholdReport(
-        k=k,
-        c=c,
-        lam=lam,
-        gamma=gamma(k, lam),
-        alpha_k=alpha_k(k),
-        c_hat=c_hat(k),
-        mu=mu,
-        c_star=c_star(k),
-        core_frac_vars=fv if mu is not None else None,
-        core_frac_eqs=fe if mu is not None else None,
-    )
+    fv, fe = core_sizes(k, c) if mu is not None else (None, None)
+    return {
+        "k": k,
+        "c": c,
+        "lambda": lam,
+        "gamma": gamma(k, lam),
+        "alpha_k": alpha_k(k),
+        "c_hat": c_hat(k),
+        "mu": mu,
+        "c_star": c_star(k),
+        "core_frac_vars": fv,
+        "core_frac_eqs": fe,
+    }
 
 
 __all__ = [
     "H_k",
-    "ModelParams",
     "R",
     "R0",
-    "ThresholdReport",
     "ZetaChoice",
     "alpha_k",
     "bound_EY",

@@ -62,13 +62,6 @@ class BitMatrix:
         return cls(rows, cols, np.zeros((rows, _words_for(cols)), dtype=np.uint64))
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        mat = cls.zeros(n, n)
-        for i in range(n):
-            mat.set(i, i, 1)
-        return mat
-
-    @classmethod
     def from_dense(cls, arr) -> "BitMatrix":
         arr = np.asarray(arr, dtype=np.uint8)
         if arr.ndim != 2:
@@ -104,41 +97,11 @@ class BitMatrix:
         np.bitwise_xor.at(mat.data.reshape(-1), word, bit)
         return mat
 
-    @classmethod
-    def from_row_ints(cls, rows: int, cols: int, ints: Sequence[int]) -> "BitMatrix":
-        mat = cls.zeros(rows, cols)
-        nbytes = _words_for(cols) * 8
-        for i, v in enumerate(ints):
-            mat.data[i] = np.frombuffer(int(v).to_bytes(nbytes, "little"), dtype=np.uint64)
-        mat._mask_tail()
-        return mat
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.data.copy())
-
-    def get(self, i: int, j: int) -> int:
-        return int((self.data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
-    def set(self, i: int, j: int, bit: int) -> None:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} out of range [0, {self.cols})")
-        mask = np.uint64(1) << np.uint64(j & 63)
-        if bit:
-            self.data[i, j >> 6] |= mask
-        else:
-            self.data[i, j >> 6] &= ~mask
-
     def row_int(self, i: int) -> int:
         return int.from_bytes(self.data[i].tobytes(), "little")
 
     def row_ints(self) -> list[int]:
         return [self.row_int(i) for i in range(self.rows)]
-
-    def to_dense(self) -> np.ndarray:
-        if self.cols == 0:
-            return np.zeros((self.rows, 0), dtype=np.uint8)
-        bits = np.unpackbits(self.data.view(np.uint8), axis=1, bitorder="little")
-        return bits[:, : self.cols]
 
 
 @dataclass

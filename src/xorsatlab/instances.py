@@ -1,12 +1,12 @@
 """Uniform samplers for random k-XORSAT instances.
 
-Three models:
+Two instance models and the chip model behind the second:
 
 * ``unconstrained``: each equation is a uniform k-subset of the variables,
   right-hand-side bits i.i.d. uniform.
-* ``relaxed_C`` (chip model): k labeled chips per equation thrown into an
-  m x n cell array so that every column receives at least 2 chips; a cell
-  may hold several chips, so a variable may repeat inside an equation.
+* chip model (`gen_C_model`, a `ChipAllocation`, not an `Instance`): k
+  labeled chips per equation thrown into an m x n cell array so that every
+  column receives at least 2 chips; a cell may hold several chips.
 * ``constrained``: 0/1 matrices with row sums k and all column sums >= 2;
   sampled by rejection from the chip model (accept when no cell holds two
   or more chips, then forget chip labels).
@@ -53,8 +53,7 @@ from xorsatlab.series import (
 
 MODEL_UNCONSTRAINED = "unconstrained"
 MODEL_CONSTRAINED = "constrained"
-MODEL_RELAXED = "relaxed_C"
-_MODELS = (MODEL_UNCONSTRAINED, MODEL_CONSTRAINED, MODEL_RELAXED)
+_MODELS = (MODEL_UNCONSTRAINED, MODEL_CONSTRAINED)  # index = the binary model byte
 
 _DEGREE_BATCH = 64  # fixed so streams are consumed identically everywhere
 
@@ -63,8 +62,7 @@ _DEGREE_BATCH = 64  # fixed so streams are consumed identically everywhere
 class Instance:
     """A k-XORSAT system: m weight-k equations over n variables plus rhs bits.
 
-    Row index lists are strictly increasing except under ``relaxed_C``,
-    where a variable may repeat (sorted, repeats allowed).
+    Row index lists are strictly increasing.
     """
 
     k: int
@@ -92,9 +90,8 @@ class Instance:
             raise InstanceFormatError(f"variable index {bad!r} is not an integer") from None
         except OverflowError:  # an index beyond int64: compare Python ints instead
             flat = np.array([*chain.from_iterable(self.rows)], dtype=object)
-        relaxed = self.model_tag == MODEL_RELAXED  # sorted rows, repeats allowed
-        if (np.diff(flat.reshape(self.m, self.k), axis=1) < (0 if relaxed else 1)).any():
-            raise InstanceFormatError("relaxed rows must be sorted" if relaxed else "row indices must be strictly increasing")
+        if (np.diff(flat.reshape(self.m, self.k), axis=1) < 1).any():
+            raise InstanceFormatError("row indices must be strictly increasing")
         if flat.size and (flat.min() < 0 or flat.max() >= self.n):
             bad = next(j for j in chain.from_iterable(self.rows) if not 0 <= j < self.n)
             raise InstanceFormatError(f"variable index {bad} out of range")
@@ -389,9 +386,8 @@ class ChipAllocation:
     """Assignment of the km labeled chips to columns (chip t sits in row t // k).
 
     Chip identity is kept (not just cell counts) because the sampler is
-    uniform over chip->column maps; `cell_counts` gives the sparse
-    (row, col) -> count view.  `retries` is the candidate count `_degrees`
-    gave with the column totals (0 when every total is forced to 2).
+    uniform over chip->column maps.  `retries` is the candidate count
+    `_degrees` gave with the column totals (0 when every total is forced to 2).
     """
 
     k: int
@@ -400,18 +396,11 @@ class ChipAllocation:
     chip_columns: np.ndarray
     retries: int = 0
 
-    def cell_counts(self) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for t, col in enumerate(self.chip_columns):
-            key = (t // self.k, int(col))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def column_degrees(self) -> np.ndarray:
         return np.bincount(self.chip_columns, minlength=self.n)
 
     def row_column_lists(self) -> list[list[int]]:
-        """Per-row sorted column multisets (the relaxed instance rows)."""
+        """Per-row sorted column multisets; a column repeats where a cell holds several chips."""
         cols = self.chip_columns.reshape(self.m, self.k)
         return np.sort(cols, axis=1).tolist()
 
@@ -522,7 +511,6 @@ __all__ = [
     "CModelCount",
     "Instance",
     "MODEL_CONSTRAINED",
-    "MODEL_RELAXED",
     "MODEL_UNCONSTRAINED",
     "collision_count",
     "count_C_exact",

@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from xorsatlab.errors import from_json, json_value
-from xorsatlab.instances import MODEL_CONSTRAINED, MODEL_RELAXED, Instance
+from xorsatlab.instances import MODEL_CONSTRAINED, Instance
 
 
 @dataclass(eq=False)
@@ -76,12 +76,25 @@ class PeelTrace:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PeelTrace":
-        """Parse `to_json_dict` output; raise ValueError on a missing, unknown or mistyped key."""
-        if isinstance(d, dict) and "steps" in d:  # the [var, eq, row] steps, read into the (S, 2) array
+        """Parse `to_json_dict` output; raise ValueError on a missing, unknown or
+        mistyped key, a variable id outside [0, n) or an equation id outside [0, m)."""
+        steps = []
+        if isinstance(d, dict) and "steps" in d:  # the [var, eq, row] steps, read into the (S, 2) array below
             steps = json_value(
                 list[tuple[int, int | None, list[int] | None]], d["steps"], ValueError, "peel trace field 'steps'")
-            d = dict(d, steps=np.array([(v, -1 if e is None else e) for v, e, _ in steps], np.int64).reshape(-1, 2))
-        return from_json(cls, d, ValueError, "peel trace")
+            d = dict(d, steps=np.zeros((0, 2), np.int64))
+        trace = from_json(cls, d, ValueError, "peel trace")
+        # ids are compared as Python ints, so one beyond int64 is refused before the array is built
+        for name, size, ids in (
+            ("variable", trace.n, chain((v for v, _, _ in steps), trace.core_var_ids)),
+            ("equation", trace.m, chain((e for _, e, _ in steps if e is not None), trace.core_eq_ids)),
+        ):
+            bound = min(size, 1 << 63)
+            bad = next((i for i in ids if not 0 <= i < bound), None)
+            if bad is not None:
+                raise ValueError(f"peel trace {name} id {bad} out of range [0, {bound})")
+        trace.steps = np.array([(v, -1 if e is None else e) for v, e, _ in steps], np.int64).reshape(-1, 2)
+        return trace
 
 
 @dataclass
@@ -99,7 +112,7 @@ class CoreStats:
 def _peel_rounds(flat: np.ndarray, n: int):
     """Round-synchronous peel of the (m, k) incidence array `flat`.
 
-    Returns (step_vars, step_eqs, var_alive, eq_alive, rounds): the removals
+    Returns (step_vars, step_eqs, var_alive, eq_alive): the removals
     in trace order, with step_eqs -1 for a degree-0 removal, and the
     survivor masks.
     """
@@ -116,9 +129,7 @@ def _peel_rounds(flat: np.ndarray, n: int):
     empty = np.zeros(0, dtype=np.int64)
     step_vars, step_eqs = [empty], [empty]
     frontier = np.flatnonzero(deg <= 1)
-    rounds = 0
     while frontier.size:
-        rounds += 1
         eqs = np.where(deg[frontier] == 1, eqx[frontier], -1)
         one = eqs >= 0
         cand, cand_eqs = frontier[one], eqs[one]
@@ -138,13 +149,11 @@ def _peel_rounds(flat: np.ndarray, n: int):
         # that equation's row, so it is among the touched variables
         touched = np.sort(touched[var_alive[touched] & (deg[touched] <= 1)])
         frontier = touched[np.diff(touched, prepend=-1) != 0]
-    return np.concatenate(step_vars), np.concatenate(step_eqs), var_alive, eq_alive, rounds
+    return np.concatenate(step_vars), np.concatenate(step_eqs), var_alive, eq_alive
 
 
 def _incidence(inst: Instance) -> np.ndarray:
     """The rows as one (m, k) index array."""
-    if inst.model_tag == MODEL_RELAXED:
-        raise ValueError("peeling needs distinct indices per row; relaxed_C not supported")
     flat = np.fromiter(chain.from_iterable(inst.rows), dtype=np.int64, count=inst.m * inst.k)
     return flat.reshape(inst.m, inst.k)
 
@@ -161,7 +170,7 @@ def two_core(inst: Instance) -> tuple[Instance, PeelTrace, CoreStats]:
     core_var_ids.
     """
     flat = _incidence(inst)
-    step_vars, step_eqs, var_alive, eq_alive, _ = _peel_rounds(flat, inst.n)
+    step_vars, step_eqs, var_alive, eq_alive = _peel_rounds(flat, inst.n)
     core_vars = np.flatnonzero(var_alive)
     core_eqs = np.flatnonzero(eq_alive)
     core_flat = (np.cumsum(var_alive) - 1)[flat[core_eqs]]
@@ -226,7 +235,7 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
 
 def core_density(inst: Instance) -> CoreStats:
     """Peel and report core order/size only; no trace or core is built."""
-    _, _, var_alive, eq_alive, _ = _peel_rounds(_incidence(inst), inst.n)
+    _, _, var_alive, eq_alive = _peel_rounds(_incidence(inst), inst.n)
     return _stats(int(var_alive.sum()), int(eq_alive.sum()))
 
 

@@ -1,12 +1,13 @@
-"""Smoke runs of the scripts under benchmarks/.
+"""Smoke run of `benchmarks/bench_gf2.py`, the compiled-versus-fallback kernel timing.
 
-They reach private names (`peel._peel_rounds`, `instances._gen_C`, ...), so
-a signature change there would break them without any other test failing.
-Each runs once, in a fresh interpreter with PYTHONPATH=src, at its
-smallest arguments.
+The script imports `xorsatlab._kernel.fallback` and `_ext` directly and
+builds its systems with `BitMatrix.from_dense` and `from_sparse_rows`, so a
+change to those names or to the `eliminate_words(words, ncols)` contract
+would break it without any other test failing.  It runs once, in a fresh
+interpreter with PYTHONPATH=src, at its smallest arguments; without a
+built `_ext` it times the fallback alone.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -17,20 +18,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script,args,json_lines", [
-    ("bench_peel.py", ["--sizes", "1000", "--repeat", "1"], True),
-    ("bench_gf2.py", ["--sizes", "64", "--repeat", "1"], False),
-    ("bench_sampler.py", ["--ms", "900", "--instances", "1"], True),
-    ("bench_certify.py", ["--claims", "amed,monotone", "--repeat", "1"], True),
-])
-def test_benchmark_script_runs(script, args, json_lines):
+# a fixed id: test lists name the case by it
+@pytest.mark.parametrize("script,args", [("bench_gf2.py", ["--sizes", "64", "--repeat", "1"])],
+                         ids=["bench_gf2.py-args1-False"])
+def test_benchmark_script_runs(script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / script), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines
-    if json_lines:
-        assert all(isinstance(json.loads(line), dict) for line in lines)
+    assert proc.stdout.splitlines()

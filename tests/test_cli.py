@@ -31,6 +31,43 @@ def test_threshold_constants():
     assert err.startswith("config:")
 
 
+_THRESHOLD_STDOUT = {
+    ("--k", "3"): (
+        '{"k": 3, "c": 1.0, "lambda": 2.1491257999070683, "gamma": 2.43275053327138, '
+        '"alpha_k": 0.10067710475774241, "c_hat": 0.8184691607613759, "mu": 2.5496483293345644, '
+        '"c_star": 0.917935276658087, "core_frac_vars": 0.7227400576816053, "core_frac_eqs": 0.7834991722925326}\n'
+    ),
+    ("--k", "4", "--c", "0.9"): (
+        '{"k": 4, "c": 0.9, "lambda": 3.0568354041088526, "gamma": 4.811571687784588, '
+        '"alpha_k": 0.16989261427869035, "c_hat": 0.7722798398025085, "mu": 3.1616658358130967, '
+        '"c_star": 0.9767701648780421, "core_frac_vars": 0.8237321208403204, "core_frac_eqs": 0.7569382705620679}\n'
+    ),
+    # below the core threshold: no mu and no core
+    ("--k", "3", "--c", "0.7"): (
+        '{"k": 3, "c": 0.7, "lambda": 0.2861038456888707, "gamma": 1.1498639191703612, '
+        '"alpha_k": 0.10067710475774241, "c_hat": 0.8184691607613759, "mu": null, '
+        '"c_star": 0.917935276658087, "core_frac_vars": null, "core_frac_eqs": null}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_THRESHOLD_STDOUT), ids=" ".join)
+def test_threshold_stdout_pinned(argv):
+    """Keys, their order and every value of the printed report."""
+    code, out, _ = run_cli(["threshold", *argv])
+    assert (code, out) == (0, _THRESHOLD_STDOUT[argv])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "2"], "error: k must be >= 3\n"),
+    (["--k", "3", "--c", "0.5"], "error: need c > 2/k\n"),
+])
+def test_threshold_domain_errors(argv, message):
+    code, out, err = run_cli(["threshold", *argv])
+    assert (code, out) == (1, "")
+    assert err.splitlines(keepends=True)[-1] == message
+
+
 def test_gen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -198,11 +198,10 @@ class TestCoreThresholds:
             assert abs(fe / fv - 1.0) < 1e-9
 
     def test_threshold_report(self):
-        rep = F.threshold_report(3, 0.95)
-        assert abs(F.psi(rep.lam) - 3 * 0.95) < 1e-10 * 3
-        assert abs(F.g_k(3, rep.mu) - 0.95) < 1e-10
-        assert rep.c_star == F.c_star(3)
-        d = rep.to_dict()
+        d = F.threshold_report(3, 0.95)
+        assert abs(F.psi(d["lambda"]) - 3 * 0.95) < 1e-10 * 3
+        assert abs(F.g_k(3, d["mu"]) - 0.95) < 1e-10
+        assert d["c_star"] == F.c_star(3)
         assert set(d) >= {"lambda", "gamma", "alpha_k", "c_hat", "mu", "c_star"}
         with pytest.raises(ValueError):
             F.threshold_report(3, 0.5)

@@ -51,11 +51,15 @@ def brute_force_solutions(dense: np.ndarray, b) -> int:
     return count
 
 
+def identity(n: int) -> BitMatrix:
+    return BitMatrix.from_dense(np.eye(n, dtype=np.uint8))
+
+
 def test_rank_identity_and_duplicates():
-    assert rank(BitMatrix.identity(3)) == 3
+    assert rank(identity(3)) == 3
     dup = BitMatrix.from_dense([[1, 0, 1, 0], [1, 0, 1, 0]])
     assert rank(dup) == 1
-    assert nullity_transpose(BitMatrix.identity(3)) == 0
+    assert nullity_transpose(identity(3)) == 0
     assert nullity_transpose(dup) == 1
     assert count_critical_sets(dup) == 1
 
@@ -74,13 +78,13 @@ def test_rank_matches_full_pivot_oracle(rng):
 
 
 def test_solve_identity_and_zero():
-    res = solve(BitMatrix.identity(3), [1, 0, 1])
+    res = solve(identity(3), [1, 0, 1])
     assert res.consistent and res.solution_count_log2 == 0
     assert res.one_solution.tolist() == [1, 0, 1]
     res = solve(BitMatrix.zeros(2, 3), [1, 0])
     assert not res.consistent and res.one_solution is None and res.solution_count_log2 is None
     with pytest.raises(ValueError):
-        solve(BitMatrix.identity(3), [1, 0])
+        solve(identity(3), [1, 0])
 
 
 def test_solve_counts_match_enumeration(rng):
@@ -294,11 +298,13 @@ def test_fallback_env_selection():
 def test_dense_round_trip(rng):
     dense = rng.integers(0, 2, size=(7, 130), dtype=np.uint8)
     mat = BitMatrix.from_dense(dense)
-    assert (mat.to_dense() == dense).all()
-    back = BitMatrix.from_row_ints(7, 130, mat.row_ints())
-    assert (back.data == mat.data).all()
+    # bit j of row i is dense[i, j], and nothing is set past column 130
+    assert mat.row_ints() == [sum(1 << int(j) for j in np.flatnonzero(row)) for row in dense]
+    assert (mat.data == BitMatrix.from_sparse_rows(130, [np.flatnonzero(row).tolist() for row in dense]).data).all()
     sparse = BitMatrix.from_sparse_rows(6, [[0, 3, 3, 5], [1]])
-    assert sparse.to_dense().tolist() == [[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]]
+    literal = BitMatrix.from_dense([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]])
+    assert sparse.row_ints() == literal.row_ints() == [0b100001, 0b10]
+    assert (sparse.data == literal.data).all()
 
 
 def test_empty_system():
@@ -318,7 +324,7 @@ def test_solve_at_word_boundaries(rng):
         res = solve(mat, b)
         if res.consistent:
             assert (matvec(mat, res.one_solution) == b).all()
-        ident = BitMatrix.identity(cols)
+        ident = identity(cols)
         res = solve(ident, b)
         assert res.consistent and (res.one_solution == b).all()
 

@@ -105,12 +105,6 @@ class TestChipModel:
         rows = alloc.row_column_lists()
         assert len(rows) == 600 and all(len(r) == 3 for r in rows)
 
-    def test_cell_counts_view(self):
-        alloc = ChipAllocation(3, 2, 2, np.array([0, 0, 1, 0, 1, 1]))
-        counts = alloc.cell_counts()
-        assert counts == {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2}
-        assert collision_count(alloc) == 2
-
     def test_collision_count_trivial(self):
         spread = ChipAllocation(3, 2, 6, np.array([0, 1, 2, 3, 4, 5]))
         assert collision_count(spread) == 0
@@ -119,6 +113,9 @@ class TestChipModel:
         assert collision_count(triple) == 3
         mixed = ChipAllocation(3, 2, 2, np.array([0, 0, 0, 0, 1, 1]))
         assert collision_count(mixed) == 3 + 1
+        # two cells with 2 chips each
+        pairs = ChipAllocation(3, 2, 2, np.array([0, 0, 1, 0, 1, 1]))
+        assert collision_count(pairs) == 2
 
     def test_uniform_over_allocations(self):
         # k=3, m=2, n=2: exactly 50 chip->column maps, all equally likely
@@ -363,6 +360,7 @@ class TestSerialization:
         [
             (b"XLI1\x03", "truncated varint"),
             (b"XLI1\x03\x04\x01", "truncated header"),
+            (b"XLI1\x03\x04\x01\x02\x00", "bad model byte 2"),
             (b"XLI1\x03\x04\x01\x03\x00", "bad model byte 3"),
             (b"XLI1\x03\x04\x01\x00\x02", "bad seed flag 2"),
             (b"XLI1\x03\x04\x01\x00\x01\x00", "truncated seed"),
@@ -410,7 +408,8 @@ class TestSerialization:
         with pytest.raises(ValueError):
             inst.validate()
         relaxed = Instance(3, 5, 1, [[0, 1, 1]], [0], "relaxed_C")
-        relaxed.validate()
+        with pytest.raises(InstanceFormatError, match="^unknown model_tag 'relaxed_C'$"):
+            relaxed.validate()
         Instance(2, 3, 1, [[np.int64(0), True]], [np.int64(1)], "unconstrained").validate()
 
     @pytest.mark.parametrize("bad", [1.0, 1.5, "1", None, np.float64(1.0)])
@@ -424,14 +423,11 @@ class TestSerialization:
 @st.composite
 def small_instances(draw):
     """Valid instances of every model, small enough to mutate byte by byte."""
-    model = draw(st.sampled_from(["unconstrained", "relaxed_C", "constrained"]))
+    model = draw(st.sampled_from(["unconstrained", "constrained"]))
     k = draw(st.integers(1, 4))
     n = draw(st.integers(k, 9))
     m = draw(st.integers(0, 12))
-    if model == "relaxed_C":
-        rows = [sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))) for _ in range(m)]
-    else:
-        rows = [sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))) for _ in range(m)]
+    rows = [sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))) for _ in range(m)]
     rhs = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
     seed = draw(st.none() | st.builds(Seed, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
     inst = Instance(k, n, m, rows, rhs, model, seed)
@@ -444,7 +440,7 @@ def small_instances(draw):
 
 def _validate_by_loop(inst):
     """The per-index loop `Instance.validate` replaced, kept as its oracle."""
-    if inst.model_tag not in ("unconstrained", "constrained", "relaxed_C"):
+    if inst.model_tag not in ("unconstrained", "constrained"):
         raise InstanceFormatError(f"unknown model_tag {inst.model_tag!r}")
     if inst.k < 1 or inst.n < 0:
         raise InstanceFormatError(f"need k >= 1 and n >= 0, got k={inst.k}, n={inst.n}")
@@ -454,10 +450,7 @@ def _validate_by_loop(inst):
         if len(row) != inst.k:
             raise InstanceFormatError("row weight does not match k")
         for a, b in zip(row, row[1:]):
-            if inst.model_tag == "relaxed_C":
-                if b < a:
-                    raise InstanceFormatError("relaxed rows must be sorted")
-            elif b <= a:
+            if b <= a:
                 raise InstanceFormatError("row indices must be strictly increasing")
         for j in row:
             if not 0 <= j < inst.n:
@@ -479,8 +472,7 @@ _FAULTS = ["none", "ragged", "unsorted", "repeat", "negative", "too_large", "hug
 def instances_with_one_fault(draw):
     """A valid instance with at most one fault injected into one row, its rhs or n.
 
-    A repeat is a fault except under relaxed_C; an extra variable has degree
-    0, a fault only under constrained."""
+    An extra variable has degree 0, a fault only under constrained."""
     inst = draw(small_instances().filter(lambda inst: inst.m > 0))
     fault = draw(st.sampled_from(_FAULTS))
     row = inst.rows[draw(st.integers(0, inst.m - 1))]
@@ -531,9 +523,14 @@ def mutated_blobs(draw):
     return bytes(blob)
 
 
+def _json_containers(inner):
+    """One level of JSON nesting around `inner`: a list or an object of it."""
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 2**65) | st.floats(allow_nan=False) | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    _json_containers,
     max_leaves=12,
 )
 

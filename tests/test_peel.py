@@ -233,12 +233,6 @@ def test_degree_zero_variables_peel_with_no_equation():
     assert not gf2.solve(mat, core.rhs).consistent
 
 
-def test_relaxed_input_rejected():
-    inst = Instance(3, 4, 1, [[0, 0, 1]], [0], "relaxed_C")
-    with pytest.raises(ValueError):
-        two_core(inst)
-
-
 def test_solvability_preserved_and_extension_valid():
     checked_sat = 0
     for t in range(120):
@@ -299,7 +293,19 @@ _GOOD_TRACE = {"n": 2, "m": 1, "steps": [[0, 0, [0, 1]], [1, None, None]], "core
      "peel trace field 'steps' must be list[tuple[int, int | None, list[int] | None]], got [[0]]"),
     ({**_GOOD_TRACE, "n": "x"}, "peel trace field 'n' must be int, got 'x'"),
     ({**_GOOD_TRACE, "rows": []}, "unknown peel trace keys: rows"),
-], ids=["empty", "list", "short_step", "str_n", "unknown_key"])
+    # ids outside [0, n) or [0, m), compared before anything is cast to int64
+    ({**_GOOD_TRACE, "steps": [[2**70, None, None]]}, f"peel trace variable id {2**70} out of range [0, 2)"),
+    ({**_GOOD_TRACE, "n": 2**80, "steps": [[2**70, None, None]]},
+     f"peel trace variable id {2**70} out of range [0, {2**63})"),
+    ({"n": 2, "m": 0, "steps": [], "core_var_ids": [5, 9], "core_eq_ids": [3]},
+     "peel trace variable id 5 out of range [0, 2)"),
+    ({"n": 2, "m": 0, "steps": [], "core_var_ids": [], "core_eq_ids": [3]},
+     "peel trace equation id 3 out of range [0, 0)"),
+    ({**_GOOD_TRACE, "steps": [[7, 4, [1, 2]]]}, "peel trace variable id 7 out of range [0, 2)"),
+    ({**_GOOD_TRACE, "steps": [[1, 4, [1, 2]]]}, "peel trace equation id 4 out of range [0, 1)"),
+    ({**_GOOD_TRACE, "steps": [[1, -1, [0, 1]]]}, "peel trace equation id -1 out of range [0, 1)"),
+], ids=["empty", "list", "short_step", "str_n", "unknown_key", "var_beyond_int64", "var_beyond_int64_huge_n",
+        "core_ids_past_n_m", "core_eq_past_m", "step_past_n_m", "step_eq_past_m", "step_eq_negative"])
 def test_trace_reader_refuses_malformed_json(d, message):
     with pytest.raises(ValueError) as err:
         PeelTrace.from_json_dict(d)
