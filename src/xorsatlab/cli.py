@@ -16,15 +16,17 @@ import numpy as np
 
 from xorsatlab import __version__
 from xorsatlab.errors import XorsatLabError
-from xorsatlab.experiments import (
-    ExperimentConfig,
-    default_workers,
-    emit_plot,
-    run_experiment,
-)
+from xorsatlab.experiments import _KINDS, ExperimentConfig, emit_plot, run_experiment
 from xorsatlab.formulas import threshold_report
 from xorsatlab.gf2 import BitMatrix, matvec, solve
-from xorsatlab.instances import Instance, gen_constrained, gen_unconstrained
+from xorsatlab.instances import (
+    _MODELS,
+    MODEL_CONSTRAINED,
+    MODEL_UNCONSTRAINED,
+    Instance,
+    gen_constrained,
+    gen_unconstrained,
+)
 from xorsatlab.peel import core_density, extend_solution, two_core
 from xorsatlab.rng import Seed
 
@@ -59,7 +61,7 @@ def _cmd_gen(args) -> int:
         if args.c is None:
             raise XorsatLabError("gen needs --m or --c")
         args.m = round(args.c * args.n)
-    gen = gen_constrained if args.model == "constrained" else gen_unconstrained  # argparse restricts --model
+    gen = gen_constrained if args.model == MODEL_CONSTRAINED else gen_unconstrained  # argparse restricts --model
     inst = gen(args.k, args.m, args.n, seed)
     _save_instance(inst, args.out)
     return 0
@@ -148,7 +150,7 @@ def _cmd_experiment(args) -> int:
     if isinstance(payload, dict):  # the config reader refuses anything else
         # explicit flags override file values; each flag's dest is its config field
         given = {name: v for name in ExperimentConfig.__dataclass_fields__ if (v := getattr(args, name)) is not None}
-        payload = {"master_seed": 0, "workers": default_workers(), **payload, **given}
+        payload = {"master_seed": 0, **payload, **given}
     aggregates, _, summary = run_experiment(ExperimentConfig.from_json_dict(payload))
     print(json.dumps({"aggregates": aggregates, "csv_sha256": summary["csv_sha256"]}))
     return 0
@@ -190,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="sample a random instance and write it (JSON or .bin)")
-    p.add_argument("--model", default="unconstrained", choices=["unconstrained", "constrained"])
+    p.add_argument("--model", default=MODEL_UNCONSTRAINED, choices=_MODELS)
     p.add_argument("--k", type=int, required=True, help="variables per equation")
     p.add_argument("--n", type=int, required=True, help="number of variables")
     p.add_argument("--m", type=int, help="number of equations")
@@ -228,16 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a Monte Carlo campaign (CSV + JSON summary)")
     p.add_argument("--config", help="JSON config path; explicit flags override file values")
-    p.add_argument("--kind", choices=["sat_sweep", "critical_census", "core_check", "collision_check", "window_check"])
+    p.add_argument("--kind", choices=list(_KINDS))
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED", help="master seed")
-    p.add_argument("--model", choices=["unconstrained", "constrained"])
+    p.add_argument("--model", choices=_MODELS)
     p.add_argument("--c-grid", type=_csv_floats, dest="c_grid", help="comma-separated densities")
     p.add_argument("--m-list", type=_csv_ints, dest="m_list", help="comma-separated equation counts")
     p.add_argument("--w-list", type=_csv_ints, dest="w_list", help="comma-separated window widths")
-    p.add_argument("--workers", type=int, help="worker processes (default from XORSAT_LAB_WORKERS, else 1)")
+    p.add_argument("--workers", type=int, help="worker processes (default 1)")
     p.add_argument("--out", help="CSV output path (summary goes to <out>.summary.json)")
     p.set_defaults(func=_cmd_experiment)
 
@@ -260,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except (XorsatLabError, ValueError, OSError, ZeroDivisionError) as exc:
+    except (XorsatLabError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -3,7 +3,9 @@
 Five experiment kinds, all driven by one ExperimentConfig and run by one
 engine, ``run_experiment``.  The ``_KINDS`` table gives each kind its
 per-trial task, CSV header, per-point aggregate and, where the kind fixes
-one, its model:
+one, its model.  The header is the one schema of a trial row: ``_run_one``
+fills its shared columns (point, density, trial, stream) and a task
+returns only what it measured:
 
 * ``sat_sweep``       - per density point: generate, peel (unconstrained
                         model), solve on GF(2), record satisfiability.
@@ -42,7 +44,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -54,20 +55,20 @@ from xorsatlab import __version__
 from xorsatlab.errors import from_json
 from xorsatlab.formulas import core_sizes, gamma, lambda_of
 from xorsatlab.gf2 import KERNEL_BACKEND, BitMatrix, solve
-from xorsatlab.instances import collision_count, gen_C_model, gen_constrained, gen_unconstrained
+from xorsatlab.instances import (
+    _MODELS,
+    MODEL_CONSTRAINED,
+    MODEL_UNCONSTRAINED,
+    collision_count,
+    gen_C_model,
+    gen_constrained,
+    gen_unconstrained,
+)
 from xorsatlab.peel import two_core
 from xorsatlab.rng import Seed, mix_streams
 
-WORKERS_ENV = "XORSAT_LAB_WORKERS"
 TINY_IDENTITY_MAX = 10  # census: full b-enumeration when m, n are both <= this
 MODEL_RELAXED = "relaxed_C"  # collision_check's model label: the chip model, which makes no Instance
-
-
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -77,7 +78,7 @@ class ExperimentConfig:
     n: int
     trials: int
     master_seed: int
-    model: str = "unconstrained"
+    model: str = MODEL_UNCONSTRAINED
     c_grid: list[float] | None = None
     m_list: list[int] | None = None
     w_list: list[int] | None = None
@@ -88,10 +89,12 @@ class ExperimentConfig:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         # a kind's forced model (collision_check's relaxed_C) is valid for that kind, so its echo runs again
-        if self.model not in ("unconstrained", "constrained", _KINDS[self.kind][3] or "constrained"):
-            raise ValueError(f"unknown model {self.model!r}; expected unconstrained or constrained")
+        if self.model not in _MODELS and self.model != _KINDS[self.kind][3]:
+            raise ValueError(f"unknown model {self.model!r}; expected {' or '.join(_MODELS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.c_grid is not None and not all(map(math.isfinite, self.c_grid)):
+            raise ValueError("c_grid densities must be finite")
         if self.c_grid is not None and any(b <= a for a, b in zip(self.c_grid, self.c_grid[1:])):
             raise ValueError("c_grid must be strictly increasing")
         if self.kind == "window_check" and not self.w_list:
@@ -131,51 +134,27 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # Per-trial work: module level so the process pool can pickle tasks.  Tasks
-# call two_core, solve and the generators through this module's globals.
+# take (point params, trial seed), return only what they measured, and call
+# two_core, solve and the generators through this module's globals.
 
 
-def _trial_seed(master: int, point_idx: int, trial_idx: int) -> Seed:
-    return Seed(master, mix_streams(point_idx, trial_idx))
-
-
-def _solve_instance(rows, rhs, nvars):
-    mat = BitMatrix.from_sparse_rows(nvars, rows)
-    return solve(mat, rhs)
-
-
-def _task_sat(params: dict, point_idx: int, trial_idx: int) -> dict:
-    seed = _trial_seed(params["master"], point_idx, trial_idx)
+def _task_sat(params: dict, seed: Seed) -> dict:
     k, n, m = params["k"], params["n"], params["m"]
-    if params["model"] == "unconstrained":
-        inst = gen_unconstrained(k, m, n, seed)
-        core, _, stats = two_core(inst)
-        res = _solve_instance(core.rows, core.rhs, core.n)
-        core_vars, core_eqs = stats.core_vars, stats.core_eqs
+    if params["model"] == MODEL_UNCONSTRAINED:
+        system, _, _ = two_core(gen_unconstrained(k, m, n, seed))  # same satisfiability, smaller system
     else:
-        inst = gen_constrained(k, m, n, seed)
-        res = _solve_instance(inst.rows, inst.rhs, inst.n)
-        core_vars, core_eqs = n, m
-    row = {
-        "point": point_idx,
-        "c": params["c"],
-        "n": n,
-        "m": m,
-        "trial": trial_idx,
-        "stream": seed.stream,
+        system = gen_constrained(k, m, n, seed)
+    res = solve(BitMatrix.from_sparse_rows(system.n, system.rows), system.rhs)
+    return {
         "sat": int(res.consistent),
         "rank": res.rank,
-        "nullity": core_eqs - res.rank,
-        "core_vars": core_vars,
-        "core_eqs": core_eqs,
+        "nullity": system.m - res.rank,
+        "core_vars": system.n,
+        "core_eqs": system.m,
     }
-    if "w" in params:  # a window_check point
-        row["w"] = params["w"]
-        row["side"] = params["side"]
-    return row
 
 
-def _task_census(params: dict, point_idx: int, trial_idx: int) -> dict:
-    seed = _trial_seed(params["master"], point_idx, trial_idx)
+def _task_census(params: dict, seed: Seed) -> dict:
     k, n, m = params["k"], params["n"], params["m"]
     inst = gen_constrained(k, m, n, seed)
     mat = BitMatrix.from_sparse_rows(n, inst.rows)
@@ -185,18 +164,7 @@ def _task_census(params: dict, point_idx: int, trial_idx: int) -> dict:
     identity_ok = ""
     if m <= TINY_IDENTITY_MAX and n <= TINY_IDENTITY_MAX:
         identity_ok = int(_rhs_average_identity(mat, n, m, critical))
-    return {
-        "point": point_idx,
-        "c": params["c"],
-        "n": n,
-        "m": m,
-        "trial": trial_idx,
-        "stream": seed.stream,
-        "sat": int(res.consistent),
-        "nullity": nullity,
-        "critical_sets": str(critical),
-        "identity_ok": identity_ok,
-    }
+    return {"sat": int(res.consistent), "nullity": nullity, "critical_sets": str(critical), "identity_ok": identity_ok}
 
 
 def _rhs_average_identity(mat: BitMatrix, n: int, m: int, critical: int) -> bool:
@@ -217,41 +185,24 @@ def _rhs_average_identity(mat: BitMatrix, n: int, m: int, critical: int) -> bool
     return mean_sq / (mean * mean) == critical + 1
 
 
-def _task_core(params: dict, point_idx: int, trial_idx: int) -> dict:
-    seed = _trial_seed(params["master"], point_idx, trial_idx)
-    k, n, m = params["k"], params["n"], params["m"]
-    inst = gen_unconstrained(k, m, n, seed)
-    _, _, stats = two_core(inst)
-    return {
-        "point": point_idx,
-        "c": params["c"],
-        "n": n,
-        "m": m,
-        "trial": trial_idx,
-        "stream": seed.stream,
-        "core_vars": stats.core_vars,
-        "core_eqs": stats.core_eqs,
-        "ratio": "" if stats.ratio is None else repr(stats.ratio),
-    }
+def _task_core(params: dict, seed: Seed) -> dict:
+    _, _, stats = two_core(gen_unconstrained(params["k"], params["m"], params["n"], seed))
+    return dict(zip(("core_vars", "core_eqs", "ratio"), stats.csv_fields()))
 
 
-def _task_collision(params: dict, point_idx: int, trial_idx: int) -> dict:
-    seed = _trial_seed(params["master"], point_idx, trial_idx)
-    k, n, m = params["k"], params["n"], params["m"]
-    alloc = gen_C_model(k, m, n, seed)
-    return {
-        "sample": trial_idx,
-        "stream": seed.stream,
-        "n": n,
-        "m": m,
-        "collisions": collision_count(alloc),
-        "degree_retries": alloc.retries,
-    }
+def _task_collision(params: dict, seed: Seed) -> dict:
+    alloc = gen_C_model(params["k"], params["m"], params["n"], seed)
+    return {"collisions": collision_count(alloc), "degree_retries": alloc.retries}
 
 
 def _run_one(task):
+    """One trial's CSV row: the shared columns from the point's params, the rest from the kind's task."""
     kind, params, point_idx, trial_idx = task
-    return _KINDS[kind][0](params, point_idx, trial_idx)
+    task_fn, header = _KINDS[kind][:2]
+    seed = Seed(params["master"], mix_streams(point_idx, trial_idx))
+    shared = {"point": point_idx, "trial": trial_idx, "sample": trial_idx, "stream": seed.stream}
+    row = {**params, **shared, **task_fn(params, seed)}
+    return {col: row[col] for col in header}
 
 
 def _map_tasks(tasks: list, workers: int) -> list:
@@ -360,13 +311,13 @@ _KINDS = {
         _task_census,
         ["point", "c", "n", "m", "trial", "stream", "sat", "nullity", "critical_sets", "identity_ok"],
         _agg_census,
-        "constrained",
+        MODEL_CONSTRAINED,
     ),
     "core_check": (
         _task_core,
         ["point", "c", "n", "m", "trial", "stream", "core_vars", "core_eqs", "ratio"],
         _agg_core,
-        "unconstrained",
+        MODEL_UNCONSTRAINED,
     ),
     "collision_check": (
         _task_collision,
@@ -378,7 +329,7 @@ _KINDS = {
         _task_sat,
         ["point", "w", "side", "c", "n", "m", "trial", "stream", "sat", "rank", "nullity", "core_vars", "core_eqs"],
         _agg_window,
-        "constrained",
+        MODEL_CONSTRAINED,
     ),
 }
 
@@ -388,7 +339,7 @@ def _csv_text(header: list[str], rows: list[dict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_csv_field(row.get(col, "")) for col in header])
+        writer.writerow([_csv_field(row[col]) for col in header])
     return buf.getvalue()
 
 
@@ -502,8 +453,6 @@ def emit_plot(csv_path: str | None, out_svg: str, mode: str = "sweep", **kw) -> 
 
 __all__ = [
     "ExperimentConfig",
-    "WORKERS_ENV",
-    "default_workers",
     "emit_plot",
     "run_experiment",
 ]

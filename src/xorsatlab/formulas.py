@@ -385,6 +385,8 @@ def threshold_report(k: int, c: float) -> dict:
     by `xorsatlab threshold`; mu and the core fractions are None below c_hat."""
     if k < 3:
         raise ValueError("k must be >= 3")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if c * k <= 2:
         raise ValueError("need c > 2/k")
     lam = lambda_of(c * k)

@@ -68,6 +68,20 @@ def test_threshold_domain_errors(argv, message):
     assert err.splitlines(keepends=True)[-1] == message
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["threshold", "--k", "3", "--c", "nan"], "error: c must be finite, got nan"),
+    (["threshold", "--k", "3", "--c", "inf"], "error: c must be finite, got inf"),
+    (["threshold", "--k", "3", "--c", "400"], "error: math range error"),
+    (["gen", "--k", "3", "--n", "10", "--c", "inf"], "error: cannot convert float infinity to integer"),
+    (["experiment", "--kind", "core_check", "--k", "3", "--n", "100", "--trials", "1", "--c-grid", "inf"],
+     "error: c_grid densities must be finite"),
+], ids=["threshold_nan", "threshold_inf", "threshold_400", "gen_inf", "experiment_inf"])
+def test_non_finite_or_huge_density_exits_1(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if not line.startswith("config:")] == [message]
+
+
 def test_gen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -186,8 +200,12 @@ def test_experiment_flags_and_config_file(tmp_path):
      "error: unknown model 'unconstraned'; expected unconstrained or constrained"),
     ({"kind": "critical_census", "k": 3, "n": 8, "trials": 2, "m_list": [8], "tiny_identity_max": 10},
      "error: unknown config keys: tiny_identity_max"),
+    ({"kind": "core_check", "k": 3, "n": 60, "trials": 2, "c_grid": [0.8, float("inf")]},
+     "error: c_grid densities must be finite"),
+    ({"kind": "core_check", "k": 3, "n": 60, "trials": 2, "c_grid": [float("nan")]},
+     "error: c_grid densities must be finite"),
 ], ids=["two_densities", "collision_km_2n", "collision_k2", "missing_trials", "not_object", "str_k", "float_trials",
-        "unknown_key", "bool_in_list", "unknown_model", "retired_key"])
+        "unknown_key", "bool_in_list", "unknown_model", "retired_key", "infinite_density", "nan_density"])
 def test_bad_experiment_config_exits_1(tmp_path, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))

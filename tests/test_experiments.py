@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xorsatlab import formulas as F
-from xorsatlab.experiments import ExperimentConfig, emit_plot, run_experiment
+from xorsatlab.experiments import _KINDS, ExperimentConfig, emit_plot, run_experiment
 from xorsatlab.gf2 import BitMatrix, count_critical_sets, rank, solve
 from xorsatlab.instances import gen_constrained
 from xorsatlab.rng import Seed
@@ -164,9 +164,11 @@ PINNED_CAMPAIGNS = {
 def test_campaign_csv_bytes_pinned(tmp_path, name, workers):
     args, kwargs, digest = PINNED_CAMPAIGNS[name]
     out = tmp_path / "pinned.csv"
-    _, _, summary = run_experiment(ExperimentConfig(*args, **kwargs, out=str(out), workers=workers))
+    _, rows, summary = run_experiment(ExperimentConfig(*args, **kwargs, out=str(out), workers=workers))
     assert summary["csv_sha256"] == digest
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    # the kind's CSV header is the schema of every returned row, keys in order
+    assert all(list(row) == _KINDS[args[0]][1] for row in rows)
 
 
 @pytest.mark.parametrize("name", list(PINNED_CAMPAIGNS))
@@ -296,25 +298,16 @@ def test_critical_set_mean_decays_with_size():
     assert wins >= 9
 
 
-def test_workers_env_default(tmp_path, monkeypatch):
-    import xorsatlab.experiments as X
-
-    monkeypatch.setenv(X.WORKERS_ENV, "3")
-    assert X.default_workers() == 3
-    monkeypatch.setenv(X.WORKERS_ENV, "junk")
-    assert X.default_workers() == 1
-    # config-file runs pick up the env default when workers is unspecified
-    import json as _json
-
+def test_config_file_workers_default(tmp_path):
+    # a config file without workers runs with one worker
     from xorsatlab.cli import main as cli_main
 
-    monkeypatch.setenv(X.WORKERS_ENV, "2")
     cfg_path = tmp_path / "cfg.json"
     out_csv = tmp_path / "o.csv"
-    cfg_path.write_text(_json.dumps({
+    cfg_path.write_text(json.dumps({
         "kind": "collision_check", "k": 3, "n": 40, "trials": 30,
         "master_seed": 6, "m_list": [50], "out": str(out_csv),
     }))
     assert cli_main(["experiment", "--config", str(cfg_path)]) == 0
-    summary = _json.loads((tmp_path / "o.csv.summary.json").read_text())
-    assert summary["config"]["workers"] == 2
+    summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+    assert summary["config"]["workers"] == 1
