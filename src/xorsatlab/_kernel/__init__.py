@@ -11,7 +11,8 @@ bits at column indices >= ncols must be zero) and is reduced in place to
 row echelon form: row i's first set bit is ``pivot_cols[i]`` (ascending)
 and every row from ``rank`` down is zero.  The bits right of each pivot may
 differ between backends; they span the same row space.  ``gf2.solve``
-back-substitutes on this form.
+reads its solution off this form: of the whole system on the compiled
+kernel, of the dense residue its sparse front end leaves on the fallback.
 
 The extension is preferred; set XORSATLAB_FORCE_FALLBACK=1 (read once, at
 import) to force the pure-Python kernels.  Only

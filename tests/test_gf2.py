@@ -1,11 +1,16 @@
 import os
 import subprocess
 import sys
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xorsatlab
+from xorsatlab import gf2
 from xorsatlab._kernel import fallback
 from xorsatlab.errors import BudgetExceededError
 from xorsatlab.gf2 import (
@@ -378,9 +383,49 @@ def solve_cases(rng):
     yield BitMatrix.zeros(4, 70), np.array([0, 1, 0, 0])
 
 
+def sparse_front_end_cases(rng):
+    """(matrix, rhs) pairs for the sparse front end of `solve`: the
+    criterion-06 and criterion-07 shapes, and the corner cases of
+    inactivation."""
+    from xorsatlab.instances import gen_constrained, gen_unconstrained
+    from xorsatlab.peel import two_core
+    from xorsatlab.rng import Seed
+
+    for i, c in enumerate((0.87, 0.87, 0.97, 0.97)):
+        core, _, _ = two_core(gen_unconstrained(3, round(c * 3000), 3000, Seed(15, i)))
+        mat = BitMatrix.from_sparse_rows(core.n, core.rows)
+        yield mat, core.rhs
+        if i == 0:  # the same core with a consistent rhs drawn from a random x
+            yield mat, matvec(mat, rng.integers(0, 2, size=core.n))
+    for i, m in enumerate((900, 900, 1100)):
+        inst = gen_constrained(4, m, 1000, Seed(16, i))
+        yield BitMatrix.from_sparse_rows(inst.n, inst.rows), inst.rhs
+    rows = 70
+    # no row ever has weight 1, so every column is made inactive
+    yield BitMatrix.zeros(rows, 130), np.zeros(rows, dtype=np.uint8)
+    yield BitMatrix.zeros(rows, 0), np.zeros(rows, dtype=np.uint8)
+    # zero rows with rhs 1
+    yield BitMatrix.zeros(rows, 130), np.eye(1, rows, 5, dtype=np.uint8)[0]
+    yield BitMatrix.zeros(rows, 0), np.ones(rows, dtype=np.uint8)
+    for cols in (40, 64, 65, 200):
+        # rows of weight 0, 1, 2 and 3; columns 0, 3, 6, ... in no row; then
+        # every row duplicated, with a consistent rhs and a random one
+        used = [c for c in range(cols) if c % 3]
+        sparse = [rng.choice(used, size=int(rng.integers(0, 4)), replace=False) for _ in range(rows)]
+        for index_rows in (sparse, sparse + sparse):
+            mat = BitMatrix.from_sparse_rows(cols, index_rows)
+            yield mat, matvec(mat, rng.integers(0, 2, size=cols))
+            yield mat, rng.integers(0, 2, size=mat.rows)
+    # dense rows: all columns but the last few are made inactive
+    for shape in ((rows, 60), (130, 128)):
+        dense = BitMatrix.from_dense(rng.integers(0, 2, size=shape, dtype=np.uint8))
+        yield dense, matvec(dense, rng.integers(0, 2, size=shape[1]))
+
+
 @pytest.mark.parametrize("kernel", ["default", "fallback", "ext"])
 def test_solve_matches_rref_reference(rng, monkeypatch, request, kernel):
-    from xorsatlab import gf2
+    """Both ways `solve` can run, the sparse front end and the elimination
+    of the whole system, under each kernel."""
     from xorsatlab.instances import gen_unconstrained
     from xorsatlab.peel import two_core
     from xorsatlab.rng import Seed
@@ -389,18 +434,101 @@ def test_solve_matches_rref_reference(rng, monkeypatch, request, kernel):
         monkeypatch.setattr(gf2, "eliminate_words", fallback.eliminate_words)
     elif kernel == "ext":
         monkeypatch.setattr(gf2, "eliminate_words", request.getfixturevalue("ext_kernel").eliminate_words)
+
+    def solve_both(mat, b):
+        results = []
+        for front_end in (True, False):
+            monkeypatch.setattr(gf2, "_SPARSE_FRONT_END", front_end)
+            results.append(solve(mat, b))
+        return results
+
     seen = set()
-    for mat, b in solve_cases(rng):
-        got = solve(mat, b)
-        assert_same_result(got, reference_solve(mat, b))
-        seen.add(got.consistent)
+    for mat, b in chain(solve_cases(rng), sparse_front_end_cases(rng)):
+        want = reference_solve(mat, b)
+        for got in solve_both(mat, b):
+            assert_same_result(got, want)
+            seen.add(got.consistent)
     assert seen == {True, False}
     # real 2-cores on both sides of c*_3 = 0.918
     for i, c in enumerate((0.8, 0.9, 0.95, 1.0)):
         inst = gen_unconstrained(3, round(c * 300), 300, Seed(11, i))
         core, _, _ = two_core(inst)
         mat = BitMatrix.from_sparse_rows(core.n, core.rows)
-        assert_same_result(solve(mat, core.rhs), reference_solve(mat, core.rhs))
+        for got in solve_both(mat, core.rhs):
+            assert_same_result(got, reference_solve(mat, core.rhs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 128),
+    cols=st.integers(0, 100),
+    max_weight=st.integers(0, 6),
+    duplicates=st.booleans(),
+    consistent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_front_end_matches_rref_reference_on_random_systems(rows, cols, max_weight, duplicates, consistent, seed):
+    """Rows of mixed weight, some repeated, with a consistent or a random rhs."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, min(max_weight, cols) + 1, size=rows)
+    index_rows = [rng.choice(cols, size=int(w), replace=False) for w in weights]
+    if duplicates:
+        index_rows = [index_rows[i] for i in rng.integers(0, len(index_rows), size=rows)]
+    mat = BitMatrix.from_sparse_rows(cols, index_rows)
+    b = matvec(mat, rng.integers(0, 2, size=cols)) if consistent else rng.integers(0, 2, size=rows)
+    with mock.patch.object(gf2, "_SPARSE_FRONT_END", True):
+        got = solve(mat, b)
+    assert_same_result(got, reference_solve(mat, b))
+
+
+def test_solve_eliminates_only_the_residue_on_the_fallback(monkeypatch):
+    """The sparse front end runs exactly when the kernel is the fallback, and
+    hands it a residue far narrower than the 2-core; without it the kernel
+    sees the whole augmented system."""
+    from xorsatlab.instances import gen_unconstrained
+    from xorsatlab.peel import two_core
+    from xorsatlab.rng import Seed
+
+    assert gf2._SPARSE_FRONT_END == (gf2.KERNEL_BACKEND == "python")
+    widths = []
+
+    def eliminate(a, ncols):
+        widths.append(ncols)
+        return fallback.eliminate_words(a, ncols)
+
+    monkeypatch.setattr(gf2, "eliminate_words", eliminate)
+    for front_end in (True, False):
+        monkeypatch.setattr(gf2, "_SPARSE_FRONT_END", front_end)
+        for i, c in enumerate((0.87, 0.97)):
+            core, _, _ = two_core(gen_unconstrained(3, round(c * 3000), 3000, Seed(17, i)))
+            widths.clear()
+            solve(BitMatrix.from_sparse_rows(core.n, core.rows), core.rhs)
+            assert len(widths) == 1, widths
+            if front_end:
+                assert widths[0] < core.n / 5, (widths, core.n)
+            else:
+                assert widths[0] == core.n + 1
+    # a row of weight 1 per column pivots everything: the residue is the rhs column alone
+    monkeypatch.setattr(gf2, "_SPARSE_FRONT_END", True)
+    for rows in (1, 10, 100):
+        widths.clear()
+        solve(BitMatrix.from_sparse_rows(rows, [[i] for i in range(rows)]), [1] * rows)
+        assert widths == [1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve(BitMatrix.zeros(1, 62), [2]),
+        lambda: solve(BitMatrix.zeros(1, 63), [2]),  # bit 1 of the rhs word lands in the padding
+        lambda: solve(BitMatrix.zeros(1, 62), [-1]),
+        lambda: matvec(BitMatrix.from_dense([[1, 0]]), [2, 0]),
+    ],
+    ids=["solve_2_cols_62", "solve_2_cols_63", "solve_minus_1", "matvec_2"],
+)
+def test_bit_vector_entries_outside_0_1_are_refused(call):
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        call()
 
 
 def reference_from_sparse_rows(cols: int, index_rows) -> BitMatrix:
