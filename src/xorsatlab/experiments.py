@@ -30,6 +30,9 @@ Reproducibility contract: every trial draws from the Philox stream
 fixed config and master seed no matter how many workers run the campaign
 (results are merged in task order, never completion order).
 
+Each trial's task runs with the cyclic garbage collector paused (and its
+state restored afterwards), which changes no output.
+
 CSV files are per-trial, one fixed header per kind, every row carrying the
 trial's stream id for single-trial replay; floats are written with repr()
 round-trip precision.  Wall-clock times live only in the JSON summary
@@ -64,7 +67,7 @@ from xorsatlab.instances import (
     gen_constrained,
     gen_unconstrained,
 )
-from xorsatlab.peel import two_core
+from xorsatlab.peel import gc_paused, two_core
 from xorsatlab.rng import Seed, mix_streams
 
 TINY_IDENTITY_MAX = 10  # census: full b-enumeration when m, n are both <= this
@@ -196,12 +199,19 @@ def _task_collision(params: dict, seed: Seed) -> dict:
 
 
 def _run_one(task):
-    """One trial's CSV row: the shared columns from the point's params, the rest from the kind's task."""
+    """One trial's CSV row: the shared columns from the point's params, the rest from the kind's task.
+
+    The task runs with the cyclic collector paused: a trial's rows are tens
+    of thousands of small lists with no cycles among them, which the
+    collector would otherwise walk again and again while they are built.
+    """
     kind, params, point_idx, trial_idx = task
     task_fn, header = _KINDS[kind][:2]
     seed = Seed(params["master"], mix_streams(point_idx, trial_idx))
     shared = {"point": point_idx, "trial": trial_idx, "sample": trial_idx, "stream": seed.stream}
-    row = {**params, **shared, **task_fn(params, seed)}
+    with gc_paused():
+        measured = task_fn(params, seed)
+    row = {**params, **shared, **measured}
     return {col: row[col] for col in header}
 
 

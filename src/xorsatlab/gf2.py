@@ -1,9 +1,9 @@
-"""Bit-packed GF(2) linear algebra: rank, solving, and critical-set counting.
+"""Bit-packed GF(2) linear algebra: rank and solving.
 
-A *critical set* of a matrix is a collection of rows whose GF(2) sum is the
-zero vector; the number of nonempty critical sets is 2**nullity(A^T) - 1,
-which is what `count_critical_sets` returns (exactly, as a Python int).
-All operations leave their inputs unchanged (they work on copies).
+All operations leave their inputs unchanged (they work on copies).  The
+number of nonempty critical sets of a matrix, the row subsets whose GF(2)
+sum is the zero vector, is 2**(rows - rank) - 1; callers compute it from
+`rank` or from `solve`'s rank.
 
 Elimination is plain word-packed Gaussian elimination with partial pivoting
 by first set bit, forward only (row echelon form); the inner loop lives in
@@ -32,11 +32,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from xorsatlab._kernel import KERNEL_BACKEND, eliminate_words
-from xorsatlab.errors import BudgetExceededError
 
 WORD_BITS = 64
-
-_BRUTE_FORCE_MAX_ROWS = 24
 
 # `solve` runs its sparse front end only in front of the Python fallback:
 # the compiled kernel eliminates a 2000-column 2-core faster than the
@@ -115,9 +112,6 @@ class BitMatrix:
 
     def row_int(self, i: int) -> int:
         return int.from_bytes(self.data[i].tobytes(), "little")
-
-    def row_ints(self) -> list[int]:
-        return [self.row_int(i) for i in range(self.rows)]
 
 
 @dataclass
@@ -336,37 +330,6 @@ def _canonical(lifted: list[int], nfree: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(x.to_bytes(packed.shape[1], "little"), dtype=np.uint8), bitorder="little")[:n]
 
 
-def nullity_transpose(mat: BitMatrix) -> int:
-    """Dimension of the left kernel {y : y^T A = 0}: rows - rank."""
-    return mat.rows - rank(mat)
-
-
-def count_critical_sets(mat: BitMatrix) -> int:
-    """Exact number of nonempty row subsets with all-even column sums.
-
-    Equals 2**nullity_transpose(mat) - 1, returned as an exact int (the
-    nullity can be as large as the row count, so this is a big integer).
-    """
-    return (1 << nullity_transpose(mat)) - 1
-
-
-def brute_force_critical_sets(mat: BitMatrix) -> int:
-    """Oracle: enumerate all nonempty row subsets (Gray-code order).
-
-    Guarded at 24 rows; beyond that the 2**rows walk is refused.
-    """
-    if mat.rows > _BRUTE_FORCE_MAX_ROWS:
-        raise BudgetExceededError(f"{mat.rows} rows exceeds brute-force guard of {_BRUTE_FORCE_MAX_ROWS}")
-    rows = mat.row_ints()
-    acc = 0
-    count = 0
-    for s in range(1, 1 << mat.rows):
-        acc ^= rows[(s & -s).bit_length() - 1]
-        if acc == 0:
-            count += 1
-    return count
-
-
 def matvec(mat: BitMatrix, x: Sequence[int]) -> np.ndarray:
     """A·x over GF(2) as a uint8 vector of length rows."""
     x = _bit_vector(x, mat.cols, "vector", "cols")
@@ -381,10 +344,7 @@ __all__ = [
     "KERNEL_BACKEND",
     "BitMatrix",
     "SolveResult",
-    "brute_force_critical_sets",
-    "count_critical_sets",
     "matvec",
-    "nullity_transpose",
     "rank",
     "solve",
 ]

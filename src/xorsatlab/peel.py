@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -36,6 +37,19 @@ import numpy as np
 
 from xorsatlab.errors import from_json, json_value
 from xorsatlab.instances import MODEL_CONSTRAINED, Instance
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector; on exit, turn it back on only if
+    it was on, also when the block raises."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 @dataclass(eq=False)
@@ -179,9 +193,7 @@ def two_core(inst: Instance) -> tuple[Instance, PeelTrace, CoreStats]:
     # the core rows are tens of thousands of small lists; at n = 1e5 the
     # collector's passes over them while they are built cost about as much
     # as the rest of the call
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         core = Instance(
             k=inst.k,
             n=int(core_vars.size),
@@ -191,9 +203,6 @@ def two_core(inst: Instance) -> tuple[Instance, PeelTrace, CoreStats]:
             model_tag=MODEL_CONSTRAINED,
             seed=inst.seed,
         )
-    finally:
-        if gc_was_on:
-            gc.enable()
     steps = np.column_stack((step_vars, step_eqs))
     trace = PeelTrace(inst.n, inst.m, steps, core_vars.tolist(), core_eqs.tolist())
     return core, trace, _stats(core.n, core.m)

@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xorsatlab.errors import BudgetExceededError
+from xorsatlab.gf2 import BitMatrix, rank
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -59,3 +62,44 @@ def chi2_pvalue(observed, expected):
     exp = np.asarray(exp, dtype=float)
     stat = ((obs - exp) ** 2 / exp).sum()
     return chi2.sf(stat, df=len(obs) - 1)
+
+
+# GF(2) oracles that only the tests use
+
+BRUTE_FORCE_MAX_ROWS = 24
+
+
+def row_ints(mat: BitMatrix) -> list[int]:
+    """Every row of `mat` as an int, bit j = column j."""
+    return [mat.row_int(i) for i in range(mat.rows)]
+
+
+def nullity_transpose(mat: BitMatrix) -> int:
+    """Dimension of the left kernel {y : y^T A = 0}: rows - rank."""
+    return mat.rows - rank(mat)
+
+
+def count_critical_sets(mat: BitMatrix) -> int:
+    """Exact number of nonempty row subsets with all-even column sums.
+
+    Equals 2**nullity_transpose(mat) - 1, returned as an exact int (the
+    nullity can be as large as the row count, so this is a big integer).
+    """
+    return (1 << nullity_transpose(mat)) - 1
+
+
+def brute_force_critical_sets(mat: BitMatrix) -> int:
+    """Oracle: enumerate all nonempty row subsets (Gray-code order).
+
+    Guarded at 24 rows; beyond that the 2**rows walk is refused.
+    """
+    if mat.rows > BRUTE_FORCE_MAX_ROWS:
+        raise BudgetExceededError(f"{mat.rows} rows exceeds brute-force guard of {BRUTE_FORCE_MAX_ROWS}")
+    rows = row_ints(mat)
+    acc = 0
+    count = 0
+    for s in range(1, 1 << mat.rows):
+        acc ^= rows[(s & -s).bit_length() - 1]
+        if acc == 0:
+            count += 1
+    return count

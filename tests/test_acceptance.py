@@ -14,6 +14,7 @@ from itertools import product
 
 import numpy as np
 
+from conftest import brute_force_critical_sets, count_critical_sets
 from xorsatlab import formulas as F
 from xorsatlab.certify import (
     certify_alarge_constants,
@@ -24,12 +25,7 @@ from xorsatlab.certify import (
     interval_s_k,
 )
 from xorsatlab.experiments import ExperimentConfig, run_experiment
-from xorsatlab.gf2 import (
-    BitMatrix,
-    brute_force_critical_sets,
-    count_critical_sets,
-    solve,
-)
+from xorsatlab.gf2 import BitMatrix, solve
 from xorsatlab.instances import count_C_exact, gen_constrained, gen_unconstrained
 from xorsatlab.intervals import Interval
 from xorsatlab.peel import two_core

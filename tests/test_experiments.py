@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -5,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import count_critical_sets
 from xorsatlab import formulas as F
-from xorsatlab.experiments import _KINDS, ExperimentConfig, emit_plot, run_experiment
-from xorsatlab.gf2 import BitMatrix, count_critical_sets, rank, solve
+from xorsatlab.experiments import _KINDS, ExperimentConfig, _run_one, emit_plot, run_experiment
+from xorsatlab.gf2 import BitMatrix, rank, solve
 from xorsatlab.instances import gen_constrained
 from xorsatlab.rng import Seed
 
@@ -264,6 +266,31 @@ class TestPlots:
     def test_bad_mode(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot(None, str(tmp_path / "x.svg"), mode="pie")
+
+
+def test_run_one_pauses_the_collector_and_restores_its_state(monkeypatch):
+    seen = []
+
+    def task(params, seed):
+        seen.append(gc.isenabled())
+        if params["fail"]:
+            raise RuntimeError("task failed")
+        return {"core_vars": 0, "core_eqs": 0, "ratio": ""}
+
+    monkeypatch.setitem(_KINDS, "core_check", (task, *_KINDS["core_check"][1:]))
+    params = {"master": 1, "k": 3, "n": 10, "model": "unconstrained", "c": 0.5, "m": 5, "fail": False}
+    was_on = gc.isenabled()
+    try:
+        for on in (True, False):
+            gc.enable() if on else gc.disable()
+            assert _run_one(("core_check", params, 0, 0))["core_vars"] == 0
+            assert gc.isenabled() == on
+            with pytest.raises(RuntimeError, match="task failed"):
+                _run_one(("core_check", {**params, "fail": True}, 0, 0))
+            assert gc.isenabled() == on
+    finally:
+        gc.enable() if was_on else gc.disable()
+    assert seen == [False] * 4
 
 
 def test_summary_has_hash_and_echo(tmp_path):

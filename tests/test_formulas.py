@@ -239,6 +239,7 @@ class TestExactCounts:
                 assert F.exact_EY(k, m, n, ell) == Fraction(sums[ell], total)
 
     def test_exact_EY_monte_carlo_cross_check(self):
+        from conftest import row_ints
         from xorsatlab.gf2 import BitMatrix
         from xorsatlab.instances import gen_C_model
         from xorsatlab.rng import Seed
@@ -249,7 +250,7 @@ class TestExactCounts:
         for i in range(samples):
             alloc = gen_C_model(k, m, n, Seed(999, i))
             mat = BitMatrix.from_sparse_rows(n, alloc.row_column_lists())
-            rows = mat.row_ints()
+            rows = row_ints(mat)
             for mask in range(1, 1 << m):
                 acc = 0
                 for j in range(m):

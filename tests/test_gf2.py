@@ -9,20 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_critical_sets, count_critical_sets, nullity_transpose, row_ints
 import xorsatlab
 from xorsatlab import gf2
 from xorsatlab._kernel import fallback
 from xorsatlab.errors import BudgetExceededError
-from xorsatlab.gf2 import (
-    BitMatrix,
-    SolveResult,
-    brute_force_critical_sets,
-    count_critical_sets,
-    matvec,
-    nullity_transpose,
-    rank,
-    solve,
-)
+from xorsatlab.gf2 import BitMatrix, SolveResult, matvec, rank, solve
 
 
 def rank_full_pivot(dense: np.ndarray) -> int:
@@ -267,7 +259,7 @@ def test_ext_ignores_ncols_past_the_words(rng, ext_kernel):
 
 
 def assert_row_echelon(a: np.ndarray, r: int, pivots: list[int]) -> None:
-    rows = BitMatrix(a.shape[0], a.shape[1] * 64, a).row_ints()
+    rows = row_ints(BitMatrix(a.shape[0], a.shape[1] * 64, a))
     assert pivots == sorted(set(pivots)) and len(pivots) == r
     for i, p in enumerate(pivots):
         assert (rows[i] & -rows[i]).bit_length() - 1 == p
@@ -304,11 +296,11 @@ def test_dense_round_trip(rng):
     dense = rng.integers(0, 2, size=(7, 130), dtype=np.uint8)
     mat = BitMatrix.from_dense(dense)
     # bit j of row i is dense[i, j], and nothing is set past column 130
-    assert mat.row_ints() == [sum(1 << int(j) for j in np.flatnonzero(row)) for row in dense]
+    assert row_ints(mat) == [sum(1 << int(j) for j in np.flatnonzero(row)) for row in dense]
     assert (mat.data == BitMatrix.from_sparse_rows(130, [np.flatnonzero(row).tolist() for row in dense]).data).all()
     sparse = BitMatrix.from_sparse_rows(6, [[0, 3, 3, 5], [1]])
     literal = BitMatrix.from_dense([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]])
-    assert sparse.row_ints() == literal.row_ints() == [0b100001, 0b10]
+    assert row_ints(sparse) == row_ints(literal) == [0b100001, 0b10]
     assert (sparse.data == literal.data).all()
 
 
@@ -422,6 +414,32 @@ def sparse_front_end_cases(rng):
         yield dense, matvec(dense, rng.integers(0, 2, size=shape[1]))
 
 
+def tall_residue_cases(rng):
+    """(matrix, rhs) pairs whose residue is taller than it is wide, as on
+    the unsatisfiable side of the threshold, from rows = width + 1 up; the
+    dense ones each have a consistent and a random rhs."""
+    # dense rows: a residue about `extra` rows taller than wide
+    for cols in (1, 5, 40, 70):
+        for extra in (1, 2, 3, 10, 40):
+            mat = BitMatrix.from_dense(rng.integers(0, 2, size=(cols + extra, cols), dtype=np.uint8))
+            yield mat, matvec(mat, rng.integers(0, 2, size=cols))
+            yield mat, rng.integers(0, 2, size=mat.rows)
+    # residue width 0: each column pivoted by its own row, then a repeat of
+    # every row, `wrong` of them with the other rhs bit: the residue is
+    # those rows alone, each 0 = 1
+    cols = 20
+    for wrong in (0, 1, 2, 7):
+        b = rng.integers(0, 2, size=cols)
+        again = b.copy()
+        again[rng.choice(cols, size=wrong, replace=False)] ^= 1
+        yield BitMatrix.from_sparse_rows(cols, [[i] for i in range(cols)] * 2), np.concatenate([b, again])
+    # zero rows over columns in no row: every column is made inactive and
+    # the residue is exactly the rows with rhs 1, from rows = width + 1 up
+    for width in (0, 3, 64):
+        for rows in (width + 1, width + 2, width + 9):
+            yield BitMatrix.zeros(rows + 3, width), [1] * rows + [0] * 3
+
+
 @pytest.mark.parametrize("kernel", ["default", "fallback", "ext"])
 def test_solve_matches_rref_reference(rng, monkeypatch, request, kernel):
     """Both ways `solve` can run, the sparse front end and the elimination
@@ -443,7 +461,7 @@ def test_solve_matches_rref_reference(rng, monkeypatch, request, kernel):
         return results
 
     seen = set()
-    for mat, b in chain(solve_cases(rng), sparse_front_end_cases(rng)):
+    for mat, b in chain(solve_cases(rng), sparse_front_end_cases(rng), tall_residue_cases(rng)):
         want = reference_solve(mat, b)
         for got in solve_both(mat, b):
             assert_same_result(got, want)
