@@ -2,9 +2,10 @@
 """Benchmark the compiled GF(2) kernel against the pure-Python fallback.
 
 Times forward elimination to row echelon form (what `gf2.rank` runs, and
-`gf2.solve` on the compiled kernel) on random dense square systems and on
-peeled-core-shaped random sparse systems, for each backend.  Run from the
-repo root, after building the compiled kernel in place:
+what `gf2.solve` runs on the dense residue its sparse front end leaves) on
+random dense square systems and on peeled-core-shaped random sparse
+systems, for each backend.  Run from the repo root, after building the
+compiled kernel in place:
 
     python setup.py build_ext --inplace
     python benchmarks/bench_gf2.py [--sizes 512,1024,2048] [--repeat 3]

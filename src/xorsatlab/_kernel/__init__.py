@@ -11,31 +11,24 @@ bits at column indices >= ncols must be zero) and is reduced in place to
 row echelon form: row i's first set bit is ``pivot_cols[i]`` (ascending)
 and every row from ``rank`` down is zero.  The bits right of each pivot may
 differ between backends; they span the same row space.  ``gf2.solve``
-reads its solution off this form: of the whole system on the compiled
-kernel, of the dense residue its sparse front end leaves on the fallback.
+reads its solution off this form of the dense residue its sparse front end
+leaves.
 
-The extension is preferred; set XORSATLAB_FORCE_FALLBACK=1 (read once, at
-import) to force the pure-Python kernels.  Only
-``tests/test_gf2.py::test_fallback_env_selection`` sets it;
+The extension is imported when it is built and the fallback otherwise.
 ``benchmarks/bench_gf2.py`` and the backend-equivalence tests import
 ``fallback`` directly (the tests build ``_ext`` out of tree), and
 ``perfbench`` runs whichever backend it finds.
 """
 
-import os
-
 from xorsatlab._kernel import fallback
 
-eliminate_words = fallback.eliminate_words
-KERNEL_BACKEND = "python"
+try:
+    from xorsatlab._kernel import _ext
 
-if not os.environ.get("XORSATLAB_FORCE_FALLBACK"):
-    try:
-        from xorsatlab._kernel import _ext
-
-        eliminate_words = _ext.eliminate_words
-        KERNEL_BACKEND = "ext"
-    except ImportError:
-        pass
+    eliminate_words = _ext.eliminate_words
+    KERNEL_BACKEND = "ext"
+except ImportError:
+    eliminate_words = fallback.eliminate_words
+    KERNEL_BACKEND = "python"
 
 __all__ = ["eliminate_words", "KERNEL_BACKEND", "fallback"]

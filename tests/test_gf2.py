@@ -1,8 +1,9 @@
+import importlib.machinery
+import json
 import os
 import subprocess
 import sys
 from itertools import chain
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -266,30 +267,35 @@ def assert_row_echelon(a: np.ndarray, r: int, pivots: list[int]) -> None:
     assert not any(rows[r:])
 
 
+# The child must import the same xorsatlab as this process, whether it came
+# from an install or from PYTHONPATH=src, so the directory holding the
+# package is its only PYTHONPATH entry.
+PACKAGE_FILE = os.path.abspath(xorsatlab.__file__)
+
+
+def run_fresh(code: str, *args: str) -> list[str]:
+    """The stdout lines of `code` run in a fresh interpreter on this package."""
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.path.dirname(os.path.dirname(PACKAGE_FILE))},
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
 def test_fallback_env_selection():
-    # The child must import the same xorsatlab as this process, whether it
-    # came from an install or from PYTHONPATH=src, so the directory holding
-    # the package is its only PYTHONPATH entry.
-    package_file = os.path.abspath(xorsatlab.__file__)
-    package_root = os.path.dirname(os.path.dirname(package_file))
-    code = (
+    """A fresh process picks the compiled kernel exactly when `_ext` is built
+    beside `_kernel/__init__.py`, and the fallback otherwise."""
+    kernel_dir = os.path.join(os.path.dirname(PACKAGE_FILE), "_kernel")
+    built = any(os.path.exists(os.path.join(kernel_dir, "_ext" + s)) for s in importlib.machinery.EXTENSION_SUFFIXES)
+    backend, child_file = run_fresh(
         "import os, xorsatlab; from xorsatlab._kernel import KERNEL_BACKEND; "
         "print(KERNEL_BACKEND); print(os.path.abspath(xorsatlab.__file__))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": package_root,
-            "XORSATLAB_FORCE_FALLBACK": "1",
-        },
-    )
-    assert out.returncode == 0, out.stderr
-    backend, child_file = out.stdout.splitlines()
-    assert child_file == package_file
-    assert backend == "python"
+    assert child_file == PACKAGE_FILE
+    assert backend == ("ext" if built else "python")
 
 
 def test_dense_round_trip(rng):
@@ -442,8 +448,7 @@ def tall_residue_cases(rng):
 
 @pytest.mark.parametrize("kernel", ["default", "fallback", "ext"])
 def test_solve_matches_rref_reference(rng, monkeypatch, request, kernel):
-    """Both ways `solve` can run, the sparse front end and the elimination
-    of the whole system, under each kernel."""
+    """`solve` against the RREF oracle under each kernel."""
     from xorsatlab.instances import gen_unconstrained
     from xorsatlab.peel import two_core
     from xorsatlab.rng import Seed
@@ -453,27 +458,18 @@ def test_solve_matches_rref_reference(rng, monkeypatch, request, kernel):
     elif kernel == "ext":
         monkeypatch.setattr(gf2, "eliminate_words", request.getfixturevalue("ext_kernel").eliminate_words)
 
-    def solve_both(mat, b):
-        results = []
-        for front_end in (True, False):
-            monkeypatch.setattr(gf2, "_SPARSE_FRONT_END", front_end)
-            results.append(solve(mat, b))
-        return results
-
     seen = set()
     for mat, b in chain(solve_cases(rng), sparse_front_end_cases(rng), tall_residue_cases(rng)):
-        want = reference_solve(mat, b)
-        for got in solve_both(mat, b):
-            assert_same_result(got, want)
-            seen.add(got.consistent)
+        got = solve(mat, b)
+        assert_same_result(got, reference_solve(mat, b))
+        seen.add(got.consistent)
     assert seen == {True, False}
     # real 2-cores on both sides of c*_3 = 0.918
     for i, c in enumerate((0.8, 0.9, 0.95, 1.0)):
         inst = gen_unconstrained(3, round(c * 300), 300, Seed(11, i))
         core, _, _ = two_core(inst)
         mat = BitMatrix.from_sparse_rows(core.n, core.rows)
-        for got in solve_both(mat, core.rhs):
-            assert_same_result(got, reference_solve(mat, core.rhs))
+        assert_same_result(solve(mat, core.rhs), reference_solve(mat, core.rhs))
 
 
 @settings(max_examples=150, deadline=None)
@@ -494,44 +490,60 @@ def test_sparse_front_end_matches_rref_reference_on_random_systems(rows, cols, m
         index_rows = [index_rows[i] for i in rng.integers(0, len(index_rows), size=rows)]
     mat = BitMatrix.from_sparse_rows(cols, index_rows)
     b = matvec(mat, rng.integers(0, 2, size=cols)) if consistent else rng.integers(0, 2, size=rows)
-    with mock.patch.object(gf2, "_SPARSE_FRONT_END", True):
-        got = solve(mat, b)
-    assert_same_result(got, reference_solve(mat, b))
+    assert_same_result(solve(mat, b), reference_solve(mat, b))
 
 
-def test_solve_eliminates_only_the_residue_on_the_fallback(monkeypatch):
-    """The sparse front end runs exactly when the kernel is the fallback, and
-    hands it a residue far narrower than the 2-core; without it the kernel
-    sees the whole augmented system."""
-    from xorsatlab.instances import gen_unconstrained
-    from xorsatlab.peel import two_core
-    from xorsatlab.rng import Seed
+# argv[1]: the compiled kernel's file, or "" for the fallback.  It goes into
+# sys.modules before xorsatlab is imported, so `_kernel` selects it as it
+# would a built `_ext`.  Prints the backend, then the widths the kernel saw
+# and core.n per n=3000 2-core, then those of systems with a row of weight 1
+# per column.
+RESIDUE_WIDTHS = """
+import importlib.util, json, sys
+if sys.argv[1]:
+    spec = importlib.util.spec_from_file_location("xorsatlab._kernel._ext", sys.argv[1])
+    sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[spec.name])
+else:
+    sys.modules["xorsatlab._kernel._ext"] = None
+from xorsatlab import gf2
+from xorsatlab.instances import gen_unconstrained
+from xorsatlab.peel import two_core
+from xorsatlab.rng import Seed
 
-    assert gf2._SPARSE_FRONT_END == (gf2.KERNEL_BACKEND == "python")
-    widths = []
+widths = []
+kernel = gf2.eliminate_words
 
-    def eliminate(a, ncols):
-        widths.append(ncols)
-        return fallback.eliminate_words(a, ncols)
+def eliminate(a, ncols):
+    widths.append(ncols)
+    return kernel(a, ncols)
 
-    monkeypatch.setattr(gf2, "eliminate_words", eliminate)
-    for front_end in (True, False):
-        monkeypatch.setattr(gf2, "_SPARSE_FRONT_END", front_end)
-        for i, c in enumerate((0.87, 0.97)):
-            core, _, _ = two_core(gen_unconstrained(3, round(c * 3000), 3000, Seed(17, i)))
-            widths.clear()
-            solve(BitMatrix.from_sparse_rows(core.n, core.rows), core.rhs)
-            assert len(widths) == 1, widths
-            if front_end:
-                assert widths[0] < core.n / 5, (widths, core.n)
-            else:
-                assert widths[0] == core.n + 1
+gf2.eliminate_words = eliminate
+
+def seen(mat, b):
+    widths.clear()
+    gf2.solve(mat, b)
+    return list(widths)
+
+print(gf2.KERNEL_BACKEND)
+cores = [two_core(gen_unconstrained(3, round(c * 3000), 3000, Seed(17, i)))[0] for i, c in enumerate((0.87, 0.97))]
+print(json.dumps([(seen(gf2.BitMatrix.from_sparse_rows(core.n, core.rows), core.rhs), core.n) for core in cores]))
+print(json.dumps([seen(gf2.BitMatrix.from_sparse_rows(r, [[i] for i in range(r)]), [1] * r) for r in (1, 10, 100)]))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["fallback", "ext"])
+def test_solve_eliminates_only_the_residue(request, kernel):
+    """Under either kernel, the sparse front end hands it one residue far
+    narrower than the 2-core.  A fresh process imports the package with the
+    kernel under test, so no choice made at import can route around it."""
+    ext_file = request.getfixturevalue("ext_kernel").__file__ if kernel == "ext" else ""
+    backend, cores, unit = run_fresh(RESIDUE_WIDTHS, ext_file)
+    assert backend == {"fallback": "python", "ext": "ext"}[kernel]
+    for widths, n in json.loads(cores):
+        assert len(widths) == 1 and widths[0] < n / 5, (widths, n)
     # a row of weight 1 per column pivots everything: the residue is the rhs column alone
-    monkeypatch.setattr(gf2, "_SPARSE_FRONT_END", True)
-    for rows in (1, 10, 100):
-        widths.clear()
-        solve(BitMatrix.from_sparse_rows(rows, [[i] for i in range(rows)]), [1] * rows)
-        assert widths == [1]
+    assert json.loads(unit) == [[1]] * 3
 
 
 @pytest.mark.parametrize(
