@@ -47,6 +47,8 @@ def eliminate_words(a: np.ndarray, ncols: int) -> tuple[int, list[int]]:
                 pivots[c] = v
                 break
             v ^= p
+        if len(pivots) == ncols:  # every later row reduces to zero
+            break
     cols = sorted(pivots)
     out = [pivots[c] for c in cols]
     out.extend(0 for _ in range(m - len(out)))

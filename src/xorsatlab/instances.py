@@ -103,6 +103,23 @@ class Instance:
         ):
             raise InstanceFormatError("constrained instance has a variable of degree < 2")
 
+    def incidence(self) -> np.ndarray:
+        """The rows as one (m, k) int64 index array."""
+        flat = np.fromiter(chain.from_iterable(self.rows), dtype=np.int64, count=self.m * self.k)
+        return flat.reshape(self.m, self.k)
+
+    def lhs(self, x) -> np.ndarray:
+        """Each equation's left-hand side at `x` (one gather, one XOR-reduce):
+        m bits for one 0/1 assignment of length n, (m, B) for a batch of B
+        along the last axis.  ValueError on a wrong length or an entry other
+        than 0 and 1."""
+        x = np.asarray(x)
+        if x.ndim == 0 or x.shape[0] != self.n:
+            raise ValueError(f"assignment length {x.shape[:1]} does not match {self.n} variables")
+        if not ((x == 0) | (x == 1)).all():
+            raise ValueError("assignment entries must be 0 or 1")
+        return np.bitwise_xor.reduce(x.astype(np.uint8)[self.incidence()], axis=1)
+
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -166,12 +166,6 @@ def _peel_rounds(flat: np.ndarray, n: int):
     return np.concatenate(step_vars), np.concatenate(step_eqs), var_alive, eq_alive
 
 
-def _incidence(inst: Instance) -> np.ndarray:
-    """The rows as one (m, k) index array."""
-    flat = np.fromiter(chain.from_iterable(inst.rows), dtype=np.int64, count=inst.m * inst.k)
-    return flat.reshape(inst.m, inst.k)
-
-
 def two_core(inst: Instance) -> tuple[Instance, PeelTrace, CoreStats]:
     """Peel to the 2-core; returns (core instance, trace, stats).
 
@@ -183,7 +177,7 @@ def two_core(inst: Instance) -> tuple[Instance, PeelTrace, CoreStats]:
     the original equation order with variables renumbered by rank in
     core_var_ids.
     """
-    flat = _incidence(inst)
+    flat = inst.incidence()
     step_vars, step_eqs, var_alive, eq_alive = _peel_rounds(flat, inst.n)
     core_vars = np.flatnonzero(var_alive)
     core_eqs = np.flatnonzero(eq_alive)
@@ -215,10 +209,10 @@ def _stats(core_vars: int, core_eqs: int) -> CoreStats:
 def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int]:
     """Lift a core solution back to a full assignment satisfying `inst`.
 
-    Raises ValueError if `core_solution` does not satisfy the core
-    equations.  Peeled variables of degree 0 keep value 0; the rest are set
-    in reverse removal order so each satisfies its own equation, whose
-    variables are read from `inst.rows`.
+    Peeled variables of degree 0 keep value 0; the rest are set in reverse
+    removal order so each satisfies its own equation, read from `inst.rows`.
+    `inst.lhs` then checks every equation; ValueError names the first one
+    violated, for a `two_core` trace a core equation.
     """
     core_solution = [int(b) for b in core_solution]
     if len(core_solution) != len(trace.core_var_ids):
@@ -226,12 +220,6 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
     x = [0] * inst.n
     for cid, v in zip(core_solution, trace.core_var_ids):
         x[v] = cid
-    for e in trace.core_eq_ids:
-        acc = 0
-        for v in inst.rows[e]:
-            acc ^= x[v]
-        if acc != inst.rhs[e]:
-            raise ValueError(f"core solution violates core equation {e}")
     for v, e in reversed(trace.steps.tolist()):
         if e >= 0:
             acc = inst.rhs[e]
@@ -239,12 +227,15 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
                 if u != v:
                     acc ^= x[u]
             x[v] = acc
+    bad = np.flatnonzero(inst.lhs(x) != inst.rhs)
+    if bad.size:
+        raise ValueError(f"lifted solution violates equation {bad[0]}")
     return x
 
 
 def core_density(inst: Instance) -> CoreStats:
     """Peel and report core order/size only; no trace or core is built."""
-    _, _, var_alive, eq_alive = _peel_rounds(_incidence(inst), inst.n)
+    _, _, var_alive, eq_alive = _peel_rounds(inst.incidence(), inst.n)
     return _stats(int(var_alive.sum()), int(eq_alive.sum()))
 
 

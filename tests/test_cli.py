@@ -118,6 +118,26 @@ def test_peel_subcommand(tmp_path):
     assert trace.read_text() == two_core(inst)[1].dumps(inst)
 
 
+def test_peel_flags_choose_the_path(tmp_path, monkeypatch):
+    import xorsatlab.cli as cli
+
+    path = tmp_path / "inst.json"
+    trace = tmp_path / "trace.json"
+    run_cli(["gen", "--k", "3", "--n", "80", "--m", "60", "--seed", "2", "--out", str(path)])
+    inst = Instance.loads(path.read_text())
+    code, out, _ = run_cli(["peel", "--in", str(path), "--trace-out", str(trace)])
+    assert code == 0 and "consistent" not in json.loads(out)
+    assert trace.read_text() == two_core(inst)[1].dumps(inst)
+    # plain peel counts the core without building it
+    monkeypatch.setattr(cli, "two_core", None)
+    code, plain, _ = run_cli(["peel", "--in", str(path)])
+    assert code == 0 and list(json.loads(plain)) == ["core_vars", "core_eqs", "ratio"]
+    assert json.loads(plain) == json.loads(out)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["peel", "--stats-only", "--in", str(path)])
+    assert exc.value.code == 2
+
+
 def test_certify_exit_codes(tmp_path):
     cert_path = tmp_path / "cert.json"
     code, out, _ = run_cli(["certify", "--claim", "amed", "--k", "4", "--out", str(cert_path)])
@@ -268,7 +288,7 @@ def test_absurd_n_exits_1_without_traceback(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xorsatlab.__file__)), OPENBLAS_NUM_THREADS="1")
-    for args in (["solve"], ["peel"], ["peel", "--stats-only"]):
+    for args in (["solve"], ["peel"], ["peel", "--solve"]):
         proc = subprocess.run(
             [sys.executable, "-m", "xorsatlab.cli", *args, "--in", str(path)],
             capture_output=True,

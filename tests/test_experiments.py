@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,6 +104,36 @@ def test_census_identity_and_full_rank_all_rhs():
             break
     else:
         pytest.fail("no full-rank instance found")
+
+
+def rhs_average_ratio(mat: BitMatrix):
+    """E_b[N(b)^2] / E_b[N(b)]^2 over all 2^rows rhs vectors b, from one
+    `solve` per b; None unless sum_b N(b) = 2^cols."""
+    counts = []
+    for bits in range(1 << mat.rows):
+        res = solve(mat, [(bits >> i) & 1 for i in range(mat.rows)])
+        counts.append(1 << res.solution_count_log2 if res.consistent else 0)
+    if sum(counts) != 1 << mat.cols:
+        return None
+    return Fraction(sum(c * c for c in counts) << mat.rows, 1 << 2 * mat.cols)
+
+
+def test_rhs_average_identity_matches_solving_every_rhs(monkeypatch):
+    import xorsatlab.experiments as E
+
+    cases = [gen_constrained(3, m, n, Seed(77, t)) for t, (m, n) in enumerate([(4, 6), (6, 8), (8, 10), (10, 10)] * 3)]
+    refs = [rhs_average_ratio(BitMatrix.from_sparse_rows(inst.n, inst.rows)) for inst in cases]
+
+    def no_solve(*args):
+        raise AssertionError("the identity check called solve")
+
+    monkeypatch.setattr(E, "solve", no_solve)
+    for inst, ratio in zip(cases, refs):
+        critical = (1 << inst.m - rank(BitMatrix.from_sparse_rows(inst.n, inst.rows))) - 1
+        assert ratio == critical + 1
+        assert E._rhs_average_identity(inst, critical)
+        assert not E._rhs_average_identity(inst, critical + 1)
+    assert {int(r) for r in refs} != {1}  # some instances have critical sets
 
 
 def test_census_rejects_large_n():

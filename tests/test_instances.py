@@ -420,6 +420,38 @@ class TestSerialization:
             inst.validate()
 
 
+class TestLhs:
+    """`Instance.lhs` against `gf2.matvec` on the packed rows."""
+
+    def test_matches_matvec_on_both_models(self, rng):
+        from xorsatlab.gf2 import BitMatrix, matvec
+
+        shapes = [(3, 40, 50), (4, 90, 60), (2, 0, 5)]  # (k, m, n); m = 0 gives an empty lhs
+        cases = [gen_unconstrained(k, m, n, Seed(7, t)) for t, (k, m, n) in enumerate(shapes)]
+        cases += [gen_constrained(k, m, n, Seed(8, t)) for t, (k, m, n) in enumerate([(3, 30, 40), (4, 50, 60)])]
+        for inst in cases:
+            mat = BitMatrix.from_sparse_rows(inst.n, inst.rows)
+            batch = rng.integers(0, 2, size=(inst.n, 17))
+            got = inst.lhs(batch)
+            assert got.shape == (inst.m, 17) and got.dtype == np.uint8
+            for j in range(batch.shape[1]):
+                want = matvec(mat, batch[:, j])
+                assert np.array_equal(inst.lhs(batch[:, j]), want)
+                assert np.array_equal(inst.lhs(batch[:, j].tolist()), want)
+                assert np.array_equal(got[:, j], want)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [([0, 2, 0, 1], "entries must be 0 or 1"), ([0, -1, 0, 1], "entries must be 0 or 1"),
+         ([0, 1, 0], "length"), ([0, 1, 0, 1, 1], "length"), (np.zeros((3, 2)), "length"), (1, "length")],
+        ids=["two", "minus_one", "short", "long", "short_batch", "scalar"],
+    )
+    def test_refuses_bad_assignments(self, x, message):
+        inst = Instance(2, 4, 2, [[0, 1], [2, 3]], [0, 1], "unconstrained")
+        with pytest.raises(ValueError, match=message):
+            inst.lhs(x)
+
+
 @st.composite
 def small_instances(draw):
     """Valid instances of every model, small enough to mutate byte by byte."""

@@ -266,6 +266,29 @@ def test_extension_rejects_infeasible_core_solution():
         extend_solution(res.one_solution.tolist() + [0], trace, inst)
 
 
+def test_extension_checks_every_equation_of_a_corrupted_trace():
+    # a trace whose step names another equation lifts to an assignment that
+    # may break the step's true equation; it must raise, never return it
+    inst = gen_unconstrained(3, 80, 100, Seed(500))
+    core, trace, _ = two_core(inst)
+    res = gf2.solve(gf2.BitMatrix.from_sparse_rows(core.n, core.rows), core.rhs)
+    assert res.consistent
+    full = gf2.BitMatrix.from_sparse_rows(inst.n, inst.rows)
+    raised = 0
+    for i in np.flatnonzero(trace.steps[:, 1] >= 0):
+        steps = trace.steps.copy()
+        steps[i, 1] = (steps[i, 1] + 1) % inst.m
+        bad = PeelTrace(trace.n, trace.m, steps, trace.core_var_ids, trace.core_eq_ids)
+        try:
+            x = extend_solution(res.one_solution, bad, inst)
+        except ValueError as exc:
+            assert "violates equation" in str(exc)
+            raised += 1
+        else:
+            assert (gf2.matvec(full, x) == np.array(inst.rhs, dtype=np.uint8)).all()
+    assert raised > 0
+
+
 def test_peel_free_extension_is_identity():
     rows = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
     inst = Instance(3, 4, 4, rows, [1, 1, 0, 0], MODEL_UNCONSTRAINED)
