@@ -272,8 +272,9 @@ def _hk_tail(s: Interval, d: Interval, LAM: Interval) -> Interval:
 
 
 def _hk_dlam(s: Interval, d: Interval, LAM: Interval) -> Interval:
-    num = s * fprime_int(LAM * s) + d * fprime_int(LAM * d)
-    den = f_int(LAM * s) + f_int(LAM * d)
+    ls, ld = LAM * s, LAM * d
+    num = s * fprime_int(ls) + d * fprime_int(ld)
+    den = f_int(ls) + f_int(ld)
     return num / den - fprime_int(LAM) / f_int(LAM)
 
 

@@ -81,7 +81,7 @@ class ExperimentConfig:
     n: int
     trials: int
     master_seed: int
-    model: str = MODEL_UNCONSTRAINED
+    model: str | None = None  # None: the kind's forced model, else unconstrained
     c_grid: list[float] | None = None
     m_list: list[int] | None = None
     w_list: list[int] | None = None
@@ -91,8 +91,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        forced = _KINDS[self.kind][3]
         # a kind's forced model (collision_check's relaxed_C) is valid for that kind, so its echo runs again
-        if self.model not in _MODELS and self.model != _KINDS[self.kind][3]:
+        if forced is not None and self.model not in (None, forced):
+            raise ValueError(f"{self.kind} runs the {forced} model, not {self.model!r}")
+        if forced is None and self.model not in (None, *_MODELS):
             raise ValueError(f"unknown model {self.model!r}; expected {' or '.join(_MODELS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -360,9 +363,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict] | dict, list[dict]
     to <out>.summary.json when cfg.out is set, next to the CSV at cfg.out.
     """
     cfg.validate()
-    _, header, aggregate, model = _KINDS[cfg.kind]
-    if model is not None:
-        cfg = replace(cfg, model=model)
+    _, header, aggregate, forced = _KINDS[cfg.kind]
+    cfg = replace(cfg, model=forced or cfg.model or MODEL_UNCONSTRAINED)
     t0 = time.time()
     points = cfg.points()
     tasks = []

@@ -50,15 +50,18 @@ def down(x: float, ulps: int = 2) -> float:
     return x
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Interval:
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, lo: float, hi: float) -> None:
         # false for inverted ends and for a NaN at either end
-        if not self.lo <= self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+        if not lo <= hi:
+            raise ValueError(f"invalid interval [{lo}, {hi}]")
+        # the dataclass's frozen __setattr__ refuses; the slot descriptors write past it
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     # -- constructors -------------------------------------------------------
 
@@ -80,10 +83,15 @@ class Interval:
         return self.lo <= x <= self.hi
 
     # -- arithmetic (a plain number operand is a point interval) -------------
+    # Each end is rounded outward by 2 ulps exactly as down()/up() do, written
+    # inline because a certify round makes a few hundred thousand of these calls.
 
     def __add__(self, other) -> "Interval":
-        o = other if isinstance(other, Interval) else Interval.point(float(other))
-        return Interval(down(self.lo + o.lo), up(self.hi + o.hi))
+        if isinstance(other, Interval):
+            olo, ohi = other.lo, other.hi
+        else:
+            olo = ohi = float(other)
+        return Interval(_NEXT(_NEXT(self.lo + olo, -_INF), -_INF), _NEXT(_NEXT(self.hi + ohi, _INF), _INF))
 
     __radd__ = __add__
 
@@ -91,37 +99,54 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other) -> "Interval":
-        o = other if isinstance(other, Interval) else Interval.point(float(other))
-        return Interval(down(self.lo - o.hi), up(self.hi - o.lo))
+        if isinstance(other, Interval):
+            olo, ohi = other.lo, other.hi
+        else:
+            olo = ohi = float(other)
+        return Interval(_NEXT(_NEXT(self.lo - ohi, -_INF), -_INF), _NEXT(_NEXT(self.hi - olo, _INF), _INF))
 
     def __rsub__(self, other) -> "Interval":
         return Interval.point(float(other)) - self
 
     def __mul__(self, other) -> "Interval":
-        o = other if isinstance(other, Interval) else Interval.point(float(other))
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(down(min(products)), up(max(products)))
+        lo, hi = self.lo, self.hi
+        if isinstance(other, Interval):
+            olo, ohi = other.lo, other.hi
+        else:
+            olo = ohi = float(other)
+        a, b, c, d = lo * olo, lo * ohi, hi * olo, hi * ohi
+        # min/max in this order: a NaN product (0 * inf) resolves as it always has
+        return Interval(_NEXT(_NEXT(min(a, b, c, d), -_INF), -_INF), _NEXT(_NEXT(max(a, b, c, d), _INF), _INF))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        o = other if isinstance(other, Interval) else Interval.point(float(other))
-        if o.lo <= 0.0 <= o.hi:
-            raise ZeroDivisionError(f"divisor interval [{o.lo}, {o.hi}] contains zero")
-        quotients = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return Interval(down(min(quotients)), up(max(quotients)))
+        if isinstance(other, Interval):
+            olo, ohi = other.lo, other.hi
+        else:
+            olo = ohi = float(other)
+        if olo <= 0.0 <= ohi:
+            raise ZeroDivisionError(f"divisor interval [{olo}, {ohi}] contains zero")
+        lo, hi = self.lo, self.hi
+        a, b, c, d = lo / olo, lo / ohi, hi / olo, hi / ohi
+        return Interval(_NEXT(_NEXT(min(a, b, c, d), -_INF), -_INF), _NEXT(_NEXT(max(a, b, c, d), _INF), _INF))
 
     def __rtruediv__(self, other) -> "Interval":
         return Interval.point(float(other)) / self
 
     def sq(self) -> "Interval":
         """x^2 as an even power (tighter than self * self when 0 is inside)."""
-        if self.lo >= 0.0:
-            return Interval(down(self.lo * self.lo), up(self.hi * self.hi))
-        if self.hi <= 0.0:
-            return Interval(down(self.hi * self.hi), up(self.lo * self.lo))
-        m = max(-self.lo, self.hi)
-        return Interval(0.0, up(m * m))
+        lo, hi = self.lo, self.hi
+        if lo >= 0.0:
+            return Interval(_NEXT(_NEXT(lo * lo, -_INF), -_INF), _NEXT(_NEXT(hi * hi, _INF), _INF))
+        if hi <= 0.0:
+            return Interval(_NEXT(_NEXT(hi * hi, -_INF), -_INF), _NEXT(_NEXT(lo * lo, _INF), _INF))
+        m = max(-lo, hi)
+        return Interval(0.0, _NEXT(_NEXT(m * m, _INF), _INF))
+
+
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
 
 
 def clamp(x: Interval, lo: float, hi: float) -> Interval:
@@ -155,13 +180,14 @@ def iexp(x: Interval) -> Interval:
 
 
 def iexpm1(x: Interval) -> Interval:
-    return Interval(max(down(math.expm1(x.lo)), -1.0), up(math.expm1(x.hi)))
+    lo = _NEXT(_NEXT(math.expm1(x.lo), -_INF), -_INF)
+    return Interval(max(lo, -1.0), _NEXT(_NEXT(math.expm1(x.hi), _INF), _INF))
 
 
 def ilog(x: Interval) -> Interval:
     if x.lo <= 0.0:
         raise ValueError(f"log needs a positive interval, got [{x.lo}, {x.hi}]")
-    return Interval(down(math.log(x.lo)), up(math.log(x.hi)))
+    return Interval(_NEXT(_NEXT(math.log(x.lo), -_INF), -_INF), _NEXT(_NEXT(math.log(x.hi), _INF), _INF))
 
 
 def icosh(x: Interval) -> Interval:
@@ -198,11 +224,13 @@ def _f_point(x: float) -> Interval:
 
 def f_int(x: Interval) -> Interval:
     """Enclosure of f over an interval; f decreases on (-inf,0], increases on [0,inf), f(0)=0."""
+    f_lo = _f_point(x.lo)
+    f_hi = f_lo if x.hi == x.lo else _f_point(x.hi)  # a point interval has one end
     if x.lo >= 0.0:
-        return Interval(max(_f_point(x.lo).lo, 0.0), _f_point(x.hi).hi)
+        return Interval(max(f_lo.lo, 0.0), f_hi.hi)
     if x.hi <= 0.0:
-        return Interval(max(_f_point(x.hi).lo, 0.0), _f_point(x.lo).hi)
-    return Interval(0.0, max(_f_point(x.lo).hi, _f_point(x.hi).hi))
+        return Interval(max(f_hi.lo, 0.0), f_lo.hi)
+    return Interval(0.0, max(f_lo.hi, f_hi.hi))
 
 
 def fprime_int(x: Interval) -> Interval:
@@ -261,9 +289,10 @@ def entropy_int(a: Interval) -> Interval:
     """Range of H over a sub-interval of [0, 1] (max ln 2 at 1/2, monotone on each side)."""
     if a.lo < 0.0 or a.hi > 1.0:
         raise ValueError("entropy interval must lie inside [0, 1]")
-    ends = (_H_point(a.lo), _H_point(a.hi))
-    lo = min(e.lo for e in ends)
-    hi = max(e.hi for e in ends)
+    h_lo = _H_point(a.lo)
+    h_hi = h_lo if a.hi == a.lo else _H_point(a.hi)  # a point interval has one end
+    lo = min(h_lo.lo, h_hi.lo)
+    hi = max(h_lo.hi, h_hi.hi)
     if a.lo < 0.5 < a.hi:
         hi = max(hi, up(math.log(2.0)))
     return Interval(max(lo, 0.0), hi)
@@ -282,9 +311,10 @@ def ixlog_ratio(a: Interval, z: float) -> Interval:
         X = Interval.point(x)
         return X * ilog(X / Interval.point(z))
 
-    ends = (t_point(a.lo), t_point(a.hi))
-    lo = min(e.lo for e in ends)
-    hi = max(e.hi for e in ends)
+    t_lo = t_point(a.lo)
+    t_hi = t_lo if a.hi == a.lo else t_point(a.hi)  # a point interval has one end
+    lo = min(t_lo.lo, t_hi.lo)
+    hi = max(t_lo.hi, t_hi.hi)
     crit = z / math.e
     if a.lo < crit < a.hi:
         lo = min(lo, down(-z / math.e, 4))

@@ -237,6 +237,17 @@ def test_bad_experiment_config_exits_1(tmp_path, config, message):
     assert not out_csv.exists()
 
 
+def test_experiment_model_contradicting_the_kind_exits_1(tmp_path):
+    out_csv = tmp_path / "c.csv"
+    code, out, err = run_cli(["experiment", "--kind", "core_check", "--model", "constrained", "--k", "3", "--n", "100",
+                              "--trials", "2", "--c-grid", "0.5", "--out", str(out_csv)])
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config:")] == [
+        "error: core_check runs the unconstrained model, not 'constrained'"]
+    assert not out_csv.exists()
+
+
 def test_plot_subcommand(tmp_path):
     out_csv = tmp_path / "s.csv"
     run_cli([

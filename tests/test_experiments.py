@@ -229,17 +229,30 @@ def test_campaign_csv_same_under_both_kernels(monkeypatch, ext_kernel, name):
 
 
 def test_forced_model_shows_in_config_echo():
-    cfg = ExperimentConfig("window_check", 3, 40, 1, 2, "unconstrained", w_list=[3])
-    _, _, summary = run_experiment(cfg)
-    assert summary["config"] == {**cfg.to_json_dict(), "model": "constrained"}
-    assert cfg.model == "unconstrained"
-    cfg = ExperimentConfig("core_check", 3, 40, 1, 2, "constrained", c_grid=[0.9])
-    _, _, summary = run_experiment(cfg)
-    assert summary["config"] == {**cfg.to_json_dict(), "model": "unconstrained"}
-    assert "tiny_identity_max" not in summary["config"]
-    cfg = ExperimentConfig("collision_check", 3, 40, 2, 2, "constrained", m_list=[40])
-    _, _, summary = run_experiment(cfg)
-    assert summary["config"] == {**cfg.to_json_dict(), "model": "relaxed_C"}
+    # an omitted model echoes the kind's forced model, or unconstrained where none is forced
+    for kind, model, kw in (("window_check", "constrained", {"w_list": [3]}),
+                            ("core_check", "unconstrained", {"c_grid": [0.9]}),
+                            ("collision_check", "relaxed_C", {"m_list": [40]}),
+                            ("sat_sweep", "unconstrained", {"c_grid": [0.9]})):
+        cfg = ExperimentConfig(kind, 3, 40, 2, 2, **kw)
+        _, _, summary = run_experiment(cfg)
+        assert summary["config"] == {**cfg.to_json_dict(), "model": model}
+        assert cfg.model is None
+        assert "tiny_identity_max" not in summary["config"]
+        # naming the forced model is the same config
+        _, _, named = run_experiment(ExperimentConfig(kind, 3, 40, 2, 2, model, **kw))
+        assert named["config"] == summary["config"] and named["csv_sha256"] == summary["csv_sha256"]
+
+
+@pytest.mark.parametrize("kind,model,kw,forced", [
+    ("window_check", "unconstrained", {"w_list": [3]}, "constrained"),
+    ("core_check", "constrained", {"c_grid": [0.9]}, "unconstrained"),
+    ("collision_check", "constrained", {"m_list": [40]}, "relaxed_C"),
+])
+def test_model_contradicting_the_forced_one_is_refused(kind, model, kw, forced):
+    cfg = ExperimentConfig(kind, 3, 40, 2, 2, model, **kw)
+    with pytest.raises(ValueError, match=rf"^{kind} runs the {forced} model, not '{model}'$"):
+        run_experiment(cfg)
 
 
 def test_run_experiment_dispatch():

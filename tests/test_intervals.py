@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -26,6 +28,8 @@ from xorsatlab.intervals import (
     psi_int,
     rate_numerator,
     up,
+    _f_point,
+    _H_point,
 )
 
 
@@ -61,6 +65,14 @@ def test_interval_rejects_nan_ends_and_is_frozen():
     assert x == Interval(1.0, 2.0) and x != Interval(1.0, 3.0)
     assert hash(x) == hash(Interval(1.0, 2.0)) == hash((1.0, 2.0))
     assert len({x, Interval(1.0, 2.0), Interval(0.0, 2.0)}) == 2
+
+
+def test_interval_value_semantics():
+    x = Interval(1.0, 2.0)
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is Interval and twin == x and hash(twin) == hash(x)
+    assert repr(x) == "Interval(lo=1.0, hi=2.0)"
+    assert x != (1.0, 2.0)
 
 
 def test_two_ulp_padding_matches_stepwise_nextafter():
@@ -189,3 +201,155 @@ def test_lambda_interval_brackets_true_roots():
         assert lam.contains(mid)
     with pytest.raises(ValueError):
         lambda_interval(Interval(1.5, 2.5))
+
+
+# -- the inline-rounded operations against the down/up formulas they replace --
+
+
+def _bits(x: Interval) -> tuple[str, str]:
+    return x.lo.hex(), x.hi.hex()  # tells -0.0 from 0.0
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+def _ref_operand(o) -> Interval:
+    return o if isinstance(o, Interval) else Interval(float(o), float(o))
+
+
+def _ref_add(x, y):
+    y = _ref_operand(y)
+    return Interval(down(x.lo + y.lo), up(x.hi + y.hi))
+
+
+def _ref_sub(x, y):
+    y = _ref_operand(y)
+    return Interval(down(x.lo - y.hi), up(x.hi - y.lo))
+
+
+def _ref_mul(x, y):
+    y = _ref_operand(y)
+    products = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return Interval(down(min(products)), up(max(products)))
+
+
+def _ref_div(x, y):
+    y = _ref_operand(y)
+    if y.lo <= 0.0 <= y.hi:
+        raise ZeroDivisionError
+    quotients = (x.lo / y.lo, x.lo / y.hi, x.hi / y.lo, x.hi / y.hi)
+    return Interval(down(min(quotients)), up(max(quotients)))
+
+
+def _ref_sq(x):
+    if x.lo >= 0.0:
+        return Interval(down(x.lo * x.lo), up(x.hi * x.hi))
+    if x.hi <= 0.0:
+        return Interval(down(x.hi * x.hi), up(x.lo * x.lo))
+    m = max(-x.lo, x.hi)
+    return Interval(0.0, up(m * m))
+
+
+def _ref_ilog(x):
+    if x.lo <= 0.0:
+        raise ValueError
+    return Interval(down(math.log(x.lo)), up(math.log(x.hi)))
+
+
+def _ref_iexpm1(x):
+    return Interval(max(down(math.expm1(x.lo)), -1.0), up(math.expm1(x.hi)))
+
+
+_BIG = 1.7976931348623157e308
+_SPECIAL_ENDS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, _BIG, -_BIG, 1e200, -1e200, 1e-200, 1.0, -1.0]
+
+
+def _operands(seed: int, count: int) -> list[Interval]:
+    """Random intervals plus every ordered pair of special ends (products overflow, 0 * inf is NaN)."""
+    rnd = random.Random(seed)
+    out = [Interval(a, b) for a in _SPECIAL_ENDS for b in _SPECIAL_ENDS if a <= b]
+    for _ in range(count):
+        scale = 10.0 ** rnd.choice((-300, -5, 0, 5, 300))
+        a, b = sorted((rnd.uniform(-1, 1) * scale, rnd.uniform(-1, 1) * scale))
+        out.append(Interval(a, a) if rnd.random() < 0.1 else Interval(a, b))
+    return out
+
+
+def test_inline_rounding_matches_down_up_formulas():
+    rnd = random.Random(19)
+    xs = _operands(19, 3000)
+    ys = xs[:]
+    rnd.shuffle(ys)
+    plains = [2, -3, 0, 0.5, -0.0, 5e-324, _BIG, math.inf, -math.inf]
+    for x, y in zip(xs, ys):
+        for o in (y, rnd.choice(plains), rnd.uniform(-10, 10)):
+            assert _outcome(lambda a, b: a + b, x, o) == _outcome(_ref_add, x, o)
+            assert _outcome(lambda a, b: b + a, x, o) == _outcome(_ref_add, x, o)
+            assert _outcome(lambda a, b: a - b, x, o) == _outcome(_ref_sub, x, o)
+            assert _outcome(lambda a, b: b - a, x, o) == _outcome(_ref_sub, _ref_operand(o), x)
+            assert _outcome(lambda a, b: a * b, x, o) == _outcome(_ref_mul, x, o)
+            assert _outcome(lambda a, b: b * a, x, o) == _outcome(_ref_mul, x, o)
+            assert _outcome(lambda a, b: a / b, x, o) == _outcome(_ref_div, x, o)
+            assert _outcome(lambda a, b: b / a, x, o) == _outcome(_ref_div, _ref_operand(o), x)
+        assert _outcome(Interval.sq, x) == _outcome(_ref_sq, x)
+        assert _outcome(ilog, x) == _outcome(_ref_ilog, x)
+        assert _outcome(iexpm1, x) == _outcome(_ref_iexpm1, x)
+    # a 0 * inf product is NaN and min/max resolve it by position, as before
+    assert _bits(Interval(0.0, 1.0) * Interval(1.0, math.inf)) == _bits(_ref_mul(Interval(0.0, 1.0), Interval(1.0, math.inf)))
+    for divisor in (Interval(-1.0, 1.0), Interval(0.0, 1.0), Interval(-1.0, -0.0), Interval(-0.0, 0.0), 0, 0.0):
+        with pytest.raises(ZeroDivisionError):
+            Interval(1.0, 2.0) / divisor
+    with pytest.raises(ZeroDivisionError):
+        1.0 / Interval(-0.0, 2.0)
+
+
+def _ref_entropy_int(a):
+    ends = (_H_point(a.lo), _H_point(a.hi))
+    lo = min(e.lo for e in ends)
+    hi = max(e.hi for e in ends)
+    if a.lo < 0.5 < a.hi:
+        hi = max(hi, up(math.log(2.0)))
+    return Interval(max(lo, 0.0), hi)
+
+
+def _ref_ixlog_ratio(a, z):
+    def t_point(x):
+        if x == 0.0:
+            return Interval.point(0.0)
+        X = Interval.point(x)
+        return X * ilog(X / Interval.point(z))
+
+    ends = (t_point(a.lo), t_point(a.hi))
+    lo = min(e.lo for e in ends)
+    hi = max(e.hi for e in ends)
+    if a.lo < z / math.e < a.hi:
+        lo = min(lo, down(-z / math.e, 4))
+    return Interval(lo, hi)
+
+
+def _ref_f_int(x):
+    if x.lo >= 0.0:
+        return Interval(max(_f_point(x.lo).lo, 0.0), _f_point(x.hi).hi)
+    if x.hi <= 0.0:
+        return Interval(max(_f_point(x.hi).lo, 0.0), _f_point(x.lo).hi)
+    return Interval(0.0, max(_f_point(x.lo).hi, _f_point(x.hi).hi))
+
+
+def test_point_intervals_match_two_end_evaluation():
+    rnd = random.Random(20)
+    units = [0.0, -0.0, 1.0, 0.5, 5e-324, 1.0 - 2**-53] + [rnd.random() for _ in range(1000)]
+    reals = [0.0, -0.0, 0.25, -0.25, 5e-324, 700.0] + [rnd.uniform(-8, 8) for _ in range(1000)]
+    for a in units:
+        z = rnd.uniform(0.01, 2.0)
+        one_ulp = Interval(a, min(math.nextafter(a, 1.0), 1.0))
+        for A in (Interval.point(a), one_ulp, Interval(min(a, 0.5), max(a, 0.5))):
+            assert _outcome(entropy_int, A) == _outcome(_ref_entropy_int, A)
+            assert _outcome(ixlog_ratio, A, z) == _outcome(_ref_ixlog_ratio, A, z)
+    for x in reals:
+        one_ulp = Interval(x, math.nextafter(x, math.inf))
+        for X in (Interval.point(x), one_ulp, Interval(min(x, 0.1), max(x, 0.1))):
+            assert _outcome(f_int, X) == _outcome(_ref_f_int, X)
