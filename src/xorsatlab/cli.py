@@ -67,7 +67,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(getattr(args, "in"))
-    res = solve(BitMatrix.from_sparse_rows(inst.n, inst.rows), inst.rhs)
+    res = solve(BitMatrix.from_sparse_rows(inst.n, inst.index), inst.bits)
     out = {
         "consistent": res.consistent,
         "rank": res.rank,
@@ -75,7 +75,7 @@ def _cmd_solve(args) -> int:
     }
     if args.solution and res.one_solution is not None:
         out["one_solution"] = res.one_solution.tolist()
-        if (inst.lhs(res.one_solution) != inst.rhs).any():
+        if (inst.lhs(res.one_solution) != inst.bits).any():
             raise XorsatLabError("internal check failed: solution does not satisfy the system")
     print(json.dumps(out))
     return 0
@@ -93,7 +93,7 @@ def _cmd_peel(args) -> int:
         "ratio": stats.ratio,
     }
     if args.solve:
-        res = solve(BitMatrix.from_sparse_rows(core.n, core.rows), core.rhs)
+        res = solve(BitMatrix.from_sparse_rows(core.n, core.index), core.bits)
         out["consistent"] = res.consistent
         if res.consistent:
             extend_solution(res.one_solution, trace, inst)  # checks every equation of `inst`

@@ -43,12 +43,14 @@ deterministic.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -67,7 +69,7 @@ from xorsatlab.instances import (
     gen_constrained,
     gen_unconstrained,
 )
-from xorsatlab.peel import gc_paused, two_core
+from xorsatlab.peel import two_core
 from xorsatlab.rng import Seed, mix_streams
 
 TINY_IDENTITY_MAX = 10  # census: check the identity over all 2^n assignments when m, n are both <= this
@@ -150,7 +152,7 @@ def _task_sat(params: dict, seed: Seed) -> dict:
         system, _, _ = two_core(gen_unconstrained(k, m, n, seed))  # same satisfiability, smaller system
     else:
         system = gen_constrained(k, m, n, seed)
-    res = solve(BitMatrix.from_sparse_rows(system.n, system.rows), system.rhs)
+    res = solve(BitMatrix.from_sparse_rows(system.n, system.index), system.bits)
     return {
         "sat": int(res.consistent),
         "rank": res.rank,
@@ -163,7 +165,7 @@ def _task_sat(params: dict, seed: Seed) -> dict:
 def _task_census(params: dict, seed: Seed) -> dict:
     k, n, m = params["k"], params["n"], params["m"]
     inst = gen_constrained(k, m, n, seed)
-    res = solve(BitMatrix.from_sparse_rows(n, inst.rows), inst.rhs)
+    res = solve(BitMatrix.from_sparse_rows(n, inst.index), inst.bits)
     nullity = m - res.rank
     critical = (1 << nullity) - 1
     identity_ok = ""
@@ -194,12 +196,26 @@ def _task_collision(params: dict, seed: Seed) -> dict:
     return {"collisions": collision_count(alloc), "degree_retries": alloc.retries}
 
 
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector; on exit, turn it back on only if
+    it was on, also when the block raises."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 def _run_one(task):
     """One trial's CSV row: the shared columns from the point's params, the rest from the kind's task.
 
-    The task runs with the cyclic collector paused: a trial's rows are tens
-    of thousands of small lists with no cycles among them, which the
-    collector would otherwise walk again and again while they are built.
+    The task runs with the cyclic collector paused: `solve` reads the packed
+    rows back into per-column lists, thousands of small lists with no cycles
+    among them, which the collector would otherwise walk again and again
+    while they are built.
     """
     kind, params, point_idx, trial_idx = task
     task_fn, header = _KINDS[kind][:2]

@@ -84,17 +84,22 @@ class BitMatrix:
         return mat
 
     @classmethod
-    def from_sparse_rows(cls, cols: int, index_rows: Iterable[Sequence[int]]) -> "BitMatrix":
-        """Build from per-row column index lists; repeated indices toggle (parity)."""
-        index_rows = list(index_rows)
+    def from_sparse_rows(cls, cols: int, index_rows: Iterable[Sequence[int]] | np.ndarray) -> "BitMatrix":
+        """Build from per-row column index lists, or from one (m, k) integer
+        array read in one numpy pass; repeated indices toggle (parity)."""
+        if isinstance(index_rows, np.ndarray) and index_rows.ndim == 2 and np.can_cast(index_rows.dtype, np.int64):
+            flat = index_rows.astype(np.int64, copy=False).ravel()
+            lengths = index_rows.shape[1]
+        else:
+            index_rows = list(index_rows)
+            lengths = [len(idxs) for idxs in index_rows]
+            try:
+                flat = np.fromiter(
+                    map(operator.index, chain.from_iterable(index_rows)), dtype=np.int64, count=sum(lengths)
+                )
+            except OverflowError:
+                flat = None
         mat = cls.zeros(len(index_rows), cols)
-        lengths = [len(idxs) for idxs in index_rows]
-        try:
-            flat = np.fromiter(
-                map(operator.index, chain.from_iterable(index_rows)), dtype=np.int64, count=sum(lengths)
-            )
-        except OverflowError:
-            flat = None
         if flat is None or (flat.size and (flat.min() < 0 or flat.max() >= cols)):
             bad = next(j for idxs in index_rows for j in idxs if not 0 <= j < cols)
             raise ValueError(f"column index {bad} out of range [0, {cols})")

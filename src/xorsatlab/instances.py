@@ -58,55 +58,83 @@ _MODELS = (MODEL_UNCONSTRAINED, MODEL_CONSTRAINED)  # index = the binary model b
 _DEGREE_BATCH = 64  # fixed so streams are consumed identically everywhere
 
 
-@dataclass
+@dataclass(eq=False)
 class Instance:
     """A k-XORSAT system: m weight-k equations over n variables plus rhs bits.
 
-    Row index lists are strictly increasing.
+    Stored as `index`, a C-contiguous (m, k) int64 array of variable ids
+    with each row strictly increasing, and `bits`, the (m,) uint8 rhs.  The
+    constructor keeps an integer array as it is (cast to int64 if need be)
+    and converts row and bit lists once.  It refuses k < 1, n < 0 and what no
+    such array holds: a ragged row, an index that is not an integer or lies
+    beyond int64, an rhs entry other than 0 and 1, each with the message the
+    list-reading `validate` gave.  `validate` checks the rest on the arrays.
+    `rows` and `rhs` are read-only list views, rebuilt on every read: they
+    serve JSON, the binary writer and outside callers; loops read the arrays.
     """
 
     k: int
     n: int
     m: int
-    rows: list[list[int]]
-    rhs: list[int]
+    index: np.ndarray
+    bits: np.ndarray
     model_tag: str
     seed: Seed | None = None
+
+    def __post_init__(self) -> None:
+        if self.k < 1 or self.n < 0:
+            raise InstanceFormatError(f"need k >= 1 and n >= 0, got k={self.k}, n={self.n}")
+        index = self.index
+        if not (isinstance(index, np.ndarray) and index.ndim == 2 and np.can_cast(index.dtype, np.int64)):
+            rows = list(index)
+            if any(len(row) != self.k for row in rows):
+                raise InstanceFormatError("row weight does not match k")
+            index = _index_array([*chain.from_iterable(rows)], len(rows), self.k, self.n)
+        self.index = np.ascontiguousarray(index, dtype=np.int64)
+        if not (isinstance(self.bits, np.ndarray) and self.bits.dtype == np.uint8):
+            bits = np.array(self.bits, dtype=object)  # compared as Python values, so 2**70 or "1" is not cast
+            if not ((bits == 0) | (bits == 1)).all():
+                raise InstanceFormatError("rhs must be 0/1")
+            self.bits = bits.astype(np.uint8)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The index rows as lists, rebuilt from `index` on every read."""
+        return self.index.tolist()
+
+    @property
+    def rhs(self) -> list[int]:
+        """The rhs bits as a list, rebuilt from `bits` on every read."""
+        return self.bits.tolist()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (self.k, self.n, self.m, self.model_tag, self.seed) == (
+            other.k, other.n, other.m, other.model_tag, other.seed
+        ) and np.array_equal(self.index, other.index) and np.array_equal(self.bits, other.bits)
 
     def validate(self) -> None:
         """Raise InstanceFormatError unless this is a well-formed instance of its model."""
         if self.model_tag not in _MODELS:
             raise InstanceFormatError(f"unknown model_tag {self.model_tag!r}")
-        if self.k < 1 or self.n < 0:
-            raise InstanceFormatError(f"need k >= 1 and n >= 0, got k={self.k}, n={self.n}")
-        if len(self.rows) != self.m or len(self.rhs) != self.m:
+        index = self.index
+        if index.shape[0] != self.m or self.bits.shape != (self.m,):
             raise InstanceFormatError("row/rhs count does not match m")
-        if set(map(len, self.rows)) - {self.k}:
+        if index.shape[1] != self.k:
             raise InstanceFormatError("row weight does not match k")
-        try:  # each check reads all rows at once; a bad index is looked up only on failure
-            flat = np.fromiter(map(operator.index, chain.from_iterable(self.rows)), np.int64, self.k * self.m)
-        except TypeError:  # operator.index refuses a float rather than truncate it
-            bad = next(j for j in chain.from_iterable(self.rows) if not hasattr(type(j), "__index__"))
-            raise InstanceFormatError(f"variable index {bad!r} is not an integer") from None
-        except OverflowError:  # an index beyond int64: compare Python ints instead
-            flat = np.array([*chain.from_iterable(self.rows)], dtype=object)
-        if (np.diff(flat.reshape(self.m, self.k), axis=1) < 1).any():
+        if (np.diff(index, axis=1) < 1).any():
             raise InstanceFormatError("row indices must be strictly increasing")
-        if flat.size and (flat.min() < 0 or flat.max() >= self.n):
-            bad = next(j for j in chain.from_iterable(self.rows) if not 0 <= j < self.n)
-            raise InstanceFormatError(f"variable index {bad} out of range")
-        if not {*self.rhs} <= {0, 1}:
+        outside = (index < 0) | (index >= self.n)
+        if outside.any():
+            raise InstanceFormatError(f"variable index {index[outside][0]} out of range")
+        if (self.bits > 1).any():
             raise InstanceFormatError("rhs must be 0/1")
         # 2n > km is checked first, so an absurd n is refused before the tally is allocated
         if self.model_tag == MODEL_CONSTRAINED and self.n and (
-            2 * self.n > self.k * self.m or np.bincount(flat, minlength=self.n).min() < 2
+            2 * self.n > self.k * self.m or np.bincount(index.ravel(), minlength=self.n).min() < 2
         ):
             raise InstanceFormatError("constrained instance has a variable of degree < 2")
-
-    def incidence(self) -> np.ndarray:
-        """The rows as one (m, k) int64 index array."""
-        flat = np.fromiter(chain.from_iterable(self.rows), dtype=np.int64, count=self.m * self.k)
-        return flat.reshape(self.m, self.k)
 
     def lhs(self, x) -> np.ndarray:
         """Each equation's left-hand side at `x` (one gather, one XOR-reduce):
@@ -118,12 +146,13 @@ class Instance:
             raise ValueError(f"assignment length {x.shape[:1]} does not match {self.n} variables")
         if not ((x == 0) | (x == 1)).all():
             raise ValueError("assignment entries must be 0 or 1")
-        return np.bitwise_xor.reduce(x.astype(np.uint8)[self.incidence()], axis=1)
+        return np.bitwise_xor.reduce(x.astype(np.uint8)[self.index], axis=1)
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self), seed=self.seed.to_dict() if self.seed is not None else None)
+        seed = self.seed.to_dict() if self.seed is not None else None
+        return dict(k=self.k, n=self.n, m=self.m, rows=self.rows, rhs=self.rhs, model_tag=self.model_tag, seed=seed)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
@@ -132,7 +161,8 @@ class Instance:
     def from_json_dict(cls, d: dict) -> "Instance":
         """Parse `to_json_dict` output; raise InstanceFormatError on a missing,
         unknown or mistyped key or an invalid instance."""
-        inst = from_json(cls, d, InstanceFormatError, "instance")
+        f = from_json(_InstanceJSON, d, InstanceFormatError, "instance")
+        inst = cls(f.k, f.n, f.m, f.rows, f.rhs, f.model_tag, f.seed)
         inst.validate()
         return inst
 
@@ -162,8 +192,7 @@ class Instance:
             _put_varint(out, row[0])
             for a, b in zip(row, row[1:]):
                 _put_varint(out, b - a)
-        packed = np.packbits(np.asarray(self.rhs, dtype=np.uint8), bitorder="little")
-        out += packed.tobytes()
+        out += np.packbits(self.bits, bitorder="little").tobytes()
         return bytes(out)
 
     @classmethod
@@ -201,22 +230,50 @@ class Instance:
         # each row index takes at least one byte: refuse sizes before allocating
         if m * k + nbytes > len(blob) - pos:
             raise InstanceFormatError(f"{len(blob) - pos} bytes cannot hold {m} rows of {k} indices")
-        rows = []
+        flat = []  # row-major indices: each row's first index, then its gaps added up
         for _ in range(m):
-            first, pos = _get_varint(blob, pos)
-            row = [first]
-            for _ in range(k - 1):
-                gap, pos = _get_varint(blob, pos)
-                row.append(row[-1] + gap)
-            rows.append(row)
+            for j in range(k):
+                v, pos = _get_varint(blob, pos)
+                flat.append(flat[-1] + v if j else v)
         if len(blob) - pos != nbytes:
             raise InstanceFormatError(f"expected {nbytes} rhs bytes, found {len(blob) - pos}")
         bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, count=nbytes, offset=pos), bitorder="little")
         if bits[m:].any():
             raise InstanceFormatError("nonzero padding after the rhs bits")
-        inst = cls(k, n, m, rows, bits[:m].tolist(), model, seed)
+        inst = cls(k, n, m, _index_array(flat, m, k, n), bits[:m], model, seed)
         inst.validate()
         return inst
+
+
+@dataclass
+class _InstanceJSON:
+    """The JSON keys of an `Instance`, with the types `from_json` reads them as."""
+
+    k: int
+    n: int
+    m: int
+    rows: list[list[int]]
+    rhs: list[int]
+    model_tag: str
+    seed: Seed | None = None
+
+
+def _index_array(flat: list, m: int, k: int, n: int) -> np.ndarray:
+    """The row-major indices `flat` as an (m, k) int64 array.  An index that
+    is not an integer, or lies beyond int64, is refused with the message
+    `Instance.validate` gives; so is a k too wide for an array of no rows."""
+    try:
+        return np.fromiter(map(operator.index, flat), np.int64, m * k).reshape(m, k)
+    except TypeError:  # operator.index refuses a float rather than truncate it
+        bad = next(j for j in flat if not hasattr(type(j), "__index__"))
+        raise InstanceFormatError(f"variable index {bad!r} is not an integer") from None
+    except OverflowError:  # an index beyond int64: compare Python ints instead
+        if (np.diff(np.array(flat, dtype=object).reshape(m, k), axis=1) < 1).any():
+            raise InstanceFormatError("row indices must be strictly increasing") from None
+        bad = next(j for j in flat if not 0 <= j < min(n, 1 << 63))
+        raise InstanceFormatError(f"variable index {bad} out of range") from None
+    except ValueError:  # no rows, and numpy has no (0, k) shape for so large a k
+        raise InstanceFormatError(f"row weight {k} is too large for an index array") from None
 
 
 def _put_varint(out: bytearray, v: int) -> None:
@@ -263,12 +320,12 @@ def gen_unconstrained(k: int, m: int, n: int, seed: Seed) -> Instance:
             redraw.sort(axis=1)
             rows_arr[bad] = redraw
             bad = bad[(np.diff(redraw, axis=1) == 0).any(axis=1)]
-        rows = rows_arr.tolist()
     else:
         # dense rows: rejection would stall, take sorted permutation prefixes
-        rows = [sorted(rng.permutation(n)[:k].tolist()) for _ in range(m)]
-    rhs = rng.integers(0, 2, size=m).tolist()
-    return Instance(k, n, m, rows, rhs, MODEL_UNCONSTRAINED, seed)
+        rows_arr = np.array([rng.permutation(n)[:k] for _ in range(m)], dtype=np.int64).reshape(m, k)
+        rows_arr.sort(axis=1)
+    bits = rng.integers(0, 2, size=m).astype(np.uint8)
+    return Instance(k, n, m, rows_arr, bits, MODEL_UNCONSTRAINED, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +473,10 @@ class ChipAllocation:
     def column_degrees(self) -> np.ndarray:
         return np.bincount(self.chip_columns, minlength=self.n)
 
-    def row_column_lists(self) -> list[list[int]]:
-        """Per-row sorted column multisets; a column repeats where a cell holds several chips."""
-        cols = self.chip_columns.reshape(self.m, self.k)
-        return np.sort(cols, axis=1).tolist()
+    def row_columns(self) -> np.ndarray:
+        """Per-row sorted column multisets as one (m, k) array; a column repeats
+        where a cell holds several chips."""
+        return np.sort(self.chip_columns.reshape(self.m, self.k), axis=1)
 
     def validate(self) -> None:
         if self.chip_columns.shape != (self.k * self.m,):
@@ -484,9 +541,8 @@ def gen_constrained(
         alloc = _gen_C(rng, k, m, n, degrees)
         if not _has_row_duplicate(alloc.chip_columns, k, m):
             alloc.chip_columns = rng.permutation(n)[alloc.chip_columns]
-            rows = alloc.row_column_lists()
-            rhs = rng.integers(0, 2, size=m).tolist()
-            inst = Instance(k, n, m, rows, rhs, MODEL_CONSTRAINED, seed)
+            bits = rng.integers(0, 2, size=m).astype(np.uint8)
+            inst = Instance(k, n, m, alloc.row_columns(), bits, MODEL_CONSTRAINED, seed)
             inst.validate()
             return inst
     expected = math.exp(-_gamma(k, law.lam)) if law.lam > 0 and k >= 3 else float("nan")

@@ -27,9 +27,7 @@ its core is.
 
 from __future__ import annotations
 
-import gc
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -37,19 +35,6 @@ import numpy as np
 
 from xorsatlab.errors import from_json, json_value
 from xorsatlab.instances import MODEL_CONSTRAINED, Instance
-
-
-@contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector; on exit, turn it back on only if
-    it was on, also when the block raises."""
-    was_on = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_on:
-            gc.enable()
 
 
 @dataclass(eq=False)
@@ -75,12 +60,13 @@ class PeelTrace:
             other.n, other.m, other.core_var_ids, other.core_eq_ids) and np.array_equal(self.steps, other.steps)
 
     def to_json_dict(self, inst: Instance) -> dict:
-        """JSON form; each step is [var, eq, inst.rows[eq]], or [var, null,
-        null] for a degree-0 removal, so `inst` must be the peeled instance."""
+        """JSON form; each step is [var, eq, the row of equation eq], or [var,
+        null, null] for a degree-0 removal, so `inst` must be the peeled instance."""
+        rows = inst.rows
         return {
             "n": self.n,
             "m": self.m,
-            "steps": [[v, e, inst.rows[e]] if e >= 0 else [v, None, None] for v, e in self.steps.tolist()],
+            "steps": [[v, e, rows[e]] if e >= 0 else [v, None, None] for v, e in self.steps.tolist()],
             "core_var_ids": self.core_var_ids,
             "core_eq_ids": self.core_eq_ids,
         }
@@ -123,26 +109,26 @@ class CoreStats:
         return [self.core_vars, self.core_eqs, "" if self.ratio is None else repr(self.ratio)]
 
 
-def _peel_rounds(flat: np.ndarray, n: int):
-    """Round-synchronous peel of the (m, k) incidence array `flat`.
+def _peel_rounds(index: np.ndarray, n: int):
+    """Round-synchronous peel of the (m, k) index array `index`.
 
     Returns (step_vars, step_eqs, var_alive, eq_alive): the removals
     in trace order, with step_eqs -1 for a degree-0 removal, and the
     survivor masks.
     """
-    m, k = flat.shape
-    deg = np.bincount(flat.ravel(), minlength=n)
+    m, k = index.shape
+    deg = np.bincount(index.ravel(), minlength=n)
     # eqx[v] is the XOR of the ids of v's live equations: at degree 1 it is
     # that one equation's id, so no incidence lists are needed
     eqx = np.zeros(n, dtype=np.int64)
-    np.bitwise_xor.at(eqx, flat.ravel(), np.repeat(np.arange(m, dtype=np.int64), k))
+    np.bitwise_xor.at(eqx, index.ravel(), np.repeat(np.arange(m, dtype=np.int64), k))
     var_alive = np.ones(n, dtype=bool)
     eq_alive = np.ones(m, dtype=bool)
     # ties go to the first claimant in round order, the least id
     claim = np.full(m, n, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
     step_vars, step_eqs = [empty], [empty]
-    frontier = np.flatnonzero(deg <= 1)
+    frontier = (deg <= 1).nonzero()[0]
     while frontier.size:
         eqs = np.where(deg[frontier] == 1, eqx[frontier], -1)
         one = eqs >= 0
@@ -156,13 +142,12 @@ def _peel_rounds(flat: np.ndarray, n: int):
         var_alive[step_vars[-1]] = False
         gone = cand_eqs[won]
         eq_alive[gone] = False
-        touched = flat[gone].ravel()
+        touched = index[gone].ravel()
         np.subtract.at(deg, touched, 1)
         np.bitwise_xor.at(eqx, touched, np.repeat(gone, k))
         # a claimant that lost its equation is now at degree 0; it was in
         # that equation's row, so it is among the touched variables
-        touched = np.sort(touched[var_alive[touched] & (deg[touched] <= 1)])
-        frontier = touched[np.diff(touched, prepend=-1) != 0]
+        frontier = np.unique(touched[var_alive[touched] & (deg[touched] <= 1)])
     return np.concatenate(step_vars), np.concatenate(step_eqs), var_alive, eq_alive
 
 
@@ -177,26 +162,14 @@ def two_core(inst: Instance) -> tuple[Instance, PeelTrace, CoreStats]:
     the original equation order with variables renumbered by rank in
     core_var_ids.
     """
-    flat = inst.incidence()
-    step_vars, step_eqs, var_alive, eq_alive = _peel_rounds(flat, inst.n)
-    core_vars = np.flatnonzero(var_alive)
-    core_eqs = np.flatnonzero(eq_alive)
-    core_flat = (np.cumsum(var_alive) - 1)[flat[core_eqs]]
-    if core_vars.size and np.bincount(core_flat.ravel(), minlength=core_vars.size).min() < 2:
+    step_vars, step_eqs, var_alive, eq_alive = _peel_rounds(inst.index, inst.n)
+    core_vars = var_alive.nonzero()[0]
+    core_eqs = eq_alive.nonzero()[0]
+    core_index = (var_alive.cumsum() - 1)[inst.index[core_eqs]]
+    if core_vars.size and np.bincount(core_index.ravel(), minlength=core_vars.size).min() < 2:
         raise AssertionError("peeling left a variable of degree < 2 in the core")
-    # the core rows are tens of thousands of small lists; at n = 1e5 the
-    # collector's passes over them while they are built cost about as much
-    # as the rest of the call
-    with gc_paused():
-        core = Instance(
-            k=inst.k,
-            n=int(core_vars.size),
-            m=int(core_eqs.size),
-            rows=core_flat.tolist(),
-            rhs=np.asarray(inst.rhs, dtype=np.int64)[core_eqs].tolist(),
-            model_tag=MODEL_CONSTRAINED,
-            seed=inst.seed,
-        )
+    core_bits = inst.bits[core_eqs]
+    core = Instance(inst.k, core_vars.size, core_eqs.size, core_index, core_bits, MODEL_CONSTRAINED, inst.seed)
     steps = np.column_stack((step_vars, step_eqs))
     trace = PeelTrace(inst.n, inst.m, steps, core_vars.tolist(), core_eqs.tolist())
     return core, trace, _stats(core.n, core.m)
@@ -210,7 +183,7 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
     """Lift a core solution back to a full assignment satisfying `inst`.
 
     Peeled variables of degree 0 keep value 0; the rest are set in reverse
-    removal order so each satisfies its own equation, read from `inst.rows`.
+    removal order so each satisfies its own equation, read from `inst`.
     `inst.lhs` then checks every equation; ValueError names the first one
     violated, for a `two_core` trace a core equation.
     """
@@ -220,14 +193,15 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
     x = [0] * inst.n
     for cid, v in zip(core_solution, trace.core_var_ids):
         x[v] = cid
+    rows, rhs = inst.rows, inst.rhs
     for v, e in reversed(trace.steps.tolist()):
         if e >= 0:
-            acc = inst.rhs[e]
-            for u in inst.rows[e]:
+            acc = rhs[e]
+            for u in rows[e]:
                 if u != v:
                     acc ^= x[u]
             x[v] = acc
-    bad = np.flatnonzero(inst.lhs(x) != inst.rhs)
+    bad = np.flatnonzero(inst.lhs(x) != inst.bits)
     if bad.size:
         raise ValueError(f"lifted solution violates equation {bad[0]}")
     return x
@@ -235,7 +209,7 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
 
 def core_density(inst: Instance) -> CoreStats:
     """Peel and report core order/size only; no trace or core is built."""
-    _, _, var_alive, eq_alive = _peel_rounds(inst.incidence(), inst.n)
+    _, _, var_alive, eq_alive = _peel_rounds(inst.index, inst.n)
     return _stats(int(var_alive.sum()), int(eq_alive.sum()))
 
 

@@ -86,18 +86,19 @@ def test_criterion_03_oracle_equivalence():
         assert count_critical_sets(mat) == brute_force_critical_sets(mat)
 
     def naive_core_eqs(inst):
+        rows = inst.rows
         alive_eqs = set(range(inst.m))
         alive_vars = set(range(inst.n))
         while True:
             deg = Counter()
             for e in alive_eqs:
-                for v in inst.rows[e]:
+                for v in rows[e]:
                     deg[v] += 1
             low = {v for v in alive_vars if deg[v] <= 1}
             if not low:
                 return sorted(alive_eqs)
             alive_vars -= low
-            alive_eqs = {e for e in alive_eqs if not low.intersection(inst.rows[e])}
+            alive_eqs = {e for e in alive_eqs if not low.intersection(rows[e])}
 
     for i in range(200):
         n = int(rng.integers(50, 260))

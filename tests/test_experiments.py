@@ -11,7 +11,7 @@ from conftest import count_critical_sets
 from xorsatlab import formulas as F
 from xorsatlab.experiments import _KINDS, ExperimentConfig, _run_one, emit_plot, run_experiment
 from xorsatlab.gf2 import BitMatrix, rank, solve
-from xorsatlab.instances import gen_constrained
+from xorsatlab.instances import Instance, gen_constrained
 from xorsatlab.rng import Seed
 
 
@@ -202,6 +202,20 @@ def test_campaign_csv_bytes_pinned(tmp_path, name, workers):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     # the kind's CSV header is the schema of every returned row, keys in order
     assert all(list(row) == _KINDS[args[0]][1] for row in rows)
+
+
+@pytest.mark.parametrize("name", list(PINNED_CAMPAIGNS))
+def test_campaign_reads_no_row_or_rhs_lists(monkeypatch, name):
+    # trials read the index and bit arrays only: with the list views made to
+    # raise, every kind still gives its pinned CSV
+    def refuse(inst):
+        raise AssertionError("a campaign trial read Instance.rows or Instance.rhs")
+
+    monkeypatch.setattr(Instance, "rows", property(refuse))
+    monkeypatch.setattr(Instance, "rhs", property(refuse))
+    args, kwargs, digest = PINNED_CAMPAIGNS[name]
+    _, _, summary = run_experiment(ExperimentConfig(*args, **kwargs, workers=1))
+    assert summary["csv_sha256"] == digest
 
 
 @pytest.mark.parametrize("name", list(PINNED_CAMPAIGNS))

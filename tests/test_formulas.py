@@ -249,7 +249,7 @@ class TestExactCounts:
         counts = {1: 0, 2: 0, 3: 0}
         for i in range(samples):
             alloc = gen_C_model(k, m, n, Seed(999, i))
-            mat = BitMatrix.from_sparse_rows(n, alloc.row_column_lists())
+            mat = BitMatrix.from_sparse_rows(n, alloc.row_columns())
             rows = row_ints(mat)
             for mask in range(1, 1 << m):
                 acc = 0

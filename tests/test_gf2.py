@@ -587,8 +587,14 @@ def test_from_sparse_rows_matches_bit_loop(rng):
         rows = [rng.integers(0, cols, size=int(rng.integers(0, 6))) for _ in range(int(rng.integers(0, 30)))]
         cases.append((cols, rows))
         cases.append((cols, [r.tolist() for r in rows]))
+    # (m, k) integer arrays, read in one numpy pass
+    for dtype in (np.int64, np.int32, np.uint16):
+        for cols, shape in ((200, (30, 3)), (65, (7, 4)), (64, (0, 3)), (1, (4, 2)), (130, (1, 0))):
+            index = rng.integers(0, cols, size=shape).astype(dtype)
+            cases.append((cols, index))
+            cases.append((cols, index.T.copy().T))  # the same rows, not C-contiguous
     for cols, rows in cases:
-        got = BitMatrix.from_sparse_rows(cols, iter(rows))
+        got = BitMatrix.from_sparse_rows(cols, rows if isinstance(rows, np.ndarray) else iter(rows))
         want = reference_from_sparse_rows(cols, rows)
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got.data.dtype == np.uint64 and got.data.shape == want.data.shape
@@ -596,6 +602,10 @@ def test_from_sparse_rows_matches_bit_loop(rng):
     for impl in (BitMatrix.from_sparse_rows, reference_from_sparse_rows):
         with pytest.raises(TypeError):
             impl(5, [[1, 2.0]])
+    for dtype in (np.int64, np.int32):
+        for index, bad in (([[0, 1], [4, 5]], "5"), ([[0, 1], [-1, 7]], "-1")):
+            with pytest.raises(ValueError, match=rf"^column index {bad} out of range \[0, 5\)$"):
+                BitMatrix.from_sparse_rows(5, np.array(index, dtype=dtype))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from xorsatlab.instances import (
     gen_unconstrained,
     sample_truncated_poisson,
 )
+from xorsatlab.peel import two_core
 from xorsatlab.rng import Seed
 
 CHI2_SIGNIFICANCE = 1e-3
@@ -102,8 +104,8 @@ class TestChipModel:
         alloc.validate()
         deg = alloc.column_degrees()
         assert deg.min() >= 2 and deg.sum() == 1800
-        rows = alloc.row_column_lists()
-        assert len(rows) == 600 and all(len(r) == 3 for r in rows)
+        rows = alloc.row_columns()
+        assert rows.shape == (600, 3) and (np.diff(rows, axis=1) >= 0).all()
 
     def test_collision_count_trivial(self):
         spread = ChipAllocation(3, 2, 6, np.array([0, 1, 2, 3, 4, 5]))
@@ -415,9 +417,8 @@ class TestSerialization:
     @pytest.mark.parametrize("bad", [1.0, 1.5, "1", None, np.float64(1.0)])
     def test_validation_refuses_a_non_integer_index(self, bad):
         # refused, not truncated to an integer index
-        inst = Instance(2, 3, 1, [[0, bad]], [0], "unconstrained")
         with pytest.raises(InstanceFormatError, match=f"^variable index {re.escape(repr(bad))} is not an integer$"):
-            inst.validate()
+            Instance(2, 3, 1, [[0, bad]], [0], "unconstrained").validate()
 
 
 class TestLhs:
@@ -471,14 +472,16 @@ def small_instances(draw):
 
 
 def _validate_by_loop(inst):
-    """The per-index loop `Instance.validate` replaced, kept as its oracle."""
+    """The per-index loop `Instance.validate` replaced, kept as its oracle; reads
+    the fields of `inst`, an instance or the lists one would be built from."""
     if inst.model_tag not in ("unconstrained", "constrained"):
         raise InstanceFormatError(f"unknown model_tag {inst.model_tag!r}")
     if inst.k < 1 or inst.n < 0:
         raise InstanceFormatError(f"need k >= 1 and n >= 0, got k={inst.k}, n={inst.n}")
-    if len(inst.rows) != inst.m or len(inst.rhs) != inst.m:
+    rows, rhs = inst.rows, inst.rhs
+    if len(rows) != inst.m or len(rhs) != inst.m:
         raise InstanceFormatError("row/rhs count does not match m")
-    for row in inst.rows:
+    for row in rows:
         if len(row) != inst.k:
             raise InstanceFormatError("row weight does not match k")
         for a, b in zip(row, row[1:]):
@@ -487,12 +490,12 @@ def _validate_by_loop(inst):
         for j in row:
             if not 0 <= j < inst.n:
                 raise InstanceFormatError(f"variable index {j} out of range")
-    if any(b not in (0, 1) for b in inst.rhs):
+    if any(b not in (0, 1) for b in rhs):
         raise InstanceFormatError("rhs must be 0/1")
     if inst.model_tag == "constrained" and inst.n:
         km = inst.k * inst.m
         if 2 * inst.n > km or np.bincount(
-            np.fromiter(chain.from_iterable(inst.rows), dtype=np.int64, count=km), minlength=inst.n
+            np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=km), minlength=inst.n
         ).min() < 2:
             raise InstanceFormatError("constrained instance has a variable of degree < 2")
 
@@ -500,14 +503,25 @@ def _validate_by_loop(inst):
 _FAULTS = ["none", "ragged", "unsorted", "repeat", "negative", "too_large", "huge", "rhs", "extra_variable"]
 
 
+def _fields_of(inst) -> SimpleNamespace:
+    """The constructor arguments of `inst`, with its rows and rhs as fresh lists."""
+    return SimpleNamespace(
+        k=inst.k, n=inst.n, m=inst.m, rows=inst.rows, rhs=inst.rhs, model_tag=inst.model_tag, seed=inst.seed)
+
+
 @st.composite
 def instances_with_one_fault(draw):
-    """A valid instance with at most one fault injected into one row, its rhs or n.
+    """(fault, fields): the fields of a valid instance, as lists, with at most
+    one fault injected into one row, the rhs or n.  The lists are made faulty
+    before any instance is built from them, since an `Instance` stores arrays
+    and its `rows`/`rhs` are copies.
 
-    An extra variable has degree 0, a fault only under constrained."""
+    An extra variable has degree 0, a fault only under constrained, so it
+    comes with the constrained tag half of the time."""
     inst = draw(small_instances().filter(lambda inst: inst.m > 0))
+    fields = _fields_of(inst)
     fault = draw(st.sampled_from(_FAULTS))
-    row = inst.rows[draw(st.integers(0, inst.m - 1))]
+    row = fields.rows[draw(st.integers(0, inst.m - 1))]
     at = draw(st.integers(0, inst.k - 1))
     if fault == "ragged" and draw(st.booleans()):
         row.insert(at, row[at])
@@ -515,7 +529,8 @@ def instances_with_one_fault(draw):
         row.pop(at)
     elif fault == "unsorted":
         row.reverse()
-    elif fault == "repeat" and at:
+    elif fault == "repeat" and inst.k > 1:
+        at = max(at, 1)
         row[at] = row[at - 1]
     elif fault == "negative":
         row[at] = draw(st.integers(-3, -1))
@@ -524,10 +539,22 @@ def instances_with_one_fault(draw):
     elif fault == "huge":
         row[at] = draw(st.sampled_from([2**70, -(2**70), 2**63]))
     elif fault == "rhs":
-        inst.rhs[draw(st.integers(0, inst.m - 1))] = 2
+        fields.rhs[draw(st.integers(0, inst.m - 1))] = 2
     elif fault == "extra_variable":
-        inst.n += 1
-    return inst
+        fields.n += 1
+        if draw(st.booleans()):
+            fields.model_tag = "constrained"
+    return fault, fields
+
+
+def _build(fields, rows=None, rhs=None) -> Instance:
+    """An instance from `fields`, with its rows and rhs replaced when given."""
+    return Instance(fields.k, fields.n, fields.m, fields.rows if rows is None else rows,
+                    fields.rhs if rhs is None else rhs, fields.model_tag, fields.seed)
+
+
+def _build_and_validate(fields, **arrays) -> None:
+    _build(fields, **arrays).validate()
 
 
 def _refusal(validate, inst):
@@ -605,13 +632,119 @@ class TestFormatFuzz:
         blob = inst.to_bytes()
         assert Instance.from_bytes(blob).to_bytes() == blob
 
-    @settings(max_examples=400, deadline=None)
-    @given(instances_with_one_fault())
-    def test_validate_matches_the_loop(self, inst):
-        assert _refusal(Instance.validate, inst) == _refusal(_validate_by_loop, inst)
+    def test_validate_matches_the_loop(self):
+        refused = set()
+
+        @settings(max_examples=400, deadline=None)
+        @given(instances_with_one_fault())
+        def check(case):
+            fault, fields = case
+            message = _refusal(_build_and_validate, fields)
+            assert message == _refusal(_validate_by_loop, fields)
+            if message is not None:
+                refused.add(fault)
+
+        check()
+        # the faults reach the instance: each kind is refused at least once
+        assert refused == set(_FAULTS) - {"none"}
 
     @settings(max_examples=50, deadline=None)
     @given(small_instances())
     def test_valid_instances_round_trip(self, inst):
         assert Instance.from_bytes(inst.to_bytes()) == inst
         assert Instance.loads(inst.dumps()) == inst
+
+
+def _arrays_of(fields) -> dict:
+    """The rows and rhs of `fields` as an (m, k) int64 and an (m,) uint8 array."""
+    return {"rows": np.array(fields.rows, dtype=np.int64).reshape(fields.m, fields.k),
+            "rhs": np.array(fields.rhs, dtype=np.uint8)}
+
+
+def assert_lists_and_arrays_agree(fields, rng) -> None:
+    """Built from lists or from arrays, one instance refuses with the same
+    message or serializes, peels and evaluates the same."""
+    arrays = _arrays_of(fields)
+    refusal = _refusal(_build_and_validate, fields)
+    assert _refusal(lambda f: _build_and_validate(f, **arrays), fields) == refusal
+    if refusal is not None:
+        return
+    a, b = _build(fields), _build(fields, **arrays)
+    assert a == b and a.rows == fields.rows and b.rhs == fields.rhs
+    assert a.dumps() == b.dumps() and a.to_bytes() == b.to_bytes()
+    (core_a, trace_a, stats_a), (core_b, trace_b, stats_b) = two_core(a), two_core(b)
+    assert (core_a, trace_a, stats_a) == (core_b, trace_b, stats_b)
+    assert core_a.dumps() == core_b.dumps() and trace_a.dumps(a) == trace_b.dumps(b)
+    x = rng.integers(0, 2, size=(a.n, 5))
+    assert np.array_equal(a.lhs(x), b.lhs(x))
+
+
+class TestArrayStorage:
+    """An instance stores (m, k) int64 rows and uint8 rhs bits, whether it was built from lists or arrays."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_instances())
+    def test_lists_and_arrays_agree_on_valid_instances(self, inst):
+        assert_lists_and_arrays_agree(_fields_of(inst), np.random.default_rng(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances_with_one_fault().filter(lambda case: case[0] not in ("ragged", "huge")))
+    def test_lists_and_arrays_agree_on_faulty_instances(self, case):
+        assert_lists_and_arrays_agree(case[1], np.random.default_rng(0))
+
+    def test_lists_and_arrays_agree_on_sampler_draws(self, rng):
+        draws = [gen_unconstrained(k, m, n, Seed(31, t)) for t, (k, m, n) in enumerate(
+            [(3, 90, 100), (3, 130, 150), (4, 70, 80), (3, 5, 4), (2, 0, 5)])]  # (3, 5, 4) takes the dense branch
+        draws += [gen_constrained(k, m, n, Seed(32, t)) for t, (k, m, n) in enumerate([(3, 40, 50), (4, 60, 80)])]
+        for inst in draws:
+            assert inst.index.dtype == np.int64 and inst.index.flags.c_contiguous and inst.bits.dtype == np.uint8
+            assert inst.index.shape == (inst.m, inst.k) and inst.bits.shape == (inst.m,)
+            fields = _fields_of(inst)
+            assert_lists_and_arrays_agree(fields, rng)
+            assert _build(fields) == inst and _build(fields, **_arrays_of(fields)) == inst
+
+    def test_rows_and_rhs_are_copies(self):
+        inst = Instance(2, 4, 2, [[0, 1], [2, 3]], [0, 1], "unconstrained")
+        inst.rows[0][0] = 3
+        inst.rhs[0] = 1
+        assert inst.rows == [[0, 1], [2, 3]] and inst.rhs == [0, 1]
+        with pytest.raises(AttributeError):
+            inst.rows = [[1, 2], [2, 3]]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_integer_arrays_are_stored_as_int64(self, dtype):
+        inst = Instance(2, 4, 2, np.array([[0, 1], [2, 3]], dtype=dtype), np.array([0, 1]), "unconstrained")
+        inst.validate()
+        assert inst.index.dtype == np.int64 and inst.bits.dtype == np.uint8
+        assert inst == Instance(2, 4, 2, [[0, 1], [2, 3]], [0, 1], "unconstrained")
+
+    @pytest.mark.parametrize("rows, rhs, message", [
+        ([[0, 1], [2]], [0, 1], "^row weight does not match k$"),
+        ([[0, 2**70], [2, 3]], [0, 1], f"^variable index {2**70} out of range$"),
+        ([[2**70, 2**71], [2, 3]], [0, 1], f"^variable index {2**70} out of range$"),
+        ([[2**70, 1], [2, 3]], [0, 1], "^row indices must be strictly increasing$"),
+        (np.array([[0, 2**63 + 1], [2, 3]], dtype=np.uint64), [0, 1], f"^variable index {2**63 + 1} out of range$"),
+        ([[0, 1], [2, 3]], [0, -1], "^rhs must be 0/1$"),
+        ([[0, 1], [2, 3]], [2**70, 1], "^rhs must be 0/1$"),
+        ([[0, 1], [2, 3]], [0, "1"], "^rhs must be 0/1$"),
+    ], ids=["ragged", "beyond_int64", "two_beyond_int64", "beyond_int64_unsorted", "uint64", "rhs_negative",
+            "rhs_beyond_int64", "rhs_str"])
+    def test_constructor_refuses_what_no_array_holds(self, rows, rhs, message):
+        with pytest.raises(InstanceFormatError, match=message):
+            Instance(2, 4, 2, rows, rhs, "unconstrained")
+
+    def test_uint8_rhs_above_one_is_refused_by_validate(self):
+        inst = Instance(2, 4, 2, [[0, 1], [2, 3]], np.array([0, 2], dtype=np.uint8), "unconstrained")
+        with pytest.raises(InstanceFormatError, match="^rhs must be 0/1$"):
+            inst.validate()
+
+    def test_validate_names_the_first_index_out_of_range(self):
+        for rows in ([[0, 5], [-2, 7]], np.array([[0, 5], [-2, 7]], dtype=np.int32)):
+            inst = Instance(2, 4, 2, rows, [0, 1], "unconstrained")
+            assert _refusal(Instance.validate, inst) == _refusal(_validate_by_loop, inst) == "variable index 5 out of range"
+
+    def test_absurd_k_without_rows_is_refused(self):
+        with pytest.raises(InstanceFormatError, match="too large"):
+            Instance(2**70, 2**71, 0, [], [], "unconstrained")
+        with pytest.raises(InstanceFormatError, match="need k >= 1"):
+            Instance(-1, 3, 0, [], [], "unconstrained")

@@ -25,25 +25,27 @@ from xorsatlab.rng import Seed
 def naive_two_core_eq_ids(inst):
     """Fixed-point oracle: recompute degrees and drop degree-<=1 variables
     (plus their equations) in full rounds until nothing changes."""
+    rows = inst.rows
     alive_eqs = set(range(inst.m))
     alive_vars = set(range(inst.n))
     while True:
         degree = Counter()
         for e in alive_eqs:
-            for v in inst.rows[e]:
+            for v in rows[e]:
                 degree[v] += 1
         low = {v for v in alive_vars if degree[v] <= 1}
         if not low:
             return sorted(alive_eqs), sorted(v for v in alive_vars if degree[v] >= 2)
         alive_vars -= low
-        alive_eqs = {e for e in alive_eqs if not low.intersection(inst.rows[e])}
+        alive_eqs = {e for e in alive_eqs if not low.intersection(rows[e])}
 
 
 def replay_trace(inst, trace):
     """Check every removal had degree <= 1 at its moment and that the
     survivors match the recorded core ids."""
+    rows = inst.rows
     degree = Counter()
-    for row in inst.rows:
+    for row in rows:
         for v in row:
             degree[v] += 1
     alive_eqs = set(range(inst.m))
@@ -52,7 +54,7 @@ def replay_trace(inst, trace):
     assert trace.steps.shape == (inst.n - len(trace.core_var_ids), 2)
     for var, eq in trace.steps.tolist():
         assert var in alive_vars
-        live = [e for e in alive_eqs if var in inst.rows[e]]
+        live = [e for e in alive_eqs if var in rows[e]]
         assert len(live) <= 1
         if eq == -1:
             assert not live
@@ -68,8 +70,9 @@ def sequential_two_core(inst):
     """The sequential peel that the round-synchronous one replaced: a queue of
     degree-<=1 variables over per-variable incidence lists.  Returns
     (core_var_ids, core_eq_ids, core rows, core rhs, CoreStats)."""
+    rows, rhs = inst.rows, inst.rhs
     incident = [[] for _ in range(inst.n)]
-    for e, row in enumerate(inst.rows):
+    for e, row in enumerate(rows):
         for v in row:
             incident[v].append(e)
     degree = [len(lst) for lst in incident]
@@ -85,7 +88,7 @@ def sequential_two_core(inst):
         if eq is None:
             continue
         eq_alive[eq] = False
-        for u in inst.rows[eq]:
+        for u in rows[eq]:
             if u != v and var_alive[u]:
                 degree[u] -= 1
                 if degree[u] <= 1:
@@ -93,10 +96,10 @@ def sequential_two_core(inst):
     core_var_ids = [v for v in range(inst.n) if var_alive[v]]
     core_eq_ids = [e for e in range(inst.m) if eq_alive[e]]
     remap = {v: i for i, v in enumerate(core_var_ids)}
-    rows = [[remap[v] for v in inst.rows[e]] for e in core_eq_ids]
-    rhs = [inst.rhs[e] for e in core_eq_ids]
+    core_rows = [[remap[v] for v in rows[e]] for e in core_eq_ids]
+    core_rhs = [rhs[e] for e in core_eq_ids]
     n, m = len(core_var_ids), len(core_eq_ids)
-    return core_var_ids, core_eq_ids, rows, rhs, CoreStats(n, m, (m / n) if n else None)
+    return core_var_ids, core_eq_ids, core_rows, core_rhs, CoreStats(n, m, (m / n) if n else None)
 
 
 def assert_matches_sequential(inst):
@@ -377,7 +380,7 @@ def test_core_conditionally_uniform_on_tiny_space():
         inst = Instance(3, 5, 4, [list(r) for r in rows], [0, 0, 0, 0], MODEL_UNCONSTRAINED)
         _, trace, stats = two_core(inst)
         if (stats.core_vars, stats.core_eqs) == (3, 3):
-            key = tuple(tuple(inst.rows[e]) for e in trace.core_eq_ids)
+            key = tuple(rows[e] for e in trace.core_eq_ids)
             exact[key] += 1
     assert len(exact) == len(triples)
     assert len(set(exact.values())) == 1  # uniform over keys
@@ -388,7 +391,8 @@ def test_core_conditionally_uniform_on_tiny_space():
         inst = gen_unconstrained(3, 4, 5, Seed(700, i))
         _, trace, stats = two_core(inst)
         if (stats.core_vars, stats.core_eqs) == (3, 3):
-            hits[tuple(tuple(inst.rows[e]) for e in trace.core_eq_ids)] += 1
+            rows = inst.rows
+            hits[tuple(tuple(rows[e]) for e in trace.core_eq_ids)] += 1
     n_cond = sum(hits.values())
     assert n_cond > 500
     expected = [n_cond / len(triples)] * len(triples)
