@@ -25,7 +25,7 @@ from xorsatlab.instances import (
     gen_constrained,
     gen_unconstrained,
 )
-from xorsatlab.peel import core_density, extend_solution, two_core
+from xorsatlab.peel import extend_solution, two_core
 from xorsatlab.rng import Seed
 
 
@@ -83,15 +83,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_peel(args) -> int:
     inst = _load_instance(getattr(args, "in"))
-    if args.solve or args.trace_out:  # only these need the core and trace; core_density builds neither
-        core, trace, stats = two_core(inst)
-    else:
-        stats = core_density(inst)
-    out = {
-        "core_vars": stats.core_vars,
-        "core_eqs": stats.core_eqs,
-        "ratio": stats.ratio,
-    }
+    core, trace = two_core(inst)
+    out = {"core_vars": core.n, "core_eqs": core.m, "ratio": core.m / core.n if core.n else None}
     if args.solve:
         res = solve(BitMatrix.from_sparse_rows(core.n, core.index), core.bits)
         out["consistent"] = res.consistent

@@ -149,7 +149,7 @@ class ExperimentConfig:
 def _task_sat(params: dict, seed: Seed) -> dict:
     k, n, m = params["k"], params["n"], params["m"]
     if params["model"] == MODEL_UNCONSTRAINED:
-        system, _, _ = two_core(gen_unconstrained(k, m, n, seed))  # same satisfiability, smaller system
+        system, _ = two_core(gen_unconstrained(k, m, n, seed))  # same satisfiability, smaller system
     else:
         system = gen_constrained(k, m, n, seed)
     res = solve(BitMatrix.from_sparse_rows(system.n, system.index), system.bits)
@@ -187,8 +187,8 @@ def _rhs_average_identity(inst: Instance, critical: int) -> bool:
 
 
 def _task_core(params: dict, seed: Seed) -> dict:
-    _, _, stats = two_core(gen_unconstrained(params["k"], params["m"], params["n"], seed))
-    return dict(zip(("core_vars", "core_eqs", "ratio"), stats.csv_fields()))
+    core, _ = two_core(gen_unconstrained(params["k"], params["m"], params["n"], seed))
+    return {"core_vars": core.n, "core_eqs": core.m, "ratio": repr(core.m / core.n) if core.n else ""}
 
 
 def _task_collision(params: dict, seed: Seed) -> dict:

@@ -177,7 +177,12 @@ class Instance:
     def to_bytes(self) -> bytes:
         """Compact binary: magic "XLI1", varint k/n/m, model byte, optional
         seed (2 x u64 LE), rows as varint first-index + index gaps, rhs bits
-        packed LSB-first."""
+        packed LSB-first.  A negative size, index or index gap has no varint
+        and is refused before anything is written."""
+        gaps = np.diff(self.index, axis=1, prepend=0)  # each row's first index, then its gaps
+        # a negative index is checked too: int64 may wrap the gap that follows it
+        if min(self.k, self.n, self.m) < 0 or (self.index < 0).any() or (gaps < 0).any():
+            raise InstanceFormatError("cannot encode a negative size, index or index gap")
         out = bytearray(b"XLI1")
         for v in (self.k, self.n, self.m):
             _put_varint(out, v)
@@ -188,10 +193,8 @@ class Instance:
             out.append(1)
             out += (self.seed.master & (1 << 64) - 1).to_bytes(8, "little")
             out += (self.seed.stream & (1 << 64) - 1).to_bytes(8, "little")
-        for row in self.rows:
-            _put_varint(out, row[0])
-            for a, b in zip(row, row[1:]):
-                _put_varint(out, b - a)
+        for v in gaps.ravel().tolist():
+            _put_varint(out, v)
         out += np.packbits(self.bits, bitorder="little").tobytes()
         return bytes(out)
 

@@ -13,9 +13,10 @@ XOR is the id of its one equation, so no incidence lists are kept.  When
 several variables of a round have the same equation, the least id takes it
 and the others are removed in the next round at degree 0.
 
-The trace is one (S, 2) int64 array of (variable, equation) removals:
-rounds in order, ascending variable ids within a round, equation -1 for a
-degree-0 removal.  It holds no equation rows; they are read from the
+The trace is int64 arrays only: one (S, 2) array of (variable, equation)
+removals, rounds in order, ascending variable ids within a round,
+equation -1 for a degree-0 removal; and the sorted core variable and
+equation ids.  It holds no equation rows; they are read from the
 instance, which lift-back and the JSON form both take.
 
 A solution of the core extends to a solution of the full system by
@@ -33,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from xorsatlab.errors import from_json, json_value
+from xorsatlab.errors import from_json
 from xorsatlab.instances import MODEL_CONSTRAINED, Instance
 
 
@@ -43,21 +44,21 @@ class PeelTrace:
 
     steps is a C-contiguous (S, 2) int64 array of (variable, equation)
     rows in removal order, equation -1 when the variable had degree 0.
-    core_var_ids is sorted; the core instance indexes variables by their
-    position in this list.
+    core_var_ids and core_eq_ids are sorted C-contiguous int64 arrays; the
+    core instance indexes variables by their position in core_var_ids.
     """
 
     n: int
     m: int
     steps: np.ndarray
-    core_var_ids: list[int]
-    core_eq_ids: list[int]
+    core_var_ids: np.ndarray
+    core_eq_ids: np.ndarray
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PeelTrace):
             return NotImplemented
-        return (self.n, self.m, self.core_var_ids, self.core_eq_ids) == (
-            other.n, other.m, other.core_var_ids, other.core_eq_ids) and np.array_equal(self.steps, other.steps)
+        return (self.n, self.m) == (other.n, other.m) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("steps", "core_var_ids", "core_eq_ids"))
 
     def to_json_dict(self, inst: Instance) -> dict:
         """JSON form; each step is [var, eq, the row of equation eq], or [var,
@@ -67,8 +68,8 @@ class PeelTrace:
             "n": self.n,
             "m": self.m,
             "steps": [[v, e, rows[e]] if e >= 0 else [v, None, None] for v, e in self.steps.tolist()],
-            "core_var_ids": self.core_var_ids,
-            "core_eq_ids": self.core_eq_ids,
+            "core_var_ids": self.core_var_ids.tolist(),
+            "core_eq_ids": self.core_eq_ids.tolist(),
         }
 
     def dumps(self, inst: Instance) -> str:
@@ -78,35 +79,29 @@ class PeelTrace:
     def from_json_dict(cls, d: dict) -> "PeelTrace":
         """Parse `to_json_dict` output; raise ValueError on a missing, unknown or
         mistyped key, a variable id outside [0, n) or an equation id outside [0, m)."""
-        steps = []
-        if isinstance(d, dict) and "steps" in d:  # the [var, eq, row] steps, read into the (S, 2) array below
-            steps = json_value(
-                list[tuple[int, int | None, list[int] | None]], d["steps"], ValueError, "peel trace field 'steps'")
-            d = dict(d, steps=np.zeros((0, 2), np.int64))
-        trace = from_json(cls, d, ValueError, "peel trace")
-        # ids are compared as Python ints, so one beyond int64 is refused before the array is built
+        f = from_json(_TraceJSON, d, ValueError, "peel trace")
+        # ids are compared as Python ints, so one beyond int64 is refused before the arrays are built
         for name, size, ids in (
-            ("variable", trace.n, chain((v for v, _, _ in steps), trace.core_var_ids)),
-            ("equation", trace.m, chain((e for _, e, _ in steps if e is not None), trace.core_eq_ids)),
+            ("variable", f.n, chain((v for v, _, _ in f.steps), f.core_var_ids)),
+            ("equation", f.m, chain((e for _, e, _ in f.steps if e is not None), f.core_eq_ids)),
         ):
             bound = min(size, 1 << 63)
             bad = next((i for i in ids if not 0 <= i < bound), None)
             if bad is not None:
                 raise ValueError(f"peel trace {name} id {bad} out of range [0, {bound})")
-        trace.steps = np.array([(v, -1 if e is None else e) for v, e, _ in steps], np.int64).reshape(-1, 2)
-        return trace
+        steps = np.array([(v, -1 if e is None else e) for v, e, _ in f.steps], np.int64).reshape(-1, 2)
+        return cls(f.n, f.m, steps, np.array(f.core_var_ids, np.int64), np.array(f.core_eq_ids, np.int64))
 
 
 @dataclass
-class CoreStats:
-    """Core order/size; ratio is eqs/vars, None for an empty core."""
+class _TraceJSON:
+    """The JSON keys of a `PeelTrace`, with the types `from_json` reads them as."""
 
-    core_vars: int
-    core_eqs: int
-    ratio: float | None
-
-    def csv_fields(self) -> list:
-        return [self.core_vars, self.core_eqs, "" if self.ratio is None else repr(self.ratio)]
+    n: int
+    m: int
+    steps: list[tuple[int, int | None, list[int] | None]]
+    core_var_ids: list[int]
+    core_eq_ids: list[int]
 
 
 def _peel_rounds(index: np.ndarray, n: int):
@@ -151,16 +146,17 @@ def _peel_rounds(index: np.ndarray, n: int):
     return np.concatenate(step_vars), np.concatenate(step_eqs), var_alive, eq_alive
 
 
-def two_core(inst: Instance) -> tuple[Instance, PeelTrace, CoreStats]:
-    """Peel to the 2-core; returns (core instance, trace, stats).
+def two_core(inst: Instance) -> tuple[Instance, PeelTrace]:
+    """Peel to the 2-core; returns (core instance, trace).
 
     Each round removes every live variable of degree <= 1 at once, in
     ascending id order.  A degree-1 variable takes its equation unless a
     smaller id of the same round took it; it is then removed in the next
-    round at degree 0.  The trace is the (S, 2) array of (variable,
-    equation) removals described in the module docstring.  The core keeps
-    the original equation order with variables renumbered by rank in
-    core_var_ids.
+    round at degree 0.  The trace holds the (S, 2) array of (variable,
+    equation) removals described in the module docstring and the sorted
+    core variable and equation ids, all int64 arrays.  The core keeps the
+    original equation order with variables renumbered by rank in
+    core_var_ids; its order and size are core.n and core.m.
     """
     step_vars, step_eqs, var_alive, eq_alive = _peel_rounds(inst.index, inst.n)
     core_vars = var_alive.nonzero()[0]
@@ -170,13 +166,7 @@ def two_core(inst: Instance) -> tuple[Instance, PeelTrace, CoreStats]:
         raise AssertionError("peeling left a variable of degree < 2 in the core")
     core_bits = inst.bits[core_eqs]
     core = Instance(inst.k, core_vars.size, core_eqs.size, core_index, core_bits, MODEL_CONSTRAINED, inst.seed)
-    steps = np.column_stack((step_vars, step_eqs))
-    trace = PeelTrace(inst.n, inst.m, steps, core_vars.tolist(), core_eqs.tolist())
-    return core, trace, _stats(core.n, core.m)
-
-
-def _stats(core_vars: int, core_eqs: int) -> CoreStats:
-    return CoreStats(core_vars, core_eqs, (core_eqs / core_vars) if core_vars else None)
+    return core, PeelTrace(inst.n, inst.m, np.column_stack((step_vars, step_eqs)), core_vars, core_eqs)
 
 
 def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int]:
@@ -187,12 +177,11 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
     `inst.lhs` then checks every equation; ValueError names the first one
     violated, for a `two_core` trace a core equation.
     """
-    core_solution = [int(b) for b in core_solution]
-    if len(core_solution) != len(trace.core_var_ids):
+    if len(core_solution) != trace.core_var_ids.size:
         raise ValueError("core solution length does not match the core variable count")
-    x = [0] * inst.n
-    for cid, v in zip(core_solution, trace.core_var_ids):
-        x[v] = cid
+    x = np.zeros(inst.n, np.int64)
+    x[trace.core_var_ids] = core_solution
+    x = x.tolist()
     rows, rhs = inst.rows, inst.rhs
     for v, e in reversed(trace.steps.tolist()):
         if e >= 0:
@@ -207,10 +196,4 @@ def extend_solution(core_solution, trace: PeelTrace, inst: Instance) -> list[int
     return x
 
 
-def core_density(inst: Instance) -> CoreStats:
-    """Peel and report core order/size only; no trace or core is built."""
-    _, _, var_alive, eq_alive = _peel_rounds(inst.index, inst.n)
-    return _stats(int(var_alive.sum()), int(eq_alive.sum()))
-
-
-__all__ = ["CoreStats", "PeelTrace", "core_density", "extend_solution", "two_core"]
+__all__ = ["PeelTrace", "extend_solution", "two_core"]

@@ -118,9 +118,7 @@ def test_peel_subcommand(tmp_path):
     assert trace.read_text() == two_core(inst)[1].dumps(inst)
 
 
-def test_peel_flags_choose_the_path(tmp_path, monkeypatch):
-    import xorsatlab.cli as cli
-
+def test_peel_flags_choose_the_path(tmp_path):
     path = tmp_path / "inst.json"
     trace = tmp_path / "trace.json"
     run_cli(["gen", "--k", "3", "--n", "80", "--m", "60", "--seed", "2", "--out", str(path)])
@@ -128,14 +126,41 @@ def test_peel_flags_choose_the_path(tmp_path, monkeypatch):
     code, out, _ = run_cli(["peel", "--in", str(path), "--trace-out", str(trace)])
     assert code == 0 and "consistent" not in json.loads(out)
     assert trace.read_text() == two_core(inst)[1].dumps(inst)
-    # plain peel counts the core without building it
-    monkeypatch.setattr(cli, "two_core", None)
     code, plain, _ = run_cli(["peel", "--in", str(path)])
     assert code == 0 and list(json.loads(plain)) == ["core_vars", "core_eqs", "ratio"]
     assert json.loads(plain) == json.loads(out)
     with pytest.raises(SystemExit) as exc:
         run_cli(["peel", "--stats-only", "--in", str(path)])
     assert exc.value.code == 2
+
+
+_PEEL_STDOUT = {
+    # below the core threshold: an empty core, so no ratio
+    "0.7": (
+        '{"core_vars": 0, "core_eqs": 0, "ratio": null}\n',
+        '{"core_vars": 0, "core_eqs": 0, "ratio": null, "consistent": true, "solution_checked": true}\n',
+        "1a5a5e564684e381fdcc3ee065e30a5074a17362017a1ca5805befe8d95b6658",
+    ),
+    # above c*_3: the core has more equations than variables and no solution
+    "0.95": (
+        '{"core_vars": 292, "core_eqs": 301, "ratio": 1.0308219178082192}\n',
+        '{"core_vars": 292, "core_eqs": 301, "ratio": 1.0308219178082192, "consistent": false}\n',
+        "d0f626e6d9ce9aeee14e5cdcd21c2f6e586c220bf748c8afbe3beb778d9a0d52",
+    ),
+}
+
+
+@pytest.mark.parametrize("c", list(_PEEL_STDOUT))
+def test_peel_stdout_pinned(tmp_path, c):
+    """Keys, their order and every value printed by plain `peel`, `--solve`
+    and `--trace-out` (k=3, n=400, seed 21), and the trace file's sha256."""
+    path, trace = tmp_path / "inst.bin", tmp_path / "trace.json"
+    assert run_cli(["gen", "--k", "3", "--n", "400", "--c", c, "--seed", "21", "--out", str(path)])[0] == 0
+    plain, solved, digest = _PEEL_STDOUT[c]
+    assert run_cli(["peel", "--in", str(path)])[:2] == (0, plain)
+    assert run_cli(["peel", "--in", str(path), "--solve"])[:2] == (0, solved)
+    assert run_cli(["peel", "--in", str(path), "--trace-out", str(trace)])[:2] == (0, plain)
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
 
 def test_certify_exit_codes(tmp_path):

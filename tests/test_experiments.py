@@ -75,7 +75,7 @@ def test_sweep_rows_allow_single_trial_replay(tmp_path):
     from xorsatlab.peel import two_core
 
     inst = gen_unconstrained(3, row["m"], row["n"], Seed(555, row["stream"]))
-    core, _, _ = two_core(inst)
+    core, _ = two_core(inst)
     res = solve(BitMatrix.from_sparse_rows(core.n, core.rows), core.rhs)
     assert int(res.consistent) == row["sat"]
 

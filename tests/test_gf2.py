@@ -390,7 +390,7 @@ def sparse_front_end_cases(rng):
     from xorsatlab.rng import Seed
 
     for i, c in enumerate((0.87, 0.87, 0.97, 0.97)):
-        core, _, _ = two_core(gen_unconstrained(3, round(c * 3000), 3000, Seed(15, i)))
+        core, _ = two_core(gen_unconstrained(3, round(c * 3000), 3000, Seed(15, i)))
         mat = BitMatrix.from_sparse_rows(core.n, core.rows)
         yield mat, core.rhs
         if i == 0:  # the same core with a consistent rhs drawn from a random x
@@ -467,7 +467,7 @@ def test_solve_matches_rref_reference(rng, monkeypatch, request, kernel):
     # real 2-cores on both sides of c*_3 = 0.918
     for i, c in enumerate((0.8, 0.9, 0.95, 1.0)):
         inst = gen_unconstrained(3, round(c * 300), 300, Seed(11, i))
-        core, _, _ = two_core(inst)
+        core, _ = two_core(inst)
         mat = BitMatrix.from_sparse_rows(core.n, core.rows)
         assert_same_result(solve(mat, core.rhs), reference_solve(mat, core.rhs))
 

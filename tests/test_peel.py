@@ -18,7 +18,7 @@ from xorsatlab.instances import (
     gen_constrained,
     gen_unconstrained,
 )
-from xorsatlab.peel import CoreStats, PeelTrace, core_density, extend_solution, two_core
+from xorsatlab.peel import PeelTrace, extend_solution, two_core
 from xorsatlab.rng import Seed
 
 
@@ -42,7 +42,8 @@ def naive_two_core_eq_ids(inst):
 
 def replay_trace(inst, trace):
     """Check every removal had degree <= 1 at its moment and that the
-    survivors match the recorded core ids."""
+    survivors match the recorded core ids; every trace field is a
+    C-contiguous int64 array."""
     rows = inst.rows
     degree = Counter()
     for row in rows:
@@ -50,7 +51,8 @@ def replay_trace(inst, trace):
             degree[v] += 1
     alive_eqs = set(range(inst.m))
     alive_vars = set(range(inst.n))
-    assert trace.steps.dtype == np.int64 and trace.steps.flags.c_contiguous
+    for field in (trace.steps, trace.core_var_ids, trace.core_eq_ids):
+        assert field.dtype == np.int64 and field.flags.c_contiguous
     assert trace.steps.shape == (inst.n - len(trace.core_var_ids), 2)
     for var, eq in trace.steps.tolist():
         assert var in alive_vars
@@ -62,14 +64,14 @@ def replay_trace(inst, trace):
             assert live == [eq]
             alive_eqs.remove(eq)
         alive_vars.remove(var)
-    assert sorted(alive_vars) == trace.core_var_ids
-    assert sorted(alive_eqs) == trace.core_eq_ids
+    assert sorted(alive_vars) == trace.core_var_ids.tolist()
+    assert sorted(alive_eqs) == trace.core_eq_ids.tolist()
 
 
 def sequential_two_core(inst):
     """The sequential peel that the round-synchronous one replaced: a queue of
     degree-<=1 variables over per-variable incidence lists.  Returns
-    (core_var_ids, core_eq_ids, core rows, core rhs, CoreStats)."""
+    (core_var_ids, core_eq_ids, core rows, core rhs, (core order, core size))."""
     rows, rhs = inst.rows, inst.rhs
     incident = [[] for _ in range(inst.n)]
     for e, row in enumerate(rows):
@@ -98,18 +100,18 @@ def sequential_two_core(inst):
     remap = {v: i for i, v in enumerate(core_var_ids)}
     core_rows = [[remap[v] for v in rows[e]] for e in core_eq_ids]
     core_rhs = [rhs[e] for e in core_eq_ids]
-    n, m = len(core_var_ids), len(core_eq_ids)
-    return core_var_ids, core_eq_ids, core_rows, core_rhs, CoreStats(n, m, (m / n) if n else None)
+    return core_var_ids, core_eq_ids, core_rows, core_rhs, (len(core_var_ids), len(core_eq_ids))
 
 
 def assert_matches_sequential(inst):
-    core, trace, stats = two_core(inst)
-    assert (trace.core_var_ids, trace.core_eq_ids, core.rows, core.rhs, stats) == sequential_two_core(inst)
+    core, trace = two_core(inst)
+    assert (trace.core_var_ids.tolist(), trace.core_eq_ids.tolist(), core.rows, core.rhs, (core.n, core.m)) == (
+        sequential_two_core(inst))
     assert (core.k, core.n, core.m, core.model_tag, core.seed) == (
         inst.k, len(trace.core_var_ids), len(trace.core_eq_ids), MODEL_CONSTRAINED, inst.seed)
     assert len(trace.steps) == inst.n - core.n
-    assert core_density(inst) == stats
     replay_trace(inst, trace)
+    assert PeelTrace.from_json_dict(json.loads(trace.dumps(inst))) == trace
     return trace
 
 
@@ -143,7 +145,7 @@ def test_matches_sequential_peel_on_edge_cases(k, n, rows):
 
 def test_shared_equation_goes_to_first_claimant_in_round_order():
     inst = Instance(3, 3, 1, [[0, 1, 2]], [1], MODEL_UNCONSTRAINED)
-    _, trace, _ = two_core(inst)
+    _, trace = two_core(inst)
     assert trace.steps.tolist() == [[0, 0], [1, -1], [2, -1]]
     x = extend_solution([], trace, inst)
     assert x[0] ^ x[1] ^ x[2] == 1
@@ -154,20 +156,20 @@ def test_trace_is_rounds_then_ascending_ids():
     # claim equation 1 and 1 takes it; round 3 peels 2 at degree 0
     rows = [[0, 1, 2], [1, 2, 3], [3, 4, 6], [3, 4, 6]]
     inst = Instance(3, 7, len(rows), rows, [0] * len(rows), MODEL_UNCONSTRAINED)
-    _, trace, _ = two_core(inst)
+    _, trace = two_core(inst)
     assert trace.steps.tolist() == [[0, 0], [5, -1], [1, 1], [2, -1]]
     assert trace.to_json_dict(inst)["steps"] == [[0, 0, [0, 1, 2]], [5, None, None], [1, 1, [1, 2, 3]], [2, None, None]]
-    assert trace.core_var_ids == [3, 4, 6] and trace.core_eq_ids == [2, 3]
+    assert trace.core_var_ids.tolist() == [3, 4, 6] and trace.core_eq_ids.tolist() == [2, 3]
     assert_matches_sequential(inst)
 
 
 def test_constrained_instance_has_no_steps():
     inst = gen_constrained(3, 60, 50, Seed(900))
-    core, trace, stats = two_core(inst)
+    core, trace = two_core(inst)
     assert trace.steps.shape == (0, 2)
     assert core.rows == inst.rows and core.rhs == inst.rhs
-    assert trace.core_var_ids == list(range(50)) and trace.core_eq_ids == list(range(60))
-    assert stats == CoreStats(50, 60, 60 / 50)
+    assert trace.core_var_ids.tolist() == list(range(50)) and trace.core_eq_ids.tolist() == list(range(60))
+    assert (core.n, core.m) == (50, 60)
     assert_matches_sequential(inst)
 
 
@@ -197,17 +199,17 @@ def test_garbage_collector_state_is_restored():
 def test_min_degree_two_input_is_fixed():
     rows = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
     inst = Instance(3, 4, 4, rows, [1, 0, 0, 1], MODEL_UNCONSTRAINED)
-    core, trace, stats = two_core(inst)
+    core, trace = two_core(inst)
     assert trace.steps.shape == (0, 2)
     assert core.rows == rows and core.rhs == inst.rhs
-    assert stats.core_vars == 4 and stats.core_eqs == 4 and stats.ratio == 1.0
+    assert (core.n, core.m) == (4, 4)
 
 
 def test_path_system_fully_peels():
     rows = [[0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 8]]
     inst = Instance(3, 9, 4, rows, [1, 1, 0, 1], MODEL_UNCONSTRAINED)
-    core, trace, stats = two_core(inst)
-    assert core.n == 0 and core.m == 0 and stats.ratio is None
+    core, trace = two_core(inst)
+    assert core.n == 0 and core.m == 0
     x = extend_solution([], trace, inst)
     mat = gf2.BitMatrix.from_sparse_rows(9, rows)
     assert (gf2.matvec(mat, x) == np.array(inst.rhs, dtype=np.uint8)).all()
@@ -218,19 +220,19 @@ def test_matches_naive_fixed_point(rng):
         n = 200
         m = int(0.95 * n)
         inst = gen_unconstrained(3, m, n, Seed(100, t))
-        core, trace, stats = two_core(inst)
+        core, trace = two_core(inst)
         eq_ids, var_ids = naive_two_core_eq_ids(inst)
-        assert trace.core_eq_ids == eq_ids
-        assert trace.core_var_ids == var_ids
+        assert trace.core_eq_ids.tolist() == eq_ids
+        assert trace.core_var_ids.tolist() == var_ids
         replay_trace(inst, trace)
 
 
 def test_degree_zero_variables_peel_with_no_equation():
     inst = Instance(2, 5, 2, [[0, 1], [0, 1]], [0, 1], MODEL_UNCONSTRAINED)
-    core, trace, stats = two_core(inst)
+    core, trace = two_core(inst)
     orphans = [v for v, e in trace.steps.tolist() if e == -1]
     assert set(orphans) == {2, 3, 4}
-    assert stats.core_vars == 2 and stats.core_eqs == 2
+    assert (core.n, core.m) == (2, 2)
     # inconsistent pair stays in the core and cannot be satisfied
     mat = gf2.BitMatrix.from_sparse_rows(core.n, core.rows)
     assert not gf2.solve(mat, core.rhs).consistent
@@ -242,7 +244,7 @@ def test_solvability_preserved_and_extension_valid():
         n = int(150 + 50 * (t % 4))
         m = int(0.9 * n)
         inst = gen_unconstrained(3, m, n, Seed(300, t))
-        core, trace, stats = two_core(inst)
+        core, trace = two_core(inst)
         core_mat = gf2.BitMatrix.from_sparse_rows(core.n, core.rows)
         core_res = gf2.solve(core_mat, core.rhs)
         full_mat = gf2.BitMatrix.from_sparse_rows(inst.n, inst.rows)
@@ -258,7 +260,7 @@ def test_solvability_preserved_and_extension_valid():
 def test_extension_rejects_infeasible_core_solution():
     rows = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
     inst = Instance(3, 4, 4, rows, [1, 0, 0, 0], MODEL_UNCONSTRAINED)
-    core, trace, _ = two_core(inst)
+    core, trace = two_core(inst)
     mat = gf2.BitMatrix.from_sparse_rows(core.n, core.rows)
     res = gf2.solve(mat, core.rhs)
     assert res.consistent
@@ -273,7 +275,7 @@ def test_extension_checks_every_equation_of_a_corrupted_trace():
     # a trace whose step names another equation lifts to an assignment that
     # may break the step's true equation; it must raise, never return it
     inst = gen_unconstrained(3, 80, 100, Seed(500))
-    core, trace, _ = two_core(inst)
+    core, trace = two_core(inst)
     res = gf2.solve(gf2.BitMatrix.from_sparse_rows(core.n, core.rows), core.rhs)
     assert res.consistent
     full = gf2.BitMatrix.from_sparse_rows(inst.n, inst.rows)
@@ -295,7 +297,7 @@ def test_extension_checks_every_equation_of_a_corrupted_trace():
 def test_peel_free_extension_is_identity():
     rows = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
     inst = Instance(3, 4, 4, rows, [1, 1, 0, 0], MODEL_UNCONSTRAINED)
-    core, trace, _ = two_core(inst)
+    core, trace = two_core(inst)
     res = gf2.solve(gf2.BitMatrix.from_sparse_rows(core.n, core.rows), core.rhs)
     assert res.consistent
     assert extend_solution(res.one_solution, trace, inst) == res.one_solution.tolist()
@@ -303,7 +305,7 @@ def test_peel_free_extension_is_identity():
 
 def test_trace_serialization_round_trip():
     inst = gen_unconstrained(3, 80, 100, Seed(400))
-    _, trace, _ = two_core(inst)
+    _, trace = two_core(inst)
     again = PeelTrace.from_json_dict(trace.to_json_dict(inst))
     assert again == trace
     assert PeelTrace.from_json_dict(__import__("json").loads(trace.dumps(inst)).copy()) == trace
@@ -338,33 +340,37 @@ def test_trace_reader_refuses_malformed_json(d, message):
     assert type(err.value) is ValueError and str(err.value) == message
     good = PeelTrace.from_json_dict(_GOOD_TRACE)
     assert good.steps.tolist() == [[0, 0], [1, -1]] and good.steps.dtype == np.int64
+    assert good.core_var_ids.dtype == good.core_eq_ids.dtype == np.int64 and good.core_var_ids.shape == (0,)
 
 
 def test_trace_json_and_core_bytes_pinned():
-    # trace JSON, core rows, core rhs and CoreStats of k=3, n=1000 instances
-    # at c = 0.75..0.978 (five of them have an empty core)
+    # trace JSON, core rows, core rhs and core_check's (core_vars, core_eqs,
+    # ratio) fields of k=3, n=1000 instances at c = 0.75..0.978 (five of
+    # them have an empty core); each trace also reads back from its JSON
     h = hashlib.sha256()
     for t in range(20):
         inst = gen_unconstrained(3, 750 + 12 * t, 1000, Seed(1100, t))
-        core, trace, stats = two_core(inst)
-        h.update(trace.dumps(inst).encode())
-        h.update(json.dumps([core.rows, core.rhs, stats.csv_fields()]).encode())
+        core, trace = two_core(inst)
+        text = trace.dumps(inst)
+        assert PeelTrace.from_json_dict(json.loads(text)) == trace
+        h.update(text.encode())
+        h.update(json.dumps([core.rows, core.rhs, [core.n, core.m, repr(core.m / core.n) if core.n else ""]]).encode())
     assert h.hexdigest() == "34560b815ac88d35a8d5514b52c205dd2944eeaf9b5edeed06d1754e1d1fa8b3"
 
 
 def test_core_density_against_prediction_single_shot():
     # one medium instance; the 20-trial n=1e5 versions run in acceptance
     inst = gen_unconstrained(3, int(0.95 * 30_000), 30_000, Seed(500))
-    stats = core_density(inst)
+    core, _ = two_core(inst)
     mu = F.mu_of(3, 0.95)
     pred_vars = (math.exp(mu) - 1 - mu) / math.exp(mu)
-    assert abs(stats.core_vars / 30_000 - pred_vars) < 0.02
-    assert abs(stats.ratio - F.psi(mu) / 3) < 0.02
+    assert abs(core.n / 30_000 - pred_vars) < 0.02
+    assert abs(core.m / core.n - F.psi(mu) / 3) < 0.02
 
 
 def test_subcritical_density_has_empty_core():
     empties = sum(
-        core_density(gen_unconstrained(3, int(0.7 * 20_000), 20_000, Seed(600, t))).core_vars == 0
+        two_core(gen_unconstrained(3, int(0.7 * 20_000), 20_000, Seed(600, t)))[0].n == 0
         for t in range(5)
     )
     assert empties == 5
@@ -378,9 +384,9 @@ def test_core_conditionally_uniform_on_tiny_space():
     exact = Counter()
     for rows in product(triples, repeat=4):
         inst = Instance(3, 5, 4, [list(r) for r in rows], [0, 0, 0, 0], MODEL_UNCONSTRAINED)
-        _, trace, stats = two_core(inst)
-        if (stats.core_vars, stats.core_eqs) == (3, 3):
-            key = tuple(rows[e] for e in trace.core_eq_ids)
+        core, trace = two_core(inst)
+        if (core.n, core.m) == (3, 3):
+            key = tuple(rows[e] for e in trace.core_eq_ids.tolist())
             exact[key] += 1
     assert len(exact) == len(triples)
     assert len(set(exact.values())) == 1  # uniform over keys
@@ -389,10 +395,10 @@ def test_core_conditionally_uniform_on_tiny_space():
     samples, hits = 40_000, Counter()
     for i in range(samples):
         inst = gen_unconstrained(3, 4, 5, Seed(700, i))
-        _, trace, stats = two_core(inst)
-        if (stats.core_vars, stats.core_eqs) == (3, 3):
+        core, trace = two_core(inst)
+        if (core.n, core.m) == (3, 3):
             rows = inst.rows
-            hits[tuple(tuple(rows[e]) for e in trace.core_eq_ids)] += 1
+            hits[tuple(tuple(rows[e]) for e in trace.core_eq_ids.tolist())] += 1
     n_cond = sum(hits.values())
     assert n_cond > 500
     expected = [n_cond / len(triples)] * len(triples)
