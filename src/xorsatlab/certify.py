@@ -283,12 +283,6 @@ def _zeta_sum_diff(z1: float, z2: float) -> tuple[Interval, Interval]:
     return Z2 + Z1, Z2 - Z1
 
 
-def _hk_box(k: int, A: Interval, z1: float, z2: float, C: Interval, LAM: Interval) -> Interval:
-    """Straight interval evaluation of H_k over a (alpha, c, lambda) box."""
-    s, d = _zeta_sum_diff(z1, z2)
-    return C * _hk_dc(k, A, z1, z2) + _hk_tail(s, d, LAM)
-
-
 def _alpha_terms(k: int, A: Interval, z1: float, z2: float) -> tuple:
     """The centered form's terms that depend on the alpha sub-box only:
     dH/dc at its midpoint and over it, dH/dalpha / c over it, and A - mid."""
@@ -321,12 +315,6 @@ def _centered(alpha: tuple, lam: tuple) -> Interval:
     out = out + (C * inner) * dA
     out = out + dc_box * dC
     return out + lam_part
-
-
-def _hk_centered(k: int, A: Interval, z1: float, z2: float, C: Interval, LAM: Interval) -> Interval:
-    """The centered form over one (alpha, c, lambda) box."""
-    s, d = _zeta_sum_diff(z1, z2)
-    return _centered(_alpha_terms(k, A, z1, z2), _lambda_terms(s, d, C, LAM))
 
 
 def hk_cell_bound(

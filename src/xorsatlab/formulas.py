@@ -19,7 +19,9 @@ The exponential rate H_k(alpha, zeta; c) bounds the expected number of
 critical row sets of relative size alpha in the minimum-degree-2 chip
 model; its negativity is what the certifier module re-verifies in interval
 arithmetic.  exact_a / exact_b / exact_EY evaluate the same counts exactly
-for small systems via generating-function coefficient extraction.
+for small systems from two closed-form sums, count_maps_ge2 and
+count_maps_even, which expand the generating-function powers by
+inclusion-exclusion.
 
 Near 0 the obvious expressions for f, psi, var_Z lose all precision to
 cancellation, so each has a short even/odd series branch.
@@ -33,16 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from xorsatlab.errors import BudgetExceededError
-from xorsatlab.series import (
-    EXACT_ORDER_LIMIT,
-    convolve_scaled,
-    egf_power_coeff,
-    power_scaled,
-    terms_even_ge2,
-    terms_exp,
-    terms_ge2,
-)
 
+_EXACT_ORDER_LIMIT = 120  # largest order that exact_a / exact_b / exact_EY evaluate
 _SERIES_CUT = 1e-4
 _X_TOL = 1e-13
 
@@ -335,25 +329,64 @@ def core_sizes(k: int, c: float) -> tuple[float, float]:
 # Exact small-system critical-set expectations
 
 
+def count_maps_ge2(p: int, order: int, free: int = 0) -> int:
+    """order! [z^order] e^{free z} (e^z - 1 - z)^p: maps of `order` labelled
+    chips to p + free columns in which each of the first p gets >= 2 chips.
+
+    Expanding the power (inclusion-exclusion over the columns that get 0 or
+    exactly 1 chip) gives, with b = p - a - c,
+
+        sum_{c, a} p!/(a! b! c!) (-1)^{b+c} (a + free)^{order-c} order!/(order-c)!.
+    """
+    if min(p, order, free) < 0:
+        raise ValueError(f"sizes must be >= 0, got p={p}, order={order}, free={free}")
+    if 2 * p > order:
+        return 0
+    total = 0
+    for c in range(p + 1):
+        q, e = p - c, order - c
+        inner = sum((-1) ** (q - a) * math.comb(q, a) * (a + free) ** e for a in range(q + 1))
+        total += (-1) ** c * math.comb(p, c) * math.perm(order, c) * inner
+    return total
+
+
+def count_maps_even(nu: int, order: int) -> int:
+    """order! [z^order] (cosh z - 1)^nu: maps of `order` labelled chips to nu
+    columns that each get a positive even number of chips.
+
+    Expanding (cosh z - 1)^nu with cosh z = (e^z + e^{-z}) / 2 gives
+
+        2^{-nu} sum_j (-1)^{nu-j} C(nu, j) 2^{nu-j} sum_i C(j, i) (2i - j)^order,
+
+    whose sum is divisible by 2^nu.
+    """
+    if min(nu, order) < 0:
+        raise ValueError(f"sizes must be >= 0, got nu={nu}, order={order}")
+    if 2 * nu > order:
+        return 0
+    total = 0
+    for j in range(nu + 1):
+        inner = sum(math.comb(j, i) * (2 * i - j) ** order for i in range(j + 1))
+        total += (-1) ** (nu - j) * math.comb(nu, j) * 2 ** (nu - j) * inner
+    return total >> nu
+
+
 def exact_a(k: int, ell: int, nu: int) -> int:
     """(k ell)! [z^{k ell}] (cosh z - 1)^nu: weight-k row blocks of size ell whose
     nu occupied columns all receive positive even chip counts."""
     order = k * ell
-    if order > EXACT_ORDER_LIMIT:
-        raise BudgetExceededError(f"k*ell = {order} exceeds exact budget {EXACT_ORDER_LIMIT}")
-    return egf_power_coeff(terms_even_ge2(order), nu, order)
+    if order > _EXACT_ORDER_LIMIT:
+        raise BudgetExceededError(f"k*ell = {order} exceeds exact budget {_EXACT_ORDER_LIMIT}")
+    return count_maps_even(nu, order)
 
 
 def exact_b(k: int, m: int, ell: int, nu: int, n: int) -> int:
     """(k(m-ell))! [z^{k(m-ell)}] (e^z)^nu f(z)^{n-nu}: complementary blocks with the
     last n-nu columns forced to >= 2 chips."""
     order = k * (m - ell)
-    if order > EXACT_ORDER_LIMIT:
-        raise BudgetExceededError(f"k*(m-ell) = {order} exceeds exact budget {EXACT_ORDER_LIMIT}")
-    if nu == 0:
-        return egf_power_coeff(terms_ge2(order), n, order)
-    fpow = power_scaled(terms_ge2(order), n - nu, order)
-    return convolve_scaled(terms_exp(order, nu), fpow, order)[order]
+    if order > _EXACT_ORDER_LIMIT:
+        raise BudgetExceededError(f"k*(m-ell) = {order} exceeds exact budget {_EXACT_ORDER_LIMIT}")
+    return count_maps_ge2(n - nu, order, nu)
 
 
 def exact_EY(k: int, m: int, n: int, ell: int) -> Fraction:
@@ -362,11 +395,11 @@ def exact_EY(k: int, m: int, n: int, ell: int) -> Fraction:
     C(m, ell) * sum_nu C(n, nu) a(ell, nu) b(m-ell, nu) / |allocations|.
     """
     order = k * m
-    if order > EXACT_ORDER_LIMIT:
-        raise BudgetExceededError(f"k*m = {order} exceeds exact budget {EXACT_ORDER_LIMIT}")
+    if order > _EXACT_ORDER_LIMIT:
+        raise BudgetExceededError(f"k*m = {order} exceeds exact budget {_EXACT_ORDER_LIMIT}")
     if not 1 <= ell <= m:
         raise ValueError(f"ell must lie in [1, {m}]")
-    total = egf_power_coeff(terms_ge2(order), n, order)
+    total = count_maps_ge2(n, order)
     acc = 0
     for nu in range(1, min(n, (k * ell) // 2) + 1):
         a = exact_a(k, ell, nu)
@@ -416,6 +449,8 @@ __all__ = [
     "c_hat",
     "c_star",
     "core_sizes",
+    "count_maps_even",
+    "count_maps_ge2",
     "entropy",
     "exact_EY",
     "exact_a",

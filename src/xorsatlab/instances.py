@@ -24,7 +24,11 @@ the accepted allocation, since relabelling columns moves no collision.
 
 Everything is keyed by a Seed; a fixed (master, stream) pair reproduces
 instances bit-exactly.  JSON and a compact varint binary format both
-round-trip exactly (see `to_bytes` for the layout).
+round-trip exactly (see `to_bytes` for the layout); each writer validates
+first, so it writes only what its reader accepts.
+
+`count_C_exact` gives the exact number of chip allocations,
+(km)! [z^{km}] (e^z - 1 - z)^n, for km <= 600 (`formulas.count_maps_ge2`).
 """
 
 from __future__ import annotations
@@ -41,20 +45,14 @@ import numpy as np
 
 from xorsatlab.errors import BudgetExceededError, InstanceFormatError, RejectionBudgetError, from_json
 from xorsatlab.formulas import gamma as _gamma
-from xorsatlab.formulas import lambda_of, var_Z
+from xorsatlab.formulas import count_maps_ge2, lambda_of, var_Z
 from xorsatlab.rng import Seed
-from xorsatlab.series import (
-    EXACT_ORDER_LIMIT,
-    LOG_ORDER_LIMIT,
-    egf_power_coeff,
-    log_egf_power_coeff_ge2,
-    terms_ge2,
-)
 
 MODEL_UNCONSTRAINED = "unconstrained"
 MODEL_CONSTRAINED = "constrained"
 _MODELS = (MODEL_UNCONSTRAINED, MODEL_CONSTRAINED)  # index = the binary model byte
 
+_COUNT_ORDER_LIMIT = 600  # largest km that count_C_exact evaluates
 _DEGREE_BATCH = 64  # fixed so streams are consumed identically everywhere
 
 
@@ -116,6 +114,8 @@ class Instance:
 
     def validate(self) -> None:
         """Raise InstanceFormatError unless this is a well-formed instance of its model."""
+        if self.k < 1 or self.n < 0:  # again: the fields may have changed since construction
+            raise InstanceFormatError(f"need k >= 1 and n >= 0, got k={self.k}, n={self.n}")
         if self.model_tag not in _MODELS:
             raise InstanceFormatError(f"unknown model_tag {self.model_tag!r}")
         index = self.index
@@ -151,6 +151,9 @@ class Instance:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The JSON form that `from_json_dict` reads; `validate` runs first, so
+        nothing is written that the reader would refuse."""
+        self.validate()
         seed = self.seed.to_dict() if self.seed is not None else None
         return dict(k=self.k, n=self.n, m=self.m, rows=self.rows, rhs=self.rhs, model_tag=self.model_tag, seed=seed)
 
@@ -177,12 +180,10 @@ class Instance:
     def to_bytes(self) -> bytes:
         """Compact binary: magic "XLI1", varint k/n/m, model byte, optional
         seed (2 x u64 LE), rows as varint first-index + index gaps, rhs bits
-        packed LSB-first.  A negative size, index or index gap has no varint
-        and is refused before anything is written."""
+        packed LSB-first.  `validate` runs first, so nothing is written that
+        `from_bytes` would refuse (and no negative varint, which never ends)."""
+        self.validate()
         gaps = np.diff(self.index, axis=1, prepend=0)  # each row's first index, then its gaps
-        # a negative index is checked too: int64 may wrap the gap that follows it
-        if min(self.k, self.n, self.m) < 0 or (self.index < 0).any() or (gaps < 0).any():
-            raise InstanceFormatError("cannot encode a negative size, index or index gap")
         out = bytearray(b"XLI1")
         for v in (self.k, self.n, self.m):
             _put_varint(out, v)
@@ -336,7 +337,7 @@ def gen_unconstrained(k: int, m: int, n: int, seed: Seed) -> Instance:
 
 
 @lru_cache(maxsize=64)
-def _tpois_cum(lam: float) -> tuple[np.ndarray, int]:
+def _tpois_cum(lam: float) -> np.ndarray:
     """CDF table of the >=2-truncated Poisson(lam); values start at 2."""
     norm = math.expm1(lam) - lam
     probs = []
@@ -355,7 +356,7 @@ def _tpois_cum(lam: float) -> tuple[np.ndarray, int]:
             break
     arr = np.array(probs)
     arr[-1] = max(arr[-1], 1.0)  # clamp tail (mass < 1e-15) onto the last entry
-    return arr, j
+    return arr
 
 
 def sample_truncated_poisson(lam: float, seed: Seed | None = None, size: int | None = None, rng=None):
@@ -366,7 +367,7 @@ def sample_truncated_poisson(lam: float, seed: Seed | None = None, size: int | N
         if seed is None:
             raise ValueError("need a Seed (or an explicit generator)")
         rng = seed.generator()
-    cum, _ = _tpois_cum(lam)
+    cum = _tpois_cum(lam)
     u = rng.random(size if size is not None else 1)
     vals = 2 + np.searchsorted(cum, u, side="right")
     if size is None:
@@ -377,7 +378,7 @@ def sample_truncated_poisson(lam: float, seed: Seed | None = None, size: int | N
 def _tpois_pmf(lam: float) -> np.ndarray:
     """pmf table of the >=2-truncated Poisson(lam) over the values 2, 3, ...,
     with the (< 1e-15) tail mass on the last entry."""
-    cum, _ = _tpois_cum(lam)
+    cum = _tpois_cum(lam)
     pvals = np.diff(cum, prepend=0.0)
     pvals[-1] = max(0.0, 1.0 - pvals[:-1].sum())
     return pvals
@@ -559,32 +560,17 @@ def gen_constrained(
 # Exact chip-allocation counts
 
 
-@dataclass(frozen=True)
-class CModelCount:
-    """|allocations| for (k, m, n): log value always, exact int when small."""
-
-    log_value: float
-    exact: int | None
-
-
-def count_C_exact(k: int, m: int, n: int) -> CModelCount:
-    """(km)! [z^{km}] (e^z - 1 - z)^n: chip->column maps with all column sums >= 2.
-
-    Exact big-integer mode for km <= 120, log-space mode up to km <= 600.
-    """
+def count_C_exact(k: int, m: int, n: int) -> int:
+    """(km)! [z^{km}] (e^z - 1 - z)^n: chip->column maps with all column sums >= 2,
+    exact for km <= 600."""
     order = k * m
-    if order > LOG_ORDER_LIMIT:
-        raise BudgetExceededError(f"km = {order} exceeds the DP budget {LOG_ORDER_LIMIT}")
-    if order <= EXACT_ORDER_LIMIT:
-        exact = egf_power_coeff(terms_ge2(order), n, order)
-        log_value = math.log(exact) if exact > 0 else -math.inf
-        return CModelCount(log_value, exact)
-    return CModelCount(log_egf_power_coeff_ge2(n, order), None)
+    if order > _COUNT_ORDER_LIMIT:
+        raise BudgetExceededError(f"km = {order} exceeds the DP budget {_COUNT_ORDER_LIMIT}")
+    return count_maps_ge2(n, order)
 
 
 __all__ = [
     "ChipAllocation",
-    "CModelCount",
     "Instance",
     "MODEL_CONSTRAINED",
     "MODEL_UNCONSTRAINED",

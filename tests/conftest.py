@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,23 @@ def ext_kernel(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_capped_child(code: str, timeout: float = 30) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter on this checkout's package, with a
+    1 GB address-space cap and a timeout: code that would loop or grow
+    without end fails the test (TimeoutExpired or MemoryError) instead of
+    hanging it."""
+    import resource
+
+    import xorsatlab
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xorsatlab.__file__)), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          preexec_fn=cap_address_space, timeout=timeout)
 
 
 def chi2_pvalue(observed, expected):

@@ -23,8 +23,6 @@ from xorsatlab.certify import (
     hk_cell_bound,
     interval_s_k,
     replay_certificate,
-    _hk_box,
-    _hk_centered,
     _lambda_subranges,
 )
 from xorsatlab.formulas import H_k, ZetaChoice, _hk_terms, lambda_of, s_k
@@ -142,8 +140,8 @@ class TestHkEnclosures:
             subs = _lambda_subranges(k, c_range, 1)
             C, LAM = subs[0]
             A = Interval(*cell)
-            box = _hk_box(k, A, z[0], z[1], C, LAM)
-            cen = _hk_centered(k, A, z[0], z[1], C, LAM)
+            box = _old_hk_box(k, A, z[0], z[1], C, LAM)
+            cen = _old_hk_centered(k, A, z[0], z[1], C, LAM)
             for _ in range(8):
                 a = rnd.uniform(*cell)
                 c = rnd.uniform(*c_range)
@@ -246,10 +244,6 @@ class TestSharedTermsEquivalence:
             new = hk_cell_bound(k, cell, zeta, c_range, c_div, a_div)
             old = _old_hk_cell_bound(k, cell, zeta, c_range, c_div, a_div)
             assert new == old, (k, cell, zeta, c_range, c_div, a_div)
-            C, LAM = _lambda_subranges(k, c_range, 1)[0]
-            A = Interval(*cell)
-            assert _hk_box(k, A, *zeta, C, LAM) == _old_hk_box(k, A, *zeta, C, LAM)
-            assert _hk_centered(k, A, *zeta, C, LAM) == _old_hk_centered(k, A, *zeta, C, LAM)
 
     def test_passing_lambda_subranges_gives_the_same_bound(self):
         subs = _lambda_subranges(3, (0.999, 1.001), 2)

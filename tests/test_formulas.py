@@ -269,15 +269,14 @@ class TestExactCounts:
         # replace (cosh z - 1)^nu with the >=2 series: at ell = m, nu = n the
         # sum over nu collapses and must reproduce the total allocation count
         from xorsatlab.instances import count_C_exact
-        from xorsatlab.series import egf_power_coeff, terms_ge2
 
         for k, m, n in [(3, 2, 2), (3, 4, 4), (4, 3, 5)]:
             km = k * m
-            total = count_C_exact(k, m, n).exact
-            assert egf_power_coeff(terms_ge2(km), n, km) == total
+            total = count_C_exact(k, m, n)
+            assert F.count_maps_ge2(n, km) == total
             assert F.exact_b(k, m, 0, 0, n) == total
             collapsed = sum(
-                math.comb(n, nu) * egf_power_coeff(terms_ge2(km), nu, km) * F.exact_b(k, m, m, nu, n)
+                math.comb(n, nu) * F.count_maps_ge2(nu, km) * F.exact_b(k, m, m, nu, n)
                 for nu in range(1, n + 1)
             )
             assert collapsed == total

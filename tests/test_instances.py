@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chi2_pvalue
+from conftest import chi2_pvalue, run_capped_child
+from test_series import dp_power, terms_ge2
 from xorsatlab import formulas as F
 from xorsatlab.errors import BudgetExceededError, InstanceFormatError, RejectionBudgetError
 from xorsatlab.instances import (
@@ -121,7 +122,7 @@ class TestChipModel:
 
     def test_uniform_over_allocations(self):
         # k=3, m=2, n=2: exactly 50 chip->column maps, all equally likely
-        assert count_C_exact(3, 2, 2).exact == 50
+        assert count_C_exact(3, 2, 2) == 50
         samples = 20_000
         counts = Counter()
         for i in range(samples):
@@ -234,7 +235,7 @@ class TestSamplerInternals:
         # P(S_n = km) = |allocations| lam^km / ((km)! f(lam)^n) for i.i.d. truncated Poissons
         km = k * m
         lam = F.lambda_of(km / n)
-        exact = float(Fraction(count_C_exact(k, m, n).exact, math.factorial(km))) * lam**km / F.f(lam) ** n
+        exact = float(Fraction(count_C_exact(k, m, n), math.factorial(km))) * lam**km / F.f(lam) ** n
         assert _hit_probability(lam, n, km) == pytest.approx(exact, rel=1e-9)
 
     @pytest.mark.parametrize("total", [12, 13])
@@ -304,7 +305,7 @@ class TestSamplerInternals:
 
 class TestAllocationCounts:
     def test_single_column(self):
-        assert count_C_exact(3, 2, 1).exact == 1
+        assert count_C_exact(3, 2, 1) == 1
 
     def test_brute_force_agreement(self):
         for k, m, n in [(3, 2, 2), (3, 2, 3), (2, 4, 3), (3, 4, 2)]:
@@ -315,13 +316,13 @@ class TestAllocationCounts:
                 for col in assign:
                     tallies[col] += 1
                 expected += all(t >= 2 for t in tallies)
-            assert count_C_exact(k, m, n).exact == expected
+            assert count_C_exact(k, m, n) == expected
 
     def test_log_matches_asymptotic_form(self):
         # (km)! f(lam)^n / lam^{km} / sqrt(2 pi n Var Z) within 5%
         k, m, n = 3, 100, 100
         got = count_C_exact(k, m, n)
-        assert got.exact is None
+        assert got == dp_power(terms_ge2(k * m), n, k * m)[k * m]
         lam = F.lambda_of(k * m / n)
         approx = (
             math.lgamma(k * m + 1)
@@ -329,7 +330,7 @@ class TestAllocationCounts:
             - k * m * math.log(lam)
             - 0.5 * math.log(2 * math.pi * n * F.var_Z(lam))
         )
-        assert abs(math.exp(got.log_value - approx) - 1.0) < 0.05
+        assert abs(math.exp(math.log(got) - approx) - 1.0) < 0.05
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -357,20 +358,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Instance.from_bytes(b"NOPE" + b"\x00" * 20)
 
-    @pytest.mark.parametrize("rows", [[[2, 1, 0]], [[-1, 1, 2]]], ids=["decreasing_row", "negative_first_index"])
-    def test_binary_writer_refuses_a_negative_varint(self, rows):
+    @pytest.mark.parametrize("rows, message", [([[2, 1, 0]], "row indices must be strictly increasing"),
+                                               ([[-1, 1, 2]], "variable index -1 out of range")],
+                             ids=["decreasing_row", "negative_first_index"])
+    def test_binary_writer_refuses_a_negative_varint(self, rows, message):
         # a negative varint never ends, so the writer runs in a child with a
         # timeout and an address-space cap: a regression fails, not hangs
-        import os
-        import resource
-        import subprocess
-        import sys
-
-        import xorsatlab
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         code = (
             "from xorsatlab.errors import InstanceFormatError\n"
             "from xorsatlab.instances import Instance\n"
@@ -380,10 +373,32 @@ class TestSerialization:
             "except InstanceFormatError as exc:\n"
             "    print(exc)\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xorsatlab.__file__)), OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                              preexec_fn=cap_address_space, timeout=30)
-        assert (proc.returncode, proc.stdout) == (0, "cannot encode a negative size, index or index gap\n"), proc.stderr
+        proc = run_capped_child(code)
+        assert (proc.returncode, proc.stdout) == (0, message + "\n"), proc.stderr
+
+    def test_binary_writer_refuses_a_size_made_negative(self):
+        # the constructor refuses n < 0, but the field can be set afterwards
+        code = (
+            "from xorsatlab.errors import InstanceFormatError\n"
+            "from xorsatlab.instances import Instance\n"
+            "inst = Instance(3, 5, 0, [], [], 'unconstrained')\n"
+            "inst.n = -1\n"
+            "try:\n"
+            "    inst.to_bytes()\n"
+            "except InstanceFormatError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = run_capped_child(code)
+        assert (proc.returncode, proc.stdout) == (0, "need k >= 1 and n >= 0, got k=3, n=-1\n"), proc.stderr
+
+    @pytest.mark.parametrize("rows, message", [([[0, 0, 1]], "row indices must be strictly increasing"),
+                                               ([[0, 1, 7]], "variable index 7 out of range")],
+                             ids=["repeated_index", "index_past_n"])
+    def test_writers_refuse_what_their_readers_refuse(self, rows, message):
+        inst = Instance(3, 5, 1, rows, [0], "unconstrained")
+        for write in (inst.to_bytes, inst.dumps, inst.to_json_dict):
+            with pytest.raises(InstanceFormatError, match=message):
+                write()
 
     @pytest.mark.parametrize(
         "blob, message",
