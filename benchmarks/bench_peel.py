@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Benchmark unconstrained sampling and 2-core peeling at core_check shapes.
+
+Times `gen_unconstrained` and `two_core` at k=3, c=0.95 (criterion 08's
+density) for each size, one JSON line per size: milliseconds per call
+(median over --repeat fresh instances), the number of peel rounds, the core
+size and the process's peak RSS so far.  Run from the repo root:
+
+    PYTHONPATH=src python benchmarks/bench_peel.py [--sizes 10000,100000,1000000] [--repeat 5]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import statistics
+import time
+
+from xorsatlab.instances import gen_unconstrained
+from xorsatlab.peel import two_core
+from xorsatlab.rng import Seed
+
+K, C = 3, 0.95
+
+
+def peel_rounds(inst, trace) -> int:
+    """Rounds of the synchronous peel, read back from its trace.
+
+    A variable is removed one round after its degree last fell (round 0 when
+    it starts at degree <= 1), and every variable of a removed equation has
+    its degree fall in the round of that removal; the trace lists removals
+    in round order, so one pass assigns every round.
+    """
+    rows = inst.rows
+    fell = [0] * inst.n
+    last = 0
+    for v, e in trace.steps.tolist():
+        last = fell[v] + 1
+        if e >= 0:
+            for u in rows[e]:
+                fell[u] = last
+    return last
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--sizes", default="10000,100000,1000000")
+    ap.add_argument("--repeat", type=int, default=5)
+    args = ap.parse_args()
+    two_core(gen_unconstrained(K, 10, 10, Seed(0)))  # first-call costs stay out of the timings
+    for n in (int(s) for s in args.sizes.split(",")):
+        m = int(C * n)
+        gen_s, peel_s = [], []
+        for i in range(args.repeat):
+            t0 = time.perf_counter()
+            inst = gen_unconstrained(K, m, n, Seed(n, i))
+            t1 = time.perf_counter()
+            core, trace = two_core(inst)
+            t2 = time.perf_counter()
+            gen_s.append(t1 - t0)
+            peel_s.append(t2 - t1)
+        print(json.dumps({
+            "k": K, "c": C, "n": n, "m": m, "repeat": args.repeat,
+            "gen_unconstrained_ms": round(statistics.median(gen_s) * 1e3, 3),
+            "two_core_ms": round(statistics.median(peel_s) * 1e3, 3),
+            # of the last instance
+            "rounds": peel_rounds(inst, trace),
+            "core_vars": core.n,
+            "core_eqs": core.m,
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        }), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

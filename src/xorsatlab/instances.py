@@ -310,6 +310,15 @@ def _get_varint(blob: bytes, pos: int) -> tuple[int, int]:
 # Unconstrained model
 
 
+def _repeats_in_sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a row-sorted (r, k) array that hold an index twice:
+    in a sorted row a repeat sits in neighbouring columns."""
+    rep = np.zeros(rows.shape[0], dtype=bool)
+    for j in range(1, rows.shape[1]):
+        rep |= rows[:, j] == rows[:, j - 1]
+    return rep
+
+
 def gen_unconstrained(k: int, m: int, n: int, seed: Seed) -> Instance:
     """m independent uniform k-subsets of [n], rhs bits i.i.d. uniform."""
     if not 1 <= k <= n:
@@ -318,12 +327,12 @@ def gen_unconstrained(k: int, m: int, n: int, seed: Seed) -> Instance:
     if 2 * k <= n:
         rows_arr = rng.integers(0, n, size=(m, k))
         rows_arr.sort(axis=1)
-        bad = np.nonzero((np.diff(rows_arr, axis=1) == 0).any(axis=1))[0]
+        bad = _repeats_in_sorted_rows(rows_arr).nonzero()[0]
         while bad.size:
             redraw = rng.integers(0, n, size=(bad.size, k))
             redraw.sort(axis=1)
             rows_arr[bad] = redraw
-            bad = bad[(np.diff(redraw, axis=1) == 0).any(axis=1)]
+            bad = bad[_repeats_in_sorted_rows(redraw)]
     else:
         # dense rows: rejection would stall, take sorted permutation prefixes
         rows_arr = np.array([rng.permutation(n)[:k] for _ in range(m)], dtype=np.int64).reshape(m, k)

@@ -8,8 +8,9 @@ two equations.  The result is independent of removal order.
 We peel in synchronous rounds on numpy arrays (Jiang, Mitzenmacher &
 Thaler, "Parallel Peeling Algorithms", arXiv:1302.7014): each round removes
 every live variable of degree <= 1 at once.  For each variable we keep its
-live degree and the XOR of the ids of its live equations; at degree 1 that
-XOR is the id of its one equation, so no incidence lists are kept.  When
+live degree and the sum of the ids of its live equations; at degree 1 that
+sum is the id of its one equation, so no incidence lists are kept.  A sum
+is at most (m - 1) * degree and is kept exact in int64 (`_id_sums`).  When
 several variables of a round have the same equation, the least id takes it
 and the others are removed in the next round at degree 0.
 
@@ -104,6 +105,25 @@ class _TraceJSON:
     core_eq_ids: list[int]
 
 
+def _id_sums(flat: np.ndarray, ids: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Exact int64 sums, per variable, of `ids` over the index entries `flat`.
+
+    `ids` is float64 holding integers below 2**53, which `np.bincount` takes
+    as weights without a conversion.  `deg` counts each variable in `flat`,
+    so a sum is at most max(ids) * deg[v].  The float64 bincount adds exactly
+    while that bound is below 2**53; past it the sums go through an int64
+    `np.add.at`, and past 2**63 OverflowError is raised rather than wrapping.
+    """
+    bound = int(ids.max(initial=0)) * int(deg.max(initial=0))
+    if bound < 1 << 53:
+        return np.bincount(flat, weights=ids, minlength=deg.size).astype(np.int64)
+    if bound >= 1 << 63:
+        raise OverflowError(f"equation id sums may reach {bound}, past int64")
+    sums = np.zeros(deg.size, dtype=np.int64)
+    np.add.at(sums, flat, ids.astype(np.int64))
+    return sums
+
+
 def _peel_rounds(index: np.ndarray, n: int):
     """Round-synchronous peel of the (m, k) index array `index`.
 
@@ -112,20 +132,23 @@ def _peel_rounds(index: np.ndarray, n: int):
     survivor masks.
     """
     m, k = index.shape
-    deg = np.bincount(index.ravel(), minlength=n)
-    # eqx[v] is the XOR of the ids of v's live equations: at degree 1 it is
-    # that one equation's id, so no incidence lists are needed
-    eqx = np.zeros(n, dtype=np.int64)
-    np.bitwise_xor.at(eqx, index.ravel(), np.repeat(np.arange(m, dtype=np.int64), k))
+    flat = index.ravel()
+    deg = np.bincount(flat, minlength=n)
+    # eqsum[v] is the sum of the ids of v's live equations, at most
+    # (m - 1) * deg[v]: at degree 1 it is that one equation's id, so no
+    # incidence lists are needed
+    eqsum = _id_sums(flat, np.repeat(np.arange(m, dtype=np.float64), k), deg)
     var_alive = np.ones(n, dtype=bool)
     eq_alive = np.ones(m, dtype=bool)
     # ties go to the first claimant in round order, the least id
     claim = np.full(m, n, dtype=np.int64)
+    # marks the next frontier; nonzero() lists it in ascending order
+    mark = np.zeros(n, dtype=bool)
     empty = np.zeros(0, dtype=np.int64)
     step_vars, step_eqs = [empty], [empty]
     frontier = (deg <= 1).nonzero()[0]
     while frontier.size:
-        eqs = np.where(deg[frontier] == 1, eqx[frontier], -1)
+        eqs = np.where(deg[frontier] == 1, eqsum[frontier], -1)
         one = eqs >= 0
         cand, cand_eqs = frontier[one], eqs[one]
         np.minimum.at(claim, cand_eqs, cand)
@@ -139,10 +162,12 @@ def _peel_rounds(index: np.ndarray, n: int):
         eq_alive[gone] = False
         touched = index[gone].ravel()
         np.subtract.at(deg, touched, 1)
-        np.bitwise_xor.at(eqx, touched, np.repeat(gone, k))
+        np.subtract.at(eqsum, touched, np.repeat(gone, k))
         # a claimant that lost its equation is now at degree 0; it was in
         # that equation's row, so it is among the touched variables
-        frontier = np.unique(touched[var_alive[touched] & (deg[touched] <= 1)])
+        mark[touched[var_alive[touched] & (deg[touched] <= 1)]] = True
+        frontier = mark.nonzero()[0]
+        mark[frontier] = False
     return np.concatenate(step_vars), np.concatenate(step_eqs), var_alive, eq_alive
 
 

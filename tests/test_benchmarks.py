@@ -1,11 +1,13 @@
-"""Smoke run of `benchmarks/bench_gf2.py`, the compiled-versus-fallback kernel timing.
+"""Smoke runs of the scripts under `benchmarks/`.
 
-The script imports `xorsatlab._kernel.fallback` and `_ext` directly and
-builds its systems with `BitMatrix.from_dense` and `from_sparse_rows`, so a
-change to those names or to the `eliminate_words(words, ncols)` contract
-would break it without any other test failing.  It runs once, in a fresh
-interpreter with PYTHONPATH=src, at its smallest arguments; without a
-built `_ext` it times the fallback alone.
+`bench_gf2.py`, the compiled-versus-fallback kernel timing, imports
+`xorsatlab._kernel.fallback` and `_ext` directly and builds its systems with
+`BitMatrix.from_dense` and `from_sparse_rows`, so a change to those names or
+to the `eliminate_words(words, ncols)` contract would break it without any
+other test failing; without a built `_ext` it times the fallback alone.
+`bench_peel.py` times `gen_unconstrained` and `two_core` and reads the peel
+rounds back from the trace's `steps`.  Each runs once, in a fresh
+interpreter with PYTHONPATH=src, at its smallest arguments.
 """
 
 import os
@@ -18,9 +20,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# a fixed id: test lists name the case by it
-@pytest.mark.parametrize("script,args", [("bench_gf2.py", ["--sizes", "64", "--repeat", "1"])],
-                         ids=["bench_gf2.py-args1-False"])
+# fixed ids: test lists name the cases by them
+@pytest.mark.parametrize("script,args", [("bench_gf2.py", ["--sizes", "64", "--repeat", "1"]),
+                                         ("bench_peel.py", ["--sizes", "1000", "--repeat", "1"])],
+                         ids=["bench_gf2.py-args1-False", "bench_peel.py-args1"])
 def test_benchmark_script_runs(script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(

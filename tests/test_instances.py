@@ -284,6 +284,18 @@ class TestSamplerInternals:
             h.update(gen_constrained(3, 44, 40, Seed(3, i)).to_bytes())
         assert h.hexdigest() == "5b55fcd6e7a38ad96a0a095755526e5b6870beddbce41069a05001773d61f5eb"
 
+    def test_unconstrained_stream_pinned(self):
+        # the draws of the unconstrained sampler, as produced by its earlier
+        # np.diff duplicate check; at n close to 2k a third to most of the
+        # first draw's rows hold a repeat, so the redraw loop runs many times
+        h = hashlib.sha256()
+        shapes = [(k, 50, n) for k in (3, 4, 5) for n in range(2 * k, 13)]
+        shapes += [(1, 50, n) for n in (2, 5, 12)] + [(3, 0, 6), (1, 0, 1)]
+        for k, m, n in shapes:
+            for i in range(5):
+                h.update(gen_unconstrained(k, m, n, Seed(100 * k + n, i)).to_bytes())
+        assert h.hexdigest() == "d14ca83b9265f6affbe2d388888e2abbe4688e37ed39b60607b45c47ca67549e"
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_row_duplicate_check_matches_sorting(self, k):
         rng = np.random.default_rng(k)

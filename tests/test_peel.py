@@ -18,7 +18,7 @@ from xorsatlab.instances import (
     gen_constrained,
     gen_unconstrained,
 )
-from xorsatlab.peel import PeelTrace, extend_solution, two_core
+from xorsatlab.peel import PeelTrace, _id_sums, _peel_rounds, extend_solution, two_core
 from xorsatlab.rng import Seed
 
 
@@ -125,22 +125,108 @@ def test_matches_sequential_peel_on_random_instances():
         assert_matches_sequential(inst)
 
 
-@pytest.mark.parametrize(
-    "k, n, rows",
-    [
-        (3, 0, []),  # m = 0, n = 0
-        (3, 6, []),  # m = 0: every variable isolated
-        (3, 7, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),  # isolated 4..6 around a core
-        (3, 3, [[0, 1, 2]]),  # all three claim one equation in round 1
-        (3, 5, [[0, 1, 2], [2, 3, 4]]),
-        (1, 4, [[0], [0], [2], [3], [3], [3]]),
-        (2, 5, [[0, 1], [1, 2], [2, 0], [3, 4]]),  # a cycle survives, a pendant edge does not
-        (2, 4, [[0, 1], [1, 2], [2, 3]]),
-    ],
-)
+EDGE_CASES = [
+    (3, 0, []),  # m = 0, n = 0
+    (3, 6, []),  # m = 0: every variable isolated
+    (3, 7, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),  # isolated 4..6 around a core
+    (3, 3, [[0, 1, 2]]),  # all three claim one equation in round 1
+    (3, 5, [[0, 1, 2], [2, 3, 4]]),
+    (1, 4, [[0], [0], [2], [3], [3], [3]]),
+    (2, 5, [[0, 1], [1, 2], [2, 0], [3, 4]]),  # a cycle survives, a pendant edge does not
+    (2, 4, [[0, 1], [1, 2], [2, 3]]),
+]
+
+
+@pytest.mark.parametrize("k, n, rows", EDGE_CASES)
 def test_matches_sequential_peel_on_edge_cases(k, n, rows):
     inst = Instance(k, n, len(rows), rows, [i % 2 for i in range(len(rows))], MODEL_UNCONSTRAINED)
     assert_matches_sequential(inst)
+
+
+def xor_peel_rounds(index, n):
+    """The round peel that `_peel_rounds` replaced: each variable keeps the XOR
+    of its live equation ids, and np.unique rebuilds every frontier."""
+    m, k = index.shape
+    deg = np.bincount(index.ravel(), minlength=n)
+    eqx = np.zeros(n, dtype=np.int64)
+    np.bitwise_xor.at(eqx, index.ravel(), np.repeat(np.arange(m, dtype=np.int64), k))
+    var_alive = np.ones(n, dtype=bool)
+    eq_alive = np.ones(m, dtype=bool)
+    claim = np.full(m, n, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    step_vars, step_eqs = [empty], [empty]
+    frontier = (deg <= 1).nonzero()[0]
+    while frontier.size:
+        eqs = np.where(deg[frontier] == 1, eqx[frontier], -1)
+        one = eqs >= 0
+        cand, cand_eqs = frontier[one], eqs[one]
+        np.minimum.at(claim, cand_eqs, cand)
+        won = claim[cand_eqs] == cand
+        peeled = ~one
+        peeled[one] = won
+        step_vars.append(frontier[peeled])
+        step_eqs.append(eqs[peeled])
+        var_alive[step_vars[-1]] = False
+        gone = cand_eqs[won]
+        eq_alive[gone] = False
+        touched = index[gone].ravel()
+        np.subtract.at(deg, touched, 1)
+        np.bitwise_xor.at(eqx, touched, np.repeat(gone, k))
+        frontier = np.unique(touched[var_alive[touched] & (deg[touched] <= 1)])
+    return np.concatenate(step_vars), np.concatenate(step_eqs), var_alive, eq_alive
+
+
+def assert_matches_xor_peel(inst):
+    got, want = _peel_rounds(inst.index, inst.n), xor_peel_rounds(inst.index, inst.n)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_matches_xor_peel_on_random_instances():
+    for k in range(1, 6):
+        # below and above the core threshold; k = 1 has none (any repeated
+        # variable is a core) and takes c = 0.4 and 0.6
+        c_hat = F.c_hat(k) if k > 1 else 0.5
+        for n in (k, 2 * k + 1, 40, 700, 12000, 100000):
+            for i, c in enumerate((0.8 * c_hat, 1.2 * c_hat)):
+                assert_matches_xor_peel(gen_unconstrained(k, int(c * n), n, Seed(2300 + k, 2 * n + i)))
+
+
+@pytest.mark.parametrize(
+    "k, n, rows",
+    EDGE_CASES + [
+        (1, 0, []),  # n = 0 at k = 1
+        (3, 4, [[0, 0, 1], [1, 2, 3], [1, 2, 3]]),  # a repeated index counts twice towards the degree
+        (2, 3, [[1, 1], [0, 2]]),
+    ],
+)
+def test_matches_xor_peel_on_edge_cases(k, n, rows):
+    assert_matches_xor_peel(Instance(k, n, len(rows), rows, [0] * len(rows), MODEL_UNCONSTRAINED))
+
+
+def test_id_sums_are_exact_near_the_float_bound():
+    big = 1 << 53
+    # one var at degree 3 with ids just under 2**53: past the float path, summed in int64
+    flat = np.array([0, 0, 0, 1, 2, 2], dtype=np.int64)
+    ids = np.array([big - 1, big - 3, big - 5, 7, 3 * 10**15 + 1, 3 * 10**15 + 3], dtype=np.float64)
+    assert ids.astype(np.int64).tolist() == [big - 1, big - 3, big - 5, 7, 3 * 10**15 + 1, 3 * 10**15 + 3]
+    deg = np.bincount(flat, minlength=4)
+    sums = _id_sums(flat, ids, deg)
+    assert sums.dtype == np.int64
+    assert sums.tolist() == [3 * big - 9, 7, 6 * 10**15 + 4, 0]
+    # the largest ids that still take the float path: a sum of 2**53 - 4 is exact there
+    flat = np.array([0, 0, 1], dtype=np.int64)
+    ids = np.array([big // 2 - 1, big // 2 - 3, big // 2 - 1], dtype=np.float64)
+    deg = np.bincount(flat, minlength=2)
+    assert int(ids.max()) * int(deg.max()) < big
+    sums = _id_sums(flat, ids, deg)
+    assert sums.tolist() == [big - 4, big // 2 - 1]
+    # removing all but one equation leaves that equation's id, as at degree 1
+    np.subtract.at(sums, flat[:1], ids[:1].astype(np.int64))
+    assert sums[0] == big // 2 - 3
+    # sums that could pass int64 are refused, not wrapped
+    with pytest.raises(OverflowError):
+        _id_sums(np.zeros(2, dtype=np.int64), np.full(2, float(1 << 52)), np.array([1 << 11]))
 
 
 def test_shared_equation_goes_to_first_claimant_in_round_order():
