@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark unconstrained sampling and 2-core peeling at core_check shapes.
 
-Times `gen_unconstrained` and `two_core` at k=3, c=0.95 (criterion 08's
-density) for each size, one JSON line per size: milliseconds per call
-(median over --repeat fresh instances), the number of peel rounds, the core
-size and the process's peak RSS so far.  Run from the repo root:
+Times `gen_unconstrained` and `two_core` at k=3 for each density in --c
+(default 0.95, criterion 08's density; 0.818 sits at the core threshold
+c_3 = 0.818469, where the peel runs hundreds of rounds) and each size, one
+JSON line per (density, size): milliseconds per call (median over --repeat
+fresh instances), the number of peel rounds, the core size and the
+process's peak RSS so far.  Run from the repo root:
 
-    PYTHONPATH=src python benchmarks/bench_peel.py [--sizes 10000,100000,1000000] [--repeat 5]
+    PYTHONPATH=src python benchmarks/bench_peel.py [--sizes 10000,100000,1000000] [--c 0.818,0.95] [--repeat 5]
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from xorsatlab.instances import gen_unconstrained
 from xorsatlab.peel import two_core
 from xorsatlab.rng import Seed
 
-K, C = 3, 0.95
+K = 3
 
 
 def peel_rounds(inst, trace) -> int:
@@ -46,11 +48,12 @@ def peel_rounds(inst, trace) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sizes", default="10000,100000,1000000")
+    ap.add_argument("--c", default="0.95", help="comma list of densities m / n")
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
     two_core(gen_unconstrained(K, 10, 10, Seed(0)))  # first-call costs stay out of the timings
-    for n in (int(s) for s in args.sizes.split(",")):
-        m = int(C * n)
+    for c, n in ((float(c), int(s)) for c in args.c.split(",") for s in args.sizes.split(",")):
+        m = int(c * n)
         gen_s, peel_s = [], []
         for i in range(args.repeat):
             t0 = time.perf_counter()
@@ -61,7 +64,7 @@ def main() -> int:
             gen_s.append(t1 - t0)
             peel_s.append(t2 - t1)
         print(json.dumps({
-            "k": K, "c": C, "n": n, "m": m, "repeat": args.repeat,
+            "k": K, "c": c, "n": n, "m": m, "repeat": args.repeat,
             "gen_unconstrained_ms": round(statistics.median(gen_s) * 1e3, 3),
             "two_core_ms": round(statistics.median(peel_s) * 1e3, 3),
             # of the last instance

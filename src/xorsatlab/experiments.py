@@ -105,6 +105,15 @@ class ExperimentConfig:
             raise ValueError("c_grid densities must be finite")
         if self.c_grid is not None and any(b <= a for a, b in zip(self.c_grid, self.c_grid[1:])):
             raise ValueError("c_grid must be strictly increasing")
+        # a negative point size is refused here, before the campaign runs the trials of the points ahead of it
+        for name, sizes, what in (("m_list", self.m_list, "entry"), ("c_grid", self.c_grid, "density")):
+            bad = next((x for x in sizes or () if x < 0), None)
+            if bad is not None:
+                raise ValueError(f"{name} {what} {bad} is negative")
+        if self.kind == "window_check":
+            bad = next((w for w in self.w_list or () if abs(w) > self.n), None)
+            if bad is not None:
+                raise ValueError(f"w_list window {bad} exceeds n={self.n}: the point m = n - |w| would be negative")
         if self.kind == "window_check" and not self.w_list:
             raise ValueError("window_check needs w_list")
         if self.kind != "window_check" and not (self.c_grid or self.m_list):

@@ -12,7 +12,12 @@ live degree and the sum of the ids of its live equations; at degree 1 that
 sum is the id of its one equation, so no incidence lists are kept.  A sum
 is at most (m - 1) * degree and is kept exact in int64 (`_id_sums`).  When
 several variables of a round have the same equation, the least id takes it
-and the others are removed in the next round at degree 0.
+and the others are removed in the next round at degree 0.  The next
+frontier is the set of touched variables that are still live at degree
+<= 1, in ascending order (`_next_frontier`): fewer than n / 64 of them are
+sorted and deduplicated, so the many small rounds near the core threshold
+cost O(touched), not O(n); more are marked in a bool array and read back by
+one scan of its n marks.
 
 The trace is int64 arrays only: one (S, 2) array of (variable, equation)
 removals, rounds in order, ascending variable ids within a round,
@@ -124,6 +129,26 @@ def _id_sums(flat: np.ndarray, ids: np.ndarray, deg: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _next_frontier(cand: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """The distinct entries of `cand`, ascending; `mark` is an all-False
+    bool array over the variables and is left all False.
+
+    Fewer than n / 64 candidates are sorted and their neighbouring repeats
+    dropped, at O(|cand| log |cand|); more are marked and read back by one
+    `nonzero()` scan of all n marks.
+    """
+    if cand.size * 64 < mark.size:
+        cand = np.sort(cand)
+        keep = np.empty(cand.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(cand[1:], cand[:-1], out=keep[1:])
+        return cand[keep]
+    mark[cand] = True
+    frontier = mark.nonzero()[0]
+    mark[frontier] = False
+    return frontier
+
+
 def _peel_rounds(index: np.ndarray, n: int):
     """Round-synchronous peel of the (m, k) index array `index`.
 
@@ -142,17 +167,16 @@ def _peel_rounds(index: np.ndarray, n: int):
     eq_alive = np.ones(m, dtype=bool)
     # ties go to the first claimant in round order, the least id
     claim = np.full(m, n, dtype=np.int64)
-    # marks the next frontier; nonzero() lists it in ascending order
     mark = np.zeros(n, dtype=bool)
     empty = np.zeros(0, dtype=np.int64)
     step_vars, step_eqs = [empty], [empty]
     frontier = (deg <= 1).nonzero()[0]
     while frontier.size:
-        eqs = np.where(deg[frontier] == 1, eqsum[frontier], -1)
+        eqs = np.where(deg.take(frontier) == 1, eqsum.take(frontier), -1)
         one = eqs >= 0
         cand, cand_eqs = frontier[one], eqs[one]
         np.minimum.at(claim, cand_eqs, cand)
-        won = claim[cand_eqs] == cand
+        won = claim.take(cand_eqs) == cand
         peeled = ~one
         peeled[one] = won
         step_vars.append(frontier[peeled])
@@ -160,14 +184,12 @@ def _peel_rounds(index: np.ndarray, n: int):
         var_alive[step_vars[-1]] = False
         gone = cand_eqs[won]
         eq_alive[gone] = False
-        touched = index[gone].ravel()
+        touched = index.take(gone, axis=0).ravel()
         np.subtract.at(deg, touched, 1)
         np.subtract.at(eqsum, touched, np.repeat(gone, k))
         # a claimant that lost its equation is now at degree 0; it was in
         # that equation's row, so it is among the touched variables
-        mark[touched[var_alive[touched] & (deg[touched] <= 1)]] = True
-        frontier = mark.nonzero()[0]
-        mark[frontier] = False
+        frontier = _next_frontier(touched[var_alive.take(touched) & (deg.take(touched) <= 1)], mark)
     return np.concatenate(step_vars), np.concatenate(step_eqs), var_alive, eq_alive
 
 
@@ -186,10 +208,13 @@ def two_core(inst: Instance) -> tuple[Instance, PeelTrace]:
     step_vars, step_eqs, var_alive, eq_alive = _peel_rounds(inst.index, inst.n)
     core_vars = var_alive.nonzero()[0]
     core_eqs = eq_alive.nonzero()[0]
-    core_index = (var_alive.cumsum() - 1)[inst.index[core_eqs]]
+    # a core variable's new id is its rank among the survivors
+    rank = np.cumsum(var_alive, dtype=np.int64)
+    rank -= 1
+    core_index = rank.take(inst.index.take(core_eqs, axis=0))
     if core_vars.size and np.bincount(core_index.ravel(), minlength=core_vars.size).min() < 2:
         raise AssertionError("peeling left a variable of degree < 2 in the core")
-    core_bits = inst.bits[core_eqs]
+    core_bits = inst.bits.take(core_eqs)
     core = Instance(inst.k, core_vars.size, core_eqs.size, core_index, core_bits, MODEL_CONSTRAINED, inst.seed)
     return core, PeelTrace(inst.n, inst.m, np.column_stack((step_vars, step_eqs)), core_vars, core_eqs)
 

@@ -6,10 +6,12 @@
 to the `eliminate_words(words, ncols)` contract would break it without any
 other test failing; without a built `_ext` it times the fallback alone.
 `bench_peel.py` times `gen_unconstrained` and `two_core` and reads the peel
-rounds back from the trace's `steps`.  Each runs once, in a fresh
+rounds back from the trace's `steps`; it runs once at its default density and
+once at two, with one line per density.  Each runs once, in a fresh
 interpreter with PYTHONPATH=src, at its smallest arguments.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -22,8 +24,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # fixed ids: test lists name the cases by them
 @pytest.mark.parametrize("script,args", [("bench_gf2.py", ["--sizes", "64", "--repeat", "1"]),
-                                         ("bench_peel.py", ["--sizes", "1000", "--repeat", "1"])],
-                         ids=["bench_gf2.py-args1-False", "bench_peel.py-args1"])
+                                         ("bench_peel.py", ["--sizes", "1000", "--repeat", "1"]),
+                                         ("bench_peel.py", ["--sizes", "1000", "--repeat", "1", "--c", "0.818,0.95"])],
+                         ids=["bench_gf2.py-args1-False", "bench_peel.py-args1", "bench_peel.py-densities"])
 def test_benchmark_script_runs(script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
@@ -32,3 +35,5 @@ def test_benchmark_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()
+    if "--c" in args:
+        assert [json.loads(line)["c"] for line in proc.stdout.splitlines()] == [0.818, 0.95]

@@ -273,6 +273,28 @@ def test_experiment_model_contradicting_the_kind_exits_1(tmp_path):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "sat_sweep", "--m-list", "50,-5"], "error: m_list entry -5 is negative"),
+    (["--kind", "core_check", "--c-grid=-0.1,0.5"], "error: c_grid density -0.1 is negative"),
+    (["--kind", "window_check", "--w-list", "1,150"],
+     "error: w_list window 150 exceeds n=100: the point m = n - |w| would be negative"),
+    (["--kind", "window_check", "--w-list=1,-150"],
+     "error: w_list window -150 exceeds n=100: the point m = n - |w| would be negative"),
+], ids=["m_list", "c_grid", "w_list", "w_list_negative"])
+def test_experiment_negative_point_size_exits_1_before_any_trial(tmp_path, monkeypatch, args, message):
+    from xorsatlab import experiments
+
+    trials = []
+    monkeypatch.setattr(experiments, "_run_one", trials.append)
+    out_csv = tmp_path / "c.csv"
+    code, out, err = run_cli(["experiment", *args, "--k", "3", "--n", "100", "--trials", "3", "--out", str(out_csv)])
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config:")] == [message]
+    assert trials == []
+    assert not out_csv.exists()
+
+
 def test_plot_subcommand(tmp_path):
     out_csv = tmp_path / "s.csv"
     run_cli([

@@ -16,6 +16,7 @@ from test_series import dp_power, terms_ge2
 from xorsatlab import formulas as F
 from xorsatlab.errors import BudgetExceededError, InstanceFormatError, RejectionBudgetError
 from xorsatlab.instances import (
+    _SORT_BLOCK,
     ChipAllocation,
     Instance,
     _degree_law,
@@ -23,6 +24,8 @@ from xorsatlab.instances import (
     _gen_C,
     _has_row_duplicate,
     _hit_probability,
+    _repeats_in_sorted_rows,
+    _sort_rows,
     collision_count,
     count_C_exact,
     gen_C_model,
@@ -119,6 +122,13 @@ class TestChipModel:
         # two cells with 2 chips each
         pairs = ChipAllocation(3, 2, 2, np.array([0, 0, 1, 0, 1, 1]))
         assert collision_count(pairs) == 2
+        # against a tally of the (row, column) cells
+        rng = np.random.default_rng(5)
+        for k in range(1, 7):
+            for n in (1, 3, 20):
+                cols = rng.integers(0, n, size=40 * k)
+                cells = Counter(zip(np.arange(40 * k) // k, cols.tolist()))
+                assert collision_count(ChipAllocation(k, 40, n, cols)) == sum(c * (c - 1) // 2 for c in cells.values())
 
     def test_uniform_over_allocations(self):
         # k=3, m=2, n=2: exactly 50 chip->column maps, all equally likely
@@ -313,6 +323,30 @@ class TestSamplerInternals:
             # unconstrained draws: duplicates wherever chance puts them
             flat = rng.integers(0, n, size=m * k)
             assert _has_row_duplicate(flat, k, m) == _has_row_duplicate_by_sorting(flat, k, m)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_sort_rows_matches_numpy_sort(self, k):
+        rng = np.random.default_rng(40 + k)
+        top = np.iinfo(np.int64).max
+        cases = [
+            np.zeros((0, k), dtype=np.int64),
+            rng.integers(0, 1000, size=(500, k)),
+            # more than two blocks of the sorting network, the last one short
+            rng.integers(0, 1000, size=(2 * _SORT_BLOCK + 7, k)),
+            # few values: many rows repeat an index, some several times
+            rng.integers(0, 3, size=(500, k)),
+            # near the int64 maximum, repeats included
+            top - rng.integers(0, 4, size=(500, k)),
+            np.array([[top - j % 2 for j in range(k)], [top] * k, [-top - 1] + [top] * (k - 1)], dtype=np.int64),
+        ]
+        for rows in cases:
+            want = np.sort(rows, axis=1)
+            got = rows.copy()
+            _sort_rows(got)
+            assert np.array_equal(got, want)
+            # equal values end up adjacent, so the repeat check flags the same rows
+            has_repeat = np.array([len(set(row)) < k for row in rows.tolist()], dtype=bool)
+            assert np.array_equal(_repeats_in_sorted_rows(got), has_repeat)
 
 
 class TestAllocationCounts:

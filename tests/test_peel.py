@@ -18,7 +18,8 @@ from xorsatlab.instances import (
     gen_constrained,
     gen_unconstrained,
 )
-from xorsatlab.peel import PeelTrace, _id_sums, _peel_rounds, extend_solution, two_core
+from xorsatlab import peel
+from xorsatlab.peel import PeelTrace, _id_sums, _next_frontier, _peel_rounds, extend_solution, two_core
 from xorsatlab.rng import Seed
 
 
@@ -202,6 +203,43 @@ def test_matches_xor_peel_on_random_instances():
 )
 def test_matches_xor_peel_on_edge_cases(k, n, rows):
     assert_matches_xor_peel(Instance(k, n, len(rows), rows, [0] * len(rows), MODEL_UNCONSTRAINED))
+
+
+@pytest.mark.parametrize("size", [0, 1, 5, 15, 16, 17, 400, 5000])
+def test_next_frontier_matches_unique(size):
+    # n = 1024: up to 15 candidates are sorted, from 16 on they are marked
+    n = 1024
+    rng = np.random.default_rng(size)
+    for high in (n, 8):  # spread out, and crowded with repeats
+        cand = rng.integers(0, high, size=size)
+        mark = np.zeros(n, dtype=bool)
+        got = _next_frontier(cand, mark)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(cand))
+        assert not mark.any()
+
+
+def test_random_peels_take_both_frontier_branches(monkeypatch):
+    # the random instances of test_matches_xor_peel_on_random_instances at
+    # k = 3, n = 12000 and 1e5: the large early frontiers are marked, the
+    # small late ones sorted; only the mark branch writes to `mark`
+    taken = []
+
+    class Marks(np.ndarray):
+        def __setitem__(self, key, value):
+            taken[-1] = "mark"
+            super().__setitem__(key, value)
+
+    def spy(cand, mark):
+        taken.append("sort")
+        return _next_frontier(cand, mark.view(Marks))
+
+    monkeypatch.setattr(peel, "_next_frontier", spy)
+    for n in (12000, 100000):
+        for i, c in enumerate((0.8 * F.c_hat(3), 1.2 * F.c_hat(3))):
+            taken.clear()
+            assert_matches_xor_peel(gen_unconstrained(3, int(c * n), n, Seed(2303, 2 * n + i)))
+            assert set(taken) == {"sort", "mark"}
 
 
 def test_id_sums_are_exact_near_the_float_bound():
