@@ -5,8 +5,9 @@ Times `gen_unconstrained` and `two_core` at k=3 for each density in --c
 (default 0.95, criterion 08's density; 0.818 sits at the core threshold
 c_3 = 0.818469, where the peel runs hundreds of rounds) and each size, one
 JSON line per (density, size): milliseconds per call (median over --repeat
-fresh instances), the number of peel rounds, the core size and the
-process's peak RSS so far.  Run from the repo root:
+fresh instances), the number of peel rounds (counted in one more, untimed
+peel of the last instance), the core size and the process's peak RSS so
+far.  Run from the repo root:
 
     PYTHONPATH=src python benchmarks/bench_peel.py [--sizes 10000,100000,1000000] [--c 0.818,0.95] [--repeat 5]
 """
@@ -19,30 +20,34 @@ import resource
 import statistics
 import time
 
+from xorsatlab import peel
 from xorsatlab.instances import gen_unconstrained
-from xorsatlab.peel import two_core
 from xorsatlab.rng import Seed
 
 K = 3
 
 
-def peel_rounds(inst, trace) -> int:
-    """Rounds of the synchronous peel, read back from its trace.
+def peel_rounds(inst) -> int:
+    """Rounds of the synchronous peel of `inst`.
 
-    A variable is removed one round after its degree last fell (round 0 when
-    it starts at degree <= 1), and every variable of a removed equation has
-    its degree fall in the round of that removal; the trace lists removals
-    in round order, so one pass assigns every round.
+    Every round of `peel._peel_rounds` ends in one `peel._next_frontier`
+    call, the last returning an empty frontier, so the calls made by one
+    more run of it are the rounds; no core, trace or list is built.
     """
-    rows = inst.rows
-    fell = [0] * inst.n
-    last = 0
-    for v, e in trace.steps.tolist():
-        last = fell[v] + 1
-        if e >= 0:
-            for u in rows[e]:
-                fell[u] = last
-    return last
+    calls = 0
+    next_frontier = peel._next_frontier
+
+    def counting(cand, mark):
+        nonlocal calls
+        calls += 1
+        return next_frontier(cand, mark)
+
+    peel._next_frontier = counting
+    try:
+        peel._peel_rounds(inst.index, inst.n)
+    finally:
+        peel._next_frontier = next_frontier
+    return calls
 
 
 def main() -> int:
@@ -51,15 +56,16 @@ def main() -> int:
     ap.add_argument("--c", default="0.95", help="comma list of densities m / n")
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
-    two_core(gen_unconstrained(K, 10, 10, Seed(0)))  # first-call costs stay out of the timings
+    peel.two_core(gen_unconstrained(K, 10, 10, Seed(0)))  # first-call costs stay out of the timings
     for c, n in ((float(c), int(s)) for c in args.c.split(",") for s in args.sizes.split(",")):
         m = int(c * n)
         gen_s, peel_s = [], []
         for i in range(args.repeat):
+            inst = core = None  # the last draw is freed before the next, outside the timings
             t0 = time.perf_counter()
             inst = gen_unconstrained(K, m, n, Seed(n, i))
             t1 = time.perf_counter()
-            core, trace = two_core(inst)
+            core = peel.two_core(inst)[0]
             t2 = time.perf_counter()
             gen_s.append(t1 - t0)
             peel_s.append(t2 - t1)
@@ -68,7 +74,7 @@ def main() -> int:
             "gen_unconstrained_ms": round(statistics.median(gen_s) * 1e3, 3),
             "two_core_ms": round(statistics.median(peel_s) * 1e3, 3),
             # of the last instance
-            "rounds": peel_rounds(inst, trace),
+            "rounds": peel_rounds(inst),
             "core_vars": core.n,
             "core_eqs": core.m,
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

@@ -39,11 +39,13 @@ from xorsatlab.errors import BudgetExceededError
 _EXACT_ORDER_LIMIT = 120  # largest order that exact_a / exact_b / exact_EY evaluate
 _SERIES_CUT = 1e-4
 _X_TOL = 1e-13
+_ZETA_DELTA = 0.05  # zeta_choice's fixed tilt (1 - delta, delta) for alpha >= 1 - delta
 
 # 1/j! for j = 2..14: the series branch of f below |x| = 0.25 (truncation
 # < 1e-19 relative there; the direct expm1(x) - x form cancels to ~1e-12
 # relative at |x| ~ 1e-4, far too coarse for the exactness tests)
-_F_COEFFS = tuple(1.0 / math.factorial(j) for j in range(2, 15))
+_F_TERMS = 14
+_F_COEFFS = tuple(1.0 / math.factorial(j) for j in range(2, _F_TERMS + 1))
 _F_CUT = 0.25
 
 
@@ -81,13 +83,16 @@ def lambda_of(d: float) -> float:
     """Unique positive root of psi(x) = d, for d > 2 (bisection, |dx| <= 1e-13)."""
     if d <= 2:
         raise ValueError(f"psi(x) = {d} has no positive root (psi > 2 on x > 0)")
-    hi = 1.0
-    while psi(hi) <= d:
+    return _increasing_root(psi, d, 0.0, 1.0)
+
+
+def _increasing_root(fn, y: float, lo: float, hi: float) -> float:
+    """Root of fn(x) = y, fn increasing and fn(lo) <= y: hi doubles until fn(hi) > y, then bisection to _X_TOL."""
+    while fn(hi) <= y:
         hi *= 2.0
-    lo = 0.0
     while hi - lo > _X_TOL:
         mid = 0.5 * (lo + hi)
-        if psi(mid) < d:
+        if fn(mid) < y:
             lo = mid
         else:
             hi = mid
@@ -211,8 +216,8 @@ def R0(lam: float) -> float:
     return lam * lam / (2.0 * f(lam))
 
 
-def zeta_choice(k: int, c: float, alpha: float, delta: float = 0.05) -> ZetaChoice:
-    """Piecewise tilt choice by alpha range.
+def zeta_choice(k: int, c: float, alpha: float) -> ZetaChoice:
+    """Piecewise tilt choice by alpha range, with delta = _ZETA_DELTA:
 
     alpha <= 0.99 alpha_k : ((ck)^{-1/2} alpha^{1/2}, 1 - alpha)
     alpha in (.., 1/2]    : (alpha, 1 - alpha)
@@ -222,10 +227,10 @@ def zeta_choice(k: int, c: float, alpha: float, delta: float = 0.05) -> ZetaChoi
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     ak = alpha_k(k)
-    if alpha >= 1.0 - delta:
-        return ZetaChoice(1.0 - delta, delta)
+    if alpha >= 1.0 - _ZETA_DELTA:
+        return ZetaChoice(1.0 - _ZETA_DELTA, _ZETA_DELTA)
     if alpha > 0.5:
-        mirror = zeta_choice(k, c, 1.0 - alpha, delta)
+        mirror = zeta_choice(k, c, 1.0 - alpha)
         return ZetaChoice(mirror.zeta2, mirror.zeta1)
     if alpha <= 0.99 * ak:
         return ZetaChoice(math.sqrt(alpha / (c * k)), 1.0 - alpha)
@@ -294,17 +299,7 @@ def mu_of(k: int, c: float) -> float | None:
     xmin, cmin = _g_min(k)
     if c < cmin:
         return None
-    hi = max(2.0 * xmin, 1.0)
-    while g_k(k, hi) <= c:
-        hi *= 2.0
-    lo = xmin
-    while hi - lo > _X_TOL:
-        mid = 0.5 * (lo + hi)
-        if g_k(k, mid) < c:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _increasing_root(lambda x: g_k(k, x), c, xmin, max(2.0 * xmin, 1.0))
 
 
 def c_star(k: int) -> float:

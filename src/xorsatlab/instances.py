@@ -54,6 +54,7 @@ _MODELS = (MODEL_UNCONSTRAINED, MODEL_CONSTRAINED)  # index = the binary model b
 
 _COUNT_ORDER_LIMIT = 600  # largest km that count_C_exact evaluates
 _DEGREE_BATCH = 64  # fixed so streams are consumed identically everywhere
+_MAX_REJECTIONS = 10**6  # gen_constrained's attempts before it gives up
 _SORT_BLOCK = 1 << 14  # rows per pass of the row-sorting network: 384 KB at k = 3
 
 
@@ -565,22 +566,20 @@ def collision_count(alloc: ChipAllocation) -> int:
     return sum(int((cols[:, a] == cols[:, b]).sum()) for a in range(alloc.k) for b in range(a + 1, alloc.k))
 
 
-def gen_constrained(
-    k: int, m: int, n: int, seed: Seed, max_rejections: int = 10**6
-) -> Instance:
+def gen_constrained(k: int, m: int, n: int, seed: Seed) -> Instance:
     """Uniform over 0/1 matrices with row sums k and column sums >= 2.
 
     Rejection from the chip model: accept when no cell holds two or more
     chips, then forget chip labels.  The acceptance rate approaches
     e^{-gamma}, bounded away from zero at fixed density, so exhausting
-    `max_rejections` signals a caller bug and raises with diagnostics.
+    `_MAX_REJECTIONS` signals a caller bug and raises with diagnostics.
     """
     if k > n:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
     law = _degree_law(k, m, n)
     rng = seed.generator()
     degrees = _degrees(rng, law)
-    for _ in range(max_rejections):
+    for _ in range(_MAX_REJECTIONS):
         alloc = _gen_C(rng, k, m, n, degrees)
         if not _has_row_duplicate(alloc.chip_columns, k, m):
             alloc.chip_columns = rng.permutation(n)[alloc.chip_columns]
@@ -590,7 +589,7 @@ def gen_constrained(
             return inst
     expected = math.exp(-_gamma(k, law.lam)) if law.lam > 0 and k >= 3 else float("nan")
     raise RejectionBudgetError(
-        f"no collision-free allocation in {max_rejections} tries for k={k}, m={m}, n={n} "
+        f"no collision-free allocation in {_MAX_REJECTIONS} tries for k={k}, m={m}, n={n} "
         f"(tilt {law.lam:.4f}, expected acceptance ~{expected:.3g})"
     )
 

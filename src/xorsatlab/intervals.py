@@ -18,7 +18,9 @@ the three sign certificates
     e^{x^2/2} - cosh x       = sum_{j>=2} x^{2j} (1/(2^j j!) - 1/(2j)!)
 
 whose series forms make the >= 0 lower bound exact at the x = 0 equality
-point (a direct interval evaluation can never certify it).
+point (a direct interval evaluation can never certify it).  All four series
+(f's and these three) are summed by one helper, `_series`, from
+coefficient enclosures built once at import.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from xorsatlab.formulas import lambda_of
+from xorsatlab.formulas import _F_CUT, _F_TERMS, lambda_of
 
 _INF = math.inf
 _NEXT = math.nextafter
@@ -198,11 +199,32 @@ def icosh(x: Interval) -> Interval:
 
 
 # ---------------------------------------------------------------------------
+# Power series
+
+
+def _series(power: Interval, step: Interval, coeffs: tuple[Interval, ...]) -> Interval:
+    """sum_i coeffs[i] * power * step^i, added in order; the caller adds its truncation tail."""
+    acc = Interval.point(0.0)
+    for c in coeffs:
+        acc = acc + power * c
+        power = power * step
+    return acc
+
+
+# 1/j! for j = 2.._F_TERMS
+_F_SERIES = tuple(iconst(Fraction(1, math.factorial(j))) for j in range(2, _F_TERMS + 1))
+# (s-2) e^s + s + 2: (j-2)/j! for j = 3..16
+_RATE_SERIES = tuple(iconst(Fraction(j - 2, math.factorial(j))) for j in range(3, 17))
+# e^x + e^{-x} - 2 - x^2: coefficients of u^j (u = x^2) are 2/(2j)!, j = 2..12
+_COSH_GAP_SERIES = tuple(iconst(Fraction(2, math.factorial(2 * j))) for j in range(2, 13))
+# e^{x^2/2} - cosh x: coefficients of u^j are 1/(2^j j!) - 1/(2j)!, j = 2..12
+_GAUSS_GAP_SERIES = tuple(
+    iconst(Fraction(1, 2**j * math.factorial(j)) - Fraction(1, math.factorial(2 * j))) for j in range(2, 13)
+)
+
+
+# ---------------------------------------------------------------------------
 # f(x) = e^x - 1 - x and psi
-
-
-_F_CUT = 0.25
-_F_TERMS = 14
 
 
 def _f_point(x: float) -> Interval:
@@ -210,12 +232,8 @@ def _f_point(x: float) -> Interval:
     if x == 0.0:
         return Interval.point(0.0)
     if abs(x) <= _F_CUT:
-        acc = Interval.point(0.0)
         X = Interval.point(x)
-        power = X * X
-        for j in range(2, _F_TERMS + 1):
-            acc = acc + power * iconst(Fraction(1, math.factorial(j)))
-            power = power * X
+        acc = _series(X * X, X, _F_SERIES)
         tail = up(abs(x) ** (_F_TERMS + 1) / math.factorial(_F_TERMS + 1) * 1.1, 4)
         return acc + Interval(-tail, tail)
     xi = Interval.point(x)
@@ -252,23 +270,21 @@ def lambda_interval(d: Interval) -> Interval:
     """
     if d.lo <= 2.0:
         raise ValueError("psi^{-1} enclosure needs d > 2")
-    lo_guess = lambda_of(d.lo)
-    hi_guess = lambda_of(d.hi)
-    margin = 1e-11
-    lo = lo_guess - margin
-    while psi_int(Interval.point(lo)).hi > d.lo:
-        margin *= 8.0
-        lo = lo_guess - margin
-        if margin > 1e-3:
-            raise RuntimeError("could not verify lower lambda bracket")
-    margin = 1e-11
-    hi = hi_guess + margin
-    while psi_int(Interval.point(hi)).lo < d.hi:
-        margin *= 8.0
-        hi = hi_guess + margin
-        if margin > 1e-3:
-            raise RuntimeError("could not verify upper lambda bracket")
-    return Interval(lo, hi)
+    ends = []
+    for side, target, sign in (("lower", d.lo, -1.0), ("upper", d.hi, 1.0)):
+        guess = lambda_of(target)
+        margin = 1e-11
+        while True:
+            end = guess + sign * margin
+            p = psi_int(Interval.point(end))
+            # psi increases: the whole enclosure must lie on the outer side of target
+            if (p.hi <= target) if sign < 0 else (p.lo >= target):
+                break
+            margin *= 8.0
+            if margin > 1e-3:
+                raise RuntimeError(f"could not verify {side} lambda bracket")
+        ends.append(end)
+    return Interval(*ends)
 
 
 # ---------------------------------------------------------------------------
@@ -325,45 +341,25 @@ def ixlog_ratio(a: Interval, z: float) -> Interval:
 # Positive-coefficient series for the sign certificates
 
 
-def _positive_even_series(x: Interval, coeffs: list[tuple[int, Fraction]], tail_scale: Fraction) -> Interval:
-    """sum over (j, c_j >= 0) of c_j * u^j with u = x^2, plus a [0, tail] remainder.
+def _positive_even_series(x: Interval, coeffs: tuple[Interval, ...], tail_scale: Fraction) -> Interval:
+    """sum of c_j u^j over j = 2, 3, ... (u = x^2, every c_j >= 0), plus a [0, tail] remainder.
 
     Sound for |x| <= 1 when tail_scale bounds the first omitted coefficient
     times a geometric safety factor; the lower endpoint never dips below the
     rounded-down partial sum, which is what certifies >= 0 at u = 0.
     """
     u = x.sq()
-    acc = Interval.point(0.0)
-    upow = Interval.point(1.0)
-    last_j = 0
-    for j, c in coeffs:
-        while last_j < j:
-            upow = upow * u
-            last_j += 1
-        acc = acc + upow * iconst(c)
-    tail_hi = up(float(tail_scale) * u.hi ** (last_j + 1), 6)
+    # 1 * u * u, not u * u: the first product's outward rounding is part of
+    # the enclosures every pinned certificate was built from
+    acc = _series(Interval.point(1.0) * u * u, u, coeffs)
+    tail_hi = up(float(tail_scale) * u.hi ** (len(coeffs) + 2), 6)
     return acc + Interval(0.0, tail_hi)
-
-
-@lru_cache(maxsize=None)
-def _coeffs_cosh_gap() -> tuple:
-    # e^x + e^{-x} - 2 - x^2: coefficients of u^j (u = x^2) are 2/(2j)!
-    return tuple((j, Fraction(2, math.factorial(2 * j))) for j in range(2, 13))
-
-
-@lru_cache(maxsize=None)
-def _coeffs_gauss_gap() -> tuple:
-    # e^{x^2/2} - cosh x: coefficients 1/(2^j j!) - 1/(2j)!
-    return tuple(
-        (j, Fraction(1, 2**j * math.factorial(j)) - Fraction(1, math.factorial(2 * j)))
-        for j in range(2, 13)
-    )
 
 
 def cosh_gap(x: Interval) -> Interval:
     """e^x + e^{-x} - 2 - x^2 (the psi' numerator times e^{-x}); >= 0 on the reals."""
     if max(abs(x.lo), abs(x.hi)) <= 1.0:
-        return _positive_even_series(x, list(_coeffs_cosh_gap()), Fraction(2, math.factorial(28)) * 2)
+        return _positive_even_series(x, _COSH_GAP_SERIES, Fraction(2, math.factorial(28)) * 2)
     return icosh(x) * 2 - 2 - x.sq()
 
 
@@ -372,11 +368,7 @@ def rate_numerator(s: Interval) -> Interval:
     if s.lo < 0.0:
         raise ValueError("rate_numerator is certified for s >= 0 only")
     if s.hi <= 1.0:
-        acc = Interval.point(0.0)
-        spow = s * s * s
-        for j in range(3, 17):
-            acc = acc + spow * iconst(Fraction(j - 2, math.factorial(j)))
-            spow = spow * s
+        acc = _series(s * s * s, s, _RATE_SERIES)
         tail_hi = up(float(Fraction(16, math.factorial(17))) * s.hi**17 * 2.0, 6)
         return acc + Interval(0.0, tail_hi)
     return (s - 2) * iexp(s) + s + 2
@@ -386,7 +378,7 @@ def gauss_cosh_gap(x: Interval) -> Interval:
     """e^{x^2/2} - cosh x; >= 0 on the reals."""
     if max(abs(x.lo), abs(x.hi)) <= 0.75:
         first_omitted = Fraction(1, 2**13 * math.factorial(13)) - Fraction(1, math.factorial(26))
-        return _positive_even_series(x, list(_coeffs_gauss_gap()), first_omitted * 2)
+        return _positive_even_series(x, _GAUSS_GAP_SERIES, first_omitted * 2)
     half_sq = x.sq() * 0.5
     return iexp(half_sq) - icosh(x)
 
@@ -411,6 +403,4 @@ __all__ = [
     "psi_int",
     "rate_numerator",
     "up",
-    "_H_point",
-    "_f_point",
 ]

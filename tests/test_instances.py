@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import chi2_pvalue, run_capped_child
 from test_series import dp_power, terms_ge2
 from xorsatlab import formulas as F
+from xorsatlab import instances as instances_module
 from xorsatlab.errors import BudgetExceededError, InstanceFormatError, RejectionBudgetError
 from xorsatlab.instances import (
     _SORT_BLOCK,
@@ -190,13 +191,15 @@ class TestConstrained:
         )
         assert abs(accepted / attempts - target) < 0.25 * target
 
-    def test_budget_error_has_diagnostics(self):
+    def test_budget_error_has_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(instances_module, "_MAX_REJECTIONS", 1)
         with pytest.raises(RejectionBudgetError) as err:
-            gen_constrained(3, 600, 500, Seed(1), max_rejections=1)
+            gen_constrained(3, 600, 500, Seed(1))
         assert "acceptance" in str(err.value)
         # k = 2 has no gamma: the budget error reads nan instead of failing in gamma
+        monkeypatch.setattr(instances_module, "_MAX_REJECTIONS", 0)
         with pytest.raises(RejectionBudgetError, match="expected acceptance ~nan"):
-            gen_constrained(2, 30, 20, Seed(1), max_rejections=0)
+            gen_constrained(2, 30, 20, Seed(1))
 
     def test_uniform_over_tiny_spaces(self):
         # A_{3,3} with k=3 has a single matrix (rows forced to {0,1,2});

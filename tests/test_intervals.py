@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import math
 import pickle
 import random
@@ -353,3 +354,36 @@ def test_point_intervals_match_two_end_evaluation():
         one_ulp = Interval(x, math.nextafter(x, math.inf))
         for X in (Interval.point(x), one_ulp, Interval(min(x, 0.1), max(x, 0.1))):
             assert _outcome(f_int, X) == _outcome(_ref_f_int, X)
+
+
+def test_root_and_series_numerics_pinned():
+    # every float the roots, the bracket check and the series enclosures return
+    # on a fixed grid; the digest was taken before these routines were merged
+    # into one bisection, one series helper and one bracket loop
+    rnd = random.Random(25)
+    out = []
+    ds = [2.0001, 2.001, 2.01, 2.1] + [2.0 + 0.25 * i for i in range(1, 193)]
+    out += [F.lambda_of(d) for d in ds]
+    cs = [0.5 + 0.05 * i for i in range(91)]
+    for k in range(3, 8):
+        out += [F.c_hat(k), F.c_star(k)] + [F.mu_of(k, c) for c in cs]
+    for d in ds[::4]:
+        for w in (0.0, 1e-9, 1e-3, 0.25):
+            lam = lambda_interval(Interval(d, d + w))
+            out += [lam.lo, lam.hi]
+    xs = [5e-324, 1e-300, 1e-10, 1e-4, 0.01, 0.1, 0.2, 0.24, 0.25, math.nextafter(0.25, 1.0), 0.3, 1.0, 5.0, 30.0]
+    xs += [rnd.uniform(-1.0, 1.0) for _ in range(200)]
+    for x in xs + [-x for x in xs]:
+        box = _f_point(x)
+        out += [box.lo, box.hi]
+    cells = [(0.0, 0.0), (0.0, 0.75), (0.0, 1.0), (0.75, 0.75), (1.0, 1.0), (0.5, 1.5), (1.0, 2.0), (3.0, 3.0)]
+    for _ in range(100):
+        a, b = sorted((rnd.uniform(0.0, 2.5), rnd.uniform(0.0, 2.5)))
+        cells += [(a, a), (a, b), (a, min(b, a + 1e-3))]
+    for a, b in cells:
+        for fn, X in ((cosh_gap, Interval(a, b)), (cosh_gap, Interval(-b, a)), (rate_numerator, Interval(a, b)),
+                      (gauss_cosh_gap, Interval(a, b)), (gauss_cosh_gap, Interval(-b, -a))):
+            box = fn(X)
+            out += [box.lo, box.hi]
+    digest = hashlib.sha256(" ".join(map(repr, out)).encode()).hexdigest()
+    assert digest == "418aa6a0db234bd541956672091600f24756d41c151254e4dd6379c5b1d8b098"
