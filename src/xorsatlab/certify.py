@@ -322,25 +322,23 @@ def hk_cell_bound(
     alpha_cell: tuple[float, float],
     zeta: tuple[float, float],
     c_range: tuple[float, float],
-    c_div: int = 2,
-    a_div: int = 2,
     _lam_subs: list[tuple[Interval, Interval]] | None = None,
 ) -> float:
     """Certified sup of H_k(alpha, zeta; c) over alpha_cell x c_range.
 
-    Subdivides the box (c_div x a_div), bounds each sub-box by the centered
-    form, and returns the max.  The terms that depend on alpha alone are
-    computed once per alpha sub-box and those that depend on (c, lambda)
-    alone once per c sub-range; each of the c_div * a_div sub-boxes then
-    only combines them.
+    Subdivides the box (_K3_C_DIV x _K3_A_DIV), bounds each sub-box by the
+    centered form, and returns the max.  The terms that depend on alpha
+    alone are computed once per alpha sub-box and those that depend on
+    (c, lambda) alone once per c sub-range, or passed in as `_lam_subs`;
+    each sub-box then only combines them.
     """
     z1, z2 = zeta
     if _lam_subs is None:
-        _lam_subs = _lambda_subranges(k, c_range, c_div)
+        _lam_subs = _lambda_subranges(k, c_range)
     s, d = _zeta_sum_diff(z1, z2)
     alo, ahi = alpha_cell
-    aedges = [alo + (ahi - alo) * i / a_div for i in range(a_div + 1)]
-    alphas = [_alpha_terms(k, Interval(aedges[j], aedges[j + 1]), z1, z2) for j in range(a_div)]
+    aedges = [alo + (ahi - alo) * i / _K3_A_DIV for i in range(_K3_A_DIV + 1)]
+    alphas = [_alpha_terms(k, Interval(aedges[j], aedges[j + 1]), z1, z2) for j in range(_K3_A_DIV)]
     worst = -math.inf
     for C, LAM in _lam_subs:
         lam = _lambda_terms(s, d, C, LAM)
@@ -349,11 +347,11 @@ def hk_cell_bound(
     return worst
 
 
-def _lambda_subranges(k: int, c_range: tuple[float, float], c_div: int) -> list[tuple[Interval, Interval]]:
+def _lambda_subranges(k: int, c_range: tuple[float, float]) -> list[tuple[Interval, Interval]]:
     c0, c1 = c_range
-    edges = [c0 + (c1 - c0) * i / c_div for i in range(c_div + 1)]
+    edges = [c0 + (c1 - c0) * i / _K3_C_DIV for i in range(_K3_C_DIV + 1)]
     out = []
-    for i in range(c_div):
+    for i in range(_K3_C_DIV):
         C = Interval(edges[i], edges[i + 1])
         out.append((C, lambda_interval(C * float(k))))
     return out
@@ -415,7 +413,7 @@ def certify_k3_grid(c_range: tuple[float, float] = _K3_C_RANGE, target: float = 
         "zeta_lattice": 1.0 / lattice,
     }
     cert = Certificate("k3grid", k, c_range, [], math.nan, False, details)
-    lam_subs = _lambda_subranges(k, c_range, _K3_C_DIV)
+    lam_subs = _lambda_subranges(k, c_range)
     failures = []
     prev_z: tuple[int, int] | None = None
     for lo, hi in zip(edges, edges[1:]):
@@ -450,7 +448,7 @@ def certify_k3_grid(c_range: tuple[float, float] = _K3_C_RANGE, target: float = 
 
 
 def _k3_cell(cert: Certificate, lam_subs, tag: str, lo: float, hi: float, zeta=None) -> CoverCell:
-    bound = hk_cell_bound(cert.k, (lo, hi), zeta, cert.c_range, _K3_C_DIV, _K3_A_DIV, lam_subs)
+    bound = hk_cell_bound(cert.k, (lo, hi), zeta, cert.c_range, lam_subs)
     return CoverCell(tag, lo, hi, bound, cert.details["target"], True, zeta)
 
 
@@ -632,7 +630,7 @@ _CLAIMS = {
                              and _states_at_least(cert, _K3_ALPHA, _K3_TARGET, _K3_DOMAIN)
                              and all(c.zeta and all(_K3_ZETA[0] <= z <= _K3_ZETA[1] for z in c.zeta)
                                      for c in cert.cells)),
-        shared=lambda cert: _lambda_subranges(cert.k, cert.c_range, _K3_C_DIV), cell=_k3_cell,
+        shared=lambda cert: _lambda_subranges(cert.k, cert.c_range), cell=_k3_cell,
         ranges=lambda cert, shared: {"hk": cert.details["alpha_range"]},
     ),
     "alarge": _Claim(

@@ -48,6 +48,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -239,6 +240,8 @@ def _run_one(task):
 def _map_tasks(tasks: list, workers: int) -> list:
     if workers <= 1:
         return [_run_one(t) for t in tasks]
+    # the pool forks every worker at its first submit: no more than tasks or cores
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     chunksize = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # pool.map preserves task order: merge order never depends on timing
@@ -461,14 +464,13 @@ def emit_plot(csv_path: str | None, out_svg: str, mode: str = "sweep", **kw) -> 
             xs = sorted(grouped[label])
             ys = [sum(grouped[label][x]) / len(grouped[label][x]) for x in xs]
             series.append((f"{scol}={label}", xs, ys))
-        text = line_chart(series, kw.get("title", f"mean {ycol} vs {xcol}"), xcol, f"mean {ycol}")
+        text = line_chart(series, f"mean {ycol} vs {xcol}", xcol, f"mean {ycol}")
     elif mode == "hk":
         from xorsatlab.formulas import H_k, zeta_choice
 
         k = kw["k"]
         c_values = kw["c_values"]
-        npts = kw.get("n_points", 399)
-        alphas = [i / (npts + 1) for i in range(1, npts + 1)]
+        alphas = [i / 400 for i in range(1, 400)]
         series = []
         for c in c_values:
             ys = [H_k(a, zeta_choice(k, c, a), c, k) for a in alphas]

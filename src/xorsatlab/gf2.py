@@ -23,10 +23,8 @@ whole system gives, with every non-pivot column 0.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,27 +82,26 @@ class BitMatrix:
         return mat
 
     @classmethod
-    def from_sparse_rows(cls, cols: int, index_rows: Iterable[Sequence[int]] | np.ndarray) -> "BitMatrix":
-        """Build from per-row column index lists, or from one (m, k) integer
-        array read in one numpy pass; repeated indices toggle (parity)."""
-        if isinstance(index_rows, np.ndarray) and index_rows.ndim == 2 and np.can_cast(index_rows.dtype, np.int64):
-            flat = index_rows.astype(np.int64, copy=False).ravel()
-            lengths = index_rows.shape[1]
-        else:
-            index_rows = list(index_rows)
-            lengths = [len(idxs) for idxs in index_rows]
-            try:
-                flat = np.fromiter(
-                    map(operator.index, chain.from_iterable(index_rows)), dtype=np.int64, count=sum(lengths)
-                )
-            except OverflowError:
-                flat = None
-        mat = cls.zeros(len(index_rows), cols)
-        if flat is None or (flat.size and (flat.min() < 0 or flat.max() >= cols)):
-            bad = next(j for idxs in index_rows for j in idxs if not 0 <= j < cols)
+    def from_sparse_rows(cls, cols: int, index_rows: np.ndarray) -> "BitMatrix":
+        """Build from an (m, k) integer array, row i holding the column
+        indices of row i, in one numpy pass; repeated indices toggle (parity).
+
+        TypeError on any other shape or a non-integer dtype (an empty array
+        may have any dtype); ValueError names the first index, in row order,
+        outside [0, cols).
+        """
+        index = np.asarray(index_rows)
+        if index.ndim != 2 or (index.size and index.dtype.kind not in "iu"):
+            raise TypeError(f"expected an (m, k) integer array, got shape {index.shape} of {index.dtype}")
+        # checked before the int64 cast, so an index past int64 is named as given
+        if index.size and (index.min() < 0 or index.max() >= cols):
+            bad = next(j for j in index.ravel().tolist() if not 0 <= j < cols)
             raise ValueError(f"column index {bad} out of range [0, {cols})")
+        rows, k = index.shape
+        flat = index.astype(np.int64, copy=False).ravel()
+        mat = cls.zeros(rows, cols)
         # one unbuffered XOR per index, so repeats cancel in pairs
-        word = np.repeat(np.arange(len(index_rows), dtype=np.int64), lengths) * mat.data.shape[1] + (flat >> 6)
+        word = np.repeat(np.arange(rows, dtype=np.int64), k) * mat.data.shape[1] + (flat >> 6)
         bit = np.left_shift(np.uint64(1), (flat & 63).astype(np.uint64))
         np.bitwise_xor.at(mat.data.reshape(-1), word, bit)
         return mat

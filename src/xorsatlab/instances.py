@@ -396,14 +396,10 @@ def _tpois_cum(lam: float) -> np.ndarray:
     return arr
 
 
-def sample_truncated_poisson(lam: float, seed: Seed | None = None, size: int | None = None, rng=None):
+def sample_truncated_poisson(lam: float, rng: np.random.Generator, size: int | None = None):
     """Draw from P(Z = j) = (lam^j / j!) / (e^lam - 1 - lam), j >= 2, by CDF inversion."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if rng is None:
-        if seed is None:
-            raise ValueError("need a Seed (or an explicit generator)")
-        rng = seed.generator()
     cum = _tpois_cum(lam)
     u = rng.random(size if size is not None else 1)
     vals = 2 + np.searchsorted(cum, u, side="right")

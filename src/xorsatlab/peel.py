@@ -9,8 +9,8 @@ We peel in synchronous rounds on numpy arrays (Jiang, Mitzenmacher &
 Thaler, "Parallel Peeling Algorithms", arXiv:1302.7014): each round removes
 every live variable of degree <= 1 at once.  For each variable we keep its
 live degree and the sum of the ids of its live equations; at degree 1 that
-sum is the id of its one equation, so no incidence lists are kept.  A sum
-is at most (m - 1) * degree and is kept exact in int64 (`_id_sums`).  When
+sum is the id of its one equation, so no incidence lists are kept.  The
+sums are added in int64, each at most (m - 1) * degree (`_id_sums`).  When
 several variables of a round have the same equation, the least id takes it
 and the others are removed in the next round at degree 0.  The next
 frontier is the set of touched variables that are still live at degree
@@ -111,21 +111,15 @@ class _TraceJSON:
 
 
 def _id_sums(flat: np.ndarray, ids: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Exact int64 sums, per variable, of `ids` over the index entries `flat`.
-
-    `ids` is float64 holding integers below 2**53, which `np.bincount` takes
-    as weights without a conversion.  `deg` counts each variable in `flat`,
-    so a sum is at most max(ids) * deg[v].  The float64 bincount adds exactly
-    while that bound is below 2**53; past it the sums go through an int64
-    `np.add.at`, and past 2**63 OverflowError is raised rather than wrapping.
-    """
+    """Exact int64 sums, per variable, of the int64 `ids` over the index
+    entries `flat`.  `deg` counts each variable in `flat`, so a sum is at
+    most max(ids) * deg[v]; past 2**63 OverflowError is raised rather than
+    wrapping."""
     bound = int(ids.max(initial=0)) * int(deg.max(initial=0))
-    if bound < 1 << 53:
-        return np.bincount(flat, weights=ids, minlength=deg.size).astype(np.int64)
     if bound >= 1 << 63:
         raise OverflowError(f"equation id sums may reach {bound}, past int64")
     sums = np.zeros(deg.size, dtype=np.int64)
-    np.add.at(sums, flat, ids.astype(np.int64))
+    np.add.at(sums, flat, ids)
     return sums
 
 
@@ -162,7 +156,7 @@ def _peel_rounds(index: np.ndarray, n: int):
     # eqsum[v] is the sum of the ids of v's live equations, at most
     # (m - 1) * deg[v]: at degree 1 it is that one equation's id, so no
     # incidence lists are needed
-    eqsum = _id_sums(flat, np.repeat(np.arange(m, dtype=np.float64), k), deg)
+    eqsum = _id_sums(flat, np.repeat(np.arange(m, dtype=np.int64), k), deg)
     var_alive = np.ones(n, dtype=bool)
     eq_alive = np.ones(m, dtype=bool)
     # ties go to the first claimant in round order, the least id

@@ -33,6 +33,7 @@ from xorsatlab.intervals import (
     fprime_int,
     ilog,
     ixlog_ratio,
+    lambda_interval,
 )
 
 
@@ -137,8 +138,8 @@ class TestHkEnclosures:
             cell = (alo, alo + 0.001)
             z = (rnd.uniform(0.2, 0.6), rnd.uniform(0.4, 0.8))
             c_range = (0.999, 1.001)
-            subs = _lambda_subranges(k, c_range, 1)
-            C, LAM = subs[0]
+            C = Interval(*c_range)
+            LAM = lambda_interval(C * float(k))
             A = Interval(*cell)
             box = _old_hk_box(k, A, z[0], z[1], C, LAM)
             cen = _old_hk_centered(k, A, z[0], z[1], C, LAM)
@@ -203,14 +204,15 @@ def _old_hk_centered(k, A, z1, z2, C, LAM):
     return out + _old_hk_dlam(z1, z2, LAM) * (LAM - lm)
 
 
-def _old_hk_cell_bound(k, alpha_cell, zeta, c_range, c_div, a_div):
+def _old_hk_cell_bound(k, alpha_cell, zeta, c_range):
+    """The per-sub-box evaluation over 2 c sub-ranges x 2 alpha sub-boxes."""
     z1, z2 = zeta
-    lam_subs = _lambda_subranges(k, c_range, c_div)
+    lam_subs = _lambda_subranges(k, c_range)
     alo, ahi = alpha_cell
-    aedges = [alo + (ahi - alo) * i / a_div for i in range(a_div + 1)]
+    aedges = [alo + (ahi - alo) * i / 2 for i in range(3)]
     worst = -math.inf
     for C, LAM in lam_subs:
-        for j in range(a_div):
+        for j in range(2):
             A = Interval(aedges[j], aedges[j + 1])
             worst = max(worst, _old_hk_centered(k, A, z1, z2, C, LAM).hi)
     return worst
@@ -232,7 +234,6 @@ class TestSharedTermsEquivalence:
         rnd = random.Random(606)
         for trial in range(200):
             k = (3, 4)[trial % 2]
-            c_div, a_div = rnd.randint(1, 3), rnd.randint(1, 3)
             c0 = rnd.uniform(0.99, 1.005)
             c_range = (c0, min(1.01, c0 + rnd.uniform(0.0005, 0.005)))
             alo = rnd.uniform(0.05, 0.45)
@@ -241,13 +242,13 @@ class TestSharedTermsEquivalence:
                 zeta = _near_optimal_zeta(k, 0.5 * (cell[0] + cell[1]), 0.5 * (c_range[0] + c_range[1]))
             else:
                 zeta = (rnd.uniform(0.02, 0.98), rnd.uniform(0.02, 0.98))
-            new = hk_cell_bound(k, cell, zeta, c_range, c_div, a_div)
-            old = _old_hk_cell_bound(k, cell, zeta, c_range, c_div, a_div)
-            assert new == old, (k, cell, zeta, c_range, c_div, a_div)
+            new = hk_cell_bound(k, cell, zeta, c_range)
+            old = _old_hk_cell_bound(k, cell, zeta, c_range)
+            assert new == old, (k, cell, zeta, c_range)
 
     def test_passing_lambda_subranges_gives_the_same_bound(self):
-        subs = _lambda_subranges(3, (0.999, 1.001), 2)
-        args = (3, (0.300, 0.301), (0.360, 0.667), (0.999, 1.001), 2, 2)
+        subs = _lambda_subranges(3, (0.999, 1.001))
+        args = (3, (0.300, 0.301), (0.360, 0.667), (0.999, 1.001))
         assert hk_cell_bound(*args, subs) == hk_cell_bound(*args)
 
 

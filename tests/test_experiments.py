@@ -2,12 +2,14 @@ import gc
 import hashlib
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import count_critical_sets
+from xorsatlab import experiments
 from xorsatlab import formulas as F
 from xorsatlab.experiments import _KINDS, ExperimentConfig, _run_one, emit_plot, run_experiment
 from xorsatlab.gf2 import BitMatrix, rank, solve
@@ -63,6 +65,34 @@ def test_sweep_reproducible_across_worker_counts(tmp_path):
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
     assert outs[0][2] == outs[1][2]
+
+
+def test_worker_pool_is_bounded_by_tasks_and_cores(monkeypatch):
+    # a process pool forks all its workers at the first submit; this stand-in
+    # records the size asked for and maps in-process, so no process starts
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    args, kwargs = ("sat_sweep", 3, 200, 2, 11), {"c_grid": [0.85, 0.95]}  # 4 tasks
+    _, _, serial = run_experiment(ExperimentConfig(*args, **kwargs, workers=1))
+    assert sizes == []
+    _, _, pooled = run_experiment(ExperimentConfig(*args, **kwargs, workers=10**6))
+    assert len(sizes) == 1 and 1 <= sizes[0] <= min(4, os.cpu_count() or 1)
+    assert pooled["csv_sha256"] == serial["csv_sha256"]
+    assert pooled["config"]["workers"] == 10**6
 
 
 def test_sweep_rows_allow_single_trial_replay(tmp_path):
@@ -295,7 +325,7 @@ class TestPlots:
 
     def test_hk_mode_orders_by_density(self, tmp_path):
         out = tmp_path / "hk.svg"
-        emit_plot(None, str(out), mode="hk", k=4, c_values=[0.51, 1.0, 1.1], n_points=99)
+        emit_plot(None, str(out), mode="hk", k=4, c_values=[0.51, 1.0, 1.1])
         assert out.exists()
         # bottom-to-top ordering of the curves, sampled where they separate
         # (at the extreme tails all three pinch together and the zeta recipe's

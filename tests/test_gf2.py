@@ -303,10 +303,16 @@ def test_dense_round_trip(rng):
     mat = BitMatrix.from_dense(dense)
     # bit j of row i is dense[i, j], and nothing is set past column 130
     assert row_ints(mat) == [sum(1 << int(j) for j in np.flatnonzero(row)) for row in dense]
-    assert (mat.data == BitMatrix.from_sparse_rows(130, [np.flatnonzero(row).tolist() for row in dense]).data).all()
-    sparse = BitMatrix.from_sparse_rows(6, [[0, 3, 3, 5], [1]])
-    literal = BitMatrix.from_dense([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]])
-    assert row_ints(sparse) == row_ints(literal) == [0b100001, 0b10]
+    # five column indices a row, some repeated: the dense matrix of their parities
+    index = rng.integers(0, 130, size=(7, 5))
+    parity = np.zeros((7, 130), dtype=np.uint8)
+    for i, row in enumerate(index):
+        for j in row:
+            parity[i, j] ^= 1
+    assert (BitMatrix.from_sparse_rows(130, index).data == BitMatrix.from_dense(parity).data).all()
+    sparse = BitMatrix.from_sparse_rows(6, [[0, 3, 3, 5], [1, 4, 4, 4]])
+    literal = BitMatrix.from_dense([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0]])
+    assert row_ints(sparse) == row_ints(literal) == [0b100001, 0b10010]
     assert (sparse.data == literal.data).all()
 
 
@@ -375,7 +381,7 @@ def solve_cases(rng):
                 yield low_mat, matvec(low_mat, x) if cols else np.zeros(rows, dtype=np.uint8)
                 yield low_mat, rng.integers(0, 2, size=rows)
             if cols >= 3:
-                sparse = [rng.choice(cols, size=3, replace=False) for _ in range(rows)]
+                sparse = np.array([rng.choice(cols, size=3, replace=False) for _ in range(rows)]).reshape(rows, 3)
                 yield BitMatrix.from_sparse_rows(cols, sparse), rng.integers(0, 2, size=rows)
     # inconsistent by construction: a zero row with rhs 1
     yield BitMatrix.zeros(4, 70), np.array([0, 1, 0, 0])
@@ -411,7 +417,7 @@ def sparse_front_end_cases(rng):
         used = [c for c in range(cols) if c % 3]
         sparse = [rng.choice(used, size=int(rng.integers(0, 4)), replace=False) for _ in range(rows)]
         for index_rows in (sparse, sparse + sparse):
-            mat = BitMatrix.from_sparse_rows(cols, index_rows)
+            mat = reference_from_sparse_rows(cols, index_rows)
             yield mat, matvec(mat, rng.integers(0, 2, size=cols))
             yield mat, rng.integers(0, 2, size=mat.rows)
     # dense rows: all columns but the last few are made inactive
@@ -468,7 +474,7 @@ def test_solve_matches_rref_reference(rng, monkeypatch, request, kernel):
     for i, c in enumerate((0.8, 0.9, 0.95, 1.0)):
         inst = gen_unconstrained(3, round(c * 300), 300, Seed(11, i))
         core, _ = two_core(inst)
-        mat = BitMatrix.from_sparse_rows(core.n, core.rows)
+        mat = BitMatrix.from_sparse_rows(core.n, core.index)
         assert_same_result(solve(mat, core.rhs), reference_solve(mat, core.rhs))
 
 
@@ -488,7 +494,7 @@ def test_sparse_front_end_matches_rref_reference_on_random_systems(rows, cols, m
     index_rows = [rng.choice(cols, size=int(w), replace=False) for w in weights]
     if duplicates:
         index_rows = [index_rows[i] for i in rng.integers(0, len(index_rows), size=rows)]
-    mat = BitMatrix.from_sparse_rows(cols, index_rows)
+    mat = reference_from_sparse_rows(cols, index_rows)
     b = matvec(mat, rng.integers(0, 2, size=cols)) if consistent else rng.integers(0, 2, size=rows)
     assert_same_result(solve(mat, b), reference_solve(mat, b))
 
@@ -562,7 +568,7 @@ def test_bit_vector_entries_outside_0_1_are_refused(call):
 
 
 def reference_from_sparse_rows(cols: int, index_rows) -> BitMatrix:
-    """The per-bit loop `from_sparse_rows` replaced."""
+    """The per-bit loop `from_sparse_rows` replaced; rows may differ in length."""
     index_rows = list(index_rows)
     mat = BitMatrix.zeros(len(index_rows), cols)
     for i, idxs in enumerate(index_rows):
@@ -575,26 +581,26 @@ def reference_from_sparse_rows(cols: int, index_rows) -> BitMatrix:
 
 def test_from_sparse_rows_matches_bit_loop(rng):
     cases = [
-        (6, [[0, 3, 3, 5], [1]]),
-        (6, [[2, 2], [], [4, 4, 4]]),  # repeats toggle, empty rows
-        (5, []),
-        (0, [[], []]),
-        (64, [[0, 63, 63, 1], [32]]),
-        (65, [[64, 0, 64, 64], [], [63, 64]]),
-        (130, [np.array([129, 0, 64], dtype=np.int32), [np.uint16(65), np.int64(129)]]),
+        (6, [[0, 3, 3, 5], [1, 4, 4, 4]]),
+        (6, [[2, 2], [1, 1], [4, 4]]),  # repeats toggle: every row cancels
+        (5, np.zeros((0, 3), dtype=np.int64)),
+        (0, [[], []]),  # rows with no index: float64 when empty, which is taken
+        (64, [[0, 63, 63, 1], [32, 32, 32, 5]]),
+        (65, [[64, 0, 64, 64], [1, 1, 2, 2], [63, 64, 0, 0]]),
+        (130, [np.array([129, 0, 64], dtype=np.int32), [np.uint16(65), np.int64(129), 0]]),
     ]
     for cols in (1, 63, 64, 65, 200):
-        rows = [rng.integers(0, cols, size=int(rng.integers(0, 6))) for _ in range(int(rng.integers(0, 30)))]
-        cases.append((cols, rows))
-        cases.append((cols, [r.tolist() for r in rows]))
-    # (m, k) integer arrays, read in one numpy pass
-    for dtype in (np.int64, np.int32, np.uint16):
+        index = rng.integers(0, cols, size=(int(rng.integers(1, 30)), int(rng.integers(0, 6))))
+        cases.append((cols, index))
+        cases.append((cols, index.tolist()))
+    # (m, k) integer arrays of each width, read in one numpy pass
+    for dtype in (np.int64, np.int32, np.uint16, np.uint64):
         for cols, shape in ((200, (30, 3)), (65, (7, 4)), (64, (0, 3)), (1, (4, 2)), (130, (1, 0))):
             index = rng.integers(0, cols, size=shape).astype(dtype)
             cases.append((cols, index))
             cases.append((cols, index.T.copy().T))  # the same rows, not C-contiguous
     for cols, rows in cases:
-        got = BitMatrix.from_sparse_rows(cols, rows if isinstance(rows, np.ndarray) else iter(rows))
+        got = BitMatrix.from_sparse_rows(cols, rows)
         want = reference_from_sparse_rows(cols, rows)
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got.data.dtype == np.uint64 and got.data.shape == want.data.shape
@@ -602,7 +608,15 @@ def test_from_sparse_rows_matches_bit_loop(rng):
     for impl in (BitMatrix.from_sparse_rows, reference_from_sparse_rows):
         with pytest.raises(TypeError):
             impl(5, [[1, 2.0]])
-    for dtype in (np.int64, np.int32):
+    # anything but an (m, k) integer array is refused: a float array with
+    # entries, a 1-D or 3-D array, an index past uint64 (an object array)
+    for index in (np.array([[1.0, 2.0]]), np.array([1, 2]), np.zeros((1, 1, 1), dtype=np.int64), [[1, 0], [2**70, 3]]):
+        with pytest.raises(TypeError, match=r"^expected an \(m, k\) integer array"):
+            BitMatrix.from_sparse_rows(5, index)
+    # rows of mixed length make no array
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        BitMatrix.from_sparse_rows(5, [[1, 2], [3]])
+    for dtype in (np.int64, np.int32, np.int8):
         for index, bad in (([[0, 1], [4, 5]], "5"), ([[0, 1], [-1, 7]], "-1")):
             with pytest.raises(ValueError, match=rf"^column index {bad} out of range \[0, 5\)$"):
                 BitMatrix.from_sparse_rows(5, np.array(index, dtype=dtype))
@@ -611,11 +625,11 @@ def test_from_sparse_rows_matches_bit_loop(rng):
 @pytest.mark.parametrize(
     "cols, rows, bad",
     [
-        (5, [[0, 1], [4, 5, -1]], "5"),
-        (5, [[0, -1], [7]], "-1"),
-        (64, [[], [np.int64(64)]], "64"),
+        (5, [[0, 1, 2], [4, 5, -1]], "5"),
+        (5, [[0, -1], [7, 0]], "-1"),
+        (64, [[0], [np.int64(64)]], "64"),
         (0, [[0]], "0"),
-        (3, [[1], [2**70, 3]], str(2**70)),
+        (3, np.array([[1, 4], [2**63, 0]], dtype=np.uint64), "4"),  # the first bad index in row order, not the largest
         (3, [[np.uint64(2**64 - 1)]], str(2**64 - 1)),  # wraps negative as int64
     ],
 )

@@ -79,18 +79,18 @@ class TestUnconstrained:
 
 class TestTruncatedPoisson:
     def test_small_lambda_limit(self):
-        draws = sample_truncated_poisson(1e-3, Seed(3), size=100_000)
+        draws = sample_truncated_poisson(1e-3, rng=Seed(3).generator(), size=100_000)
         assert (draws == 2).mean() >= 0.999
 
     def test_mean_matches_psi(self):
         lam = F.lambda_of(3.0)  # psi(lam) = 3
-        draws = sample_truncated_poisson(lam, Seed(4), size=100_000)
+        draws = sample_truncated_poisson(lam, rng=Seed(4).generator(), size=100_000)
         sd = math.sqrt(F.var_Z(lam) / draws.size)
         assert abs(draws.mean() - 3.0) < 3 * sd
 
     def test_variance_matches_formula(self):
         lam = 3.058
-        draws = sample_truncated_poisson(lam, Seed(6), size=300_000).astype(float)
+        draws = sample_truncated_poisson(lam, rng=Seed(6).generator(), size=300_000).astype(float)
         v = draws.var()
         target = F.var_Z(lam)
         assert lam / 3.0 <= target <= lam
@@ -100,7 +100,7 @@ class TestTruncatedPoisson:
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
-            sample_truncated_poisson(0.0, Seed(0))
+            sample_truncated_poisson(0.0, rng=Seed(0).generator())
 
 
 class TestChipModel:
@@ -523,7 +523,7 @@ class TestLhs:
         cases = [gen_unconstrained(k, m, n, Seed(7, t)) for t, (k, m, n) in enumerate(shapes)]
         cases += [gen_constrained(k, m, n, Seed(8, t)) for t, (k, m, n) in enumerate([(3, 30, 40), (4, 50, 60)])]
         for inst in cases:
-            mat = BitMatrix.from_sparse_rows(inst.n, inst.rows)
+            mat = BitMatrix.from_sparse_rows(inst.n, inst.index)
             batch = rng.integers(0, 2, size=(inst.n, 17))
             got = inst.lhs(batch)
             assert got.shape == (inst.m, 17) and got.dtype == np.uint8

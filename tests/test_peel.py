@@ -244,27 +244,19 @@ def test_random_peels_take_both_frontier_branches(monkeypatch):
 
 def test_id_sums_are_exact_near_the_float_bound():
     big = 1 << 53
-    # one var at degree 3 with ids just under 2**53: past the float path, summed in int64
+    # one var at degree 3 with ids just under 2**53: sums past 2**53, exact in int64
     flat = np.array([0, 0, 0, 1, 2, 2], dtype=np.int64)
-    ids = np.array([big - 1, big - 3, big - 5, 7, 3 * 10**15 + 1, 3 * 10**15 + 3], dtype=np.float64)
-    assert ids.astype(np.int64).tolist() == [big - 1, big - 3, big - 5, 7, 3 * 10**15 + 1, 3 * 10**15 + 3]
+    ids = np.array([big - 1, big - 3, big - 5, 7, 3 * 10**15 + 1, 3 * 10**15 + 3], dtype=np.int64)
     deg = np.bincount(flat, minlength=4)
     sums = _id_sums(flat, ids, deg)
     assert sums.dtype == np.int64
     assert sums.tolist() == [3 * big - 9, 7, 6 * 10**15 + 4, 0]
-    # the largest ids that still take the float path: a sum of 2**53 - 4 is exact there
-    flat = np.array([0, 0, 1], dtype=np.int64)
-    ids = np.array([big // 2 - 1, big // 2 - 3, big // 2 - 1], dtype=np.float64)
-    deg = np.bincount(flat, minlength=2)
-    assert int(ids.max()) * int(deg.max()) < big
-    sums = _id_sums(flat, ids, deg)
-    assert sums.tolist() == [big - 4, big // 2 - 1]
     # removing all but one equation leaves that equation's id, as at degree 1
-    np.subtract.at(sums, flat[:1], ids[:1].astype(np.int64))
-    assert sums[0] == big // 2 - 3
+    np.subtract.at(sums, flat[:2], ids[:2])
+    assert sums[0] == big - 5
     # sums that could pass int64 are refused, not wrapped
     with pytest.raises(OverflowError):
-        _id_sums(np.zeros(2, dtype=np.int64), np.full(2, float(1 << 52)), np.array([1 << 11]))
+        _id_sums(np.zeros(2, dtype=np.int64), np.full(2, 1 << 52, dtype=np.int64), np.array([1 << 11]))
 
 
 def test_shared_equation_goes_to_first_claimant_in_round_order():
