@@ -30,9 +30,6 @@ Reproducibility contract: every trial draws from the Philox stream
 fixed config and master seed no matter how many workers run the campaign
 (results are merged in task order, never completion order).
 
-Each trial's task runs with the cyclic garbage collector paused (and its
-state restored afterwards), which changes no output.
-
 CSV files are per-trial, one fixed header per kind, every row carrying the
 trial's stream id for single-trial replay; floats are written with repr()
 round-trip precision.  Wall-clock times live only in the JSON summary
@@ -43,7 +40,6 @@ deterministic.
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -51,7 +47,6 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -206,34 +201,13 @@ def _task_collision(params: dict, seed: Seed) -> dict:
     return {"collisions": collision_count(alloc), "degree_retries": alloc.retries}
 
 
-@contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector; on exit, turn it back on only if
-    it was on, also when the block raises."""
-    was_on = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_on:
-            gc.enable()
-
-
 def _run_one(task):
-    """One trial's CSV row: the shared columns from the point's params, the rest from the kind's task.
-
-    The task runs with the cyclic collector paused: `solve` reads the packed
-    rows back into per-column lists, thousands of small lists with no cycles
-    among them, which the collector would otherwise walk again and again
-    while they are built.
-    """
+    """One trial's CSV row: the shared columns from the point's params, the rest from the kind's task."""
     kind, params, point_idx, trial_idx = task
     task_fn, header = _KINDS[kind][:2]
     seed = Seed(params["master"], mix_streams(point_idx, trial_idx))
     shared = {"point": point_idx, "trial": trial_idx, "sample": trial_idx, "stream": seed.stream}
-    with gc_paused():
-        measured = task_fn(params, seed)
-    row = {**params, **shared, **measured}
+    row = {**params, **shared, **task_fn(params, seed)}
     return {col: row[col] for col in header}
 
 

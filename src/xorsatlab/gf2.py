@@ -72,14 +72,10 @@ class BitMatrix:
         if arr.ndim != 2:
             raise ValueError("expected a 2-D 0/1 array")
         rows, cols = arr.shape
-        mat = cls.zeros(rows, cols)
         packed = np.packbits(arr, axis=1, bitorder="little")
-        width = _words_for(cols) * 8
-        padded = np.zeros((rows, width), dtype=np.uint8)
+        padded = np.zeros((rows, _words_for(cols) * 8), dtype=np.uint8)
         padded[:, : packed.shape[1]] = packed
-        mat.data = padded.view(np.uint64).copy()
-        mat._mask_tail()
-        return mat
+        return cls(rows, cols, padded.view(np.uint64))
 
     @classmethod
     def from_sparse_rows(cls, cols: int, index_rows: np.ndarray) -> "BitMatrix":
@@ -142,10 +138,12 @@ def rank(mat: BitMatrix) -> int:
     return r
 
 
-def _incidence(mat: BitMatrix) -> tuple[list[int], list[int], list[list[int]], list[int]]:
-    """Each row's entry count and XOR of its column ids, the row ids of each
-    column, and the columns by falling count of rows (ties by id), read back
-    from the packed words."""
+def _incidence(mat: BitMatrix) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Each row's entry count and XOR of its column ids; the row ids of all
+    columns in one flat list and its n + 1 offsets (column v holds
+    flat[starts[v]:starts[v + 1]]); and the columns by falling count of rows
+    (ties by id), read back from the packed words.  Flat int lists, not a
+    list per column, give the collector nothing new to track."""
     words = mat.data.reshape(-1)
     hot = np.flatnonzero(words != 0)
     hits = np.flatnonzero(np.unpackbits(words[hot].view(np.uint8), bitorder="little").view(bool))
@@ -156,12 +154,11 @@ def _incidence(mat: BitMatrix) -> tuple[list[int], list[int], list[list[int]], l
     prefix = np.zeros(col.size + 1, dtype=np.int64)
     np.bitwise_xor.accumulate(col, out=prefix[1:])
     degree = np.bincount(col, minlength=mat.cols)
-    flat = row[np.argsort(col)].tolist()
-    stops = np.cumsum(degree).tolist()
     return (
         weight.tolist(),
         (prefix[ends] ^ prefix[ends - weight]).tolist(),
-        [flat[a:z] for a, z in zip([0, *stops], stops)],
+        row[np.argsort(col)].tolist(),
+        [0, *np.cumsum(degree).tolist()],
         np.argsort(-degree, kind="stable").tolist(),
     )
 
@@ -198,14 +195,15 @@ def solve(mat: BitMatrix, b: Sequence[int]) -> SolveResult:
     b = _bit_vector(b, mat.rows, "rhs", "rows")
     n = mat.cols
     rhs = b.tolist()
-    weight, ids, cols, by_degree = _incidence(mat)
+    weight, ids, flat, starts, by_degree = _incidence(mat)
     # A row's int holds the XOR of its active column ids in the low `shift`
     # bits, so a row of weight 1 names its last column.
     shift = n.bit_length()
     acc = [bit << shift | i for bit, i in zip(rhs, ids)]
     active = bytearray(b"\x01") * n
     queue = [e for e, w in enumerate(weight) if w == 1]
-    steps: list[tuple[int, int]] = []  # (column, its pivot row or -1 if made inactive)
+    step_cols: list[int] = []
+    step_rows: list[int] = []  # the step's pivot row, or -1 if its column was made inactive
     inactive: list[int] = []
     by_degree = iter(by_degree)
     while True:
@@ -221,9 +219,10 @@ def solve(mat: BitMatrix, b: Sequence[int]) -> SolveResult:
                 break
             e, x = -1, 2 << (shift + len(inactive)) | v
             inactive.append(v)
-        steps.append((v, e))
+        step_cols.append(v)
+        step_rows.append(e)
         active[v] = 0
-        for f in cols[v]:
+        for f in flat[starts[v] : starts[v + 1]]:
             acc[f] ^= x
             weight[f] -= 1
             if weight[f] == 1:
@@ -261,10 +260,10 @@ def solve(mat: BitMatrix, b: Sequence[int]) -> SolveResult:
     for i, p in enumerate(piv):
         lifted[inactive[p]] = int.from_bytes(packed[i * vbytes : (i + 1) * vbytes], "little")
     row_acc = [bit << nfree for bit in rhs]
-    for v, e in steps:
+    for v, e in zip(step_cols, step_rows):
         x = lifted[v] if e < 0 else row_acc[e]
         lifted[v] = x
-        for f in cols[v]:
+        for f in flat[starts[v] : starts[v + 1]]:
             row_acc[f] ^= x
     return SolveResult(True, n - width + r, _canonical(lifted, nfree), nfree)
 

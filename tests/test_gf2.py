@@ -1,3 +1,4 @@
+import gc
 import importlib.machinery
 import json
 import os
@@ -550,6 +551,35 @@ def test_solve_eliminates_only_the_residue(request, kernel):
         assert len(widths) == 1 and widths[0] < n / 5, (widths, n)
     # a row of weight 1 per column pivots everything: the residue is the rhs column alone
     assert json.loads(unit) == [[1]] * 3
+
+
+def test_solve_leaves_the_collector_nothing_to_do():
+    """`solve` keeps its incidence in flat int lists, so it creates no
+    container per column or per step: ten n = 3000 2-cores solved back to
+    back with the cyclic collector on start at most one collection."""
+    from xorsatlab.instances import gen_unconstrained
+    from xorsatlab.peel import two_core
+    from xorsatlab.rng import Seed
+
+    cores = [two_core(gen_unconstrained(3, 2610, 3000, Seed(s, 1)))[0] for s in range(10)]
+    systems = [(BitMatrix.from_sparse_rows(core.n, core.index), core.bits) for core in cores]
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was_on = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for mat, b in systems:
+            solve(mat, b)
+    finally:
+        gc.callbacks.remove(count)
+        gc.enable() if was_on else gc.disable()
+    assert len(starts) <= 1, starts
 
 
 @pytest.mark.parametrize(
