@@ -14,7 +14,7 @@ import sys
 
 from xorsatlab import __version__
 from xorsatlab.errors import XorsatLabError
-from xorsatlab.experiments import _KINDS, ExperimentConfig, emit_plot, run_experiment
+from xorsatlab.experiments import _KINDS, ExperimentConfig, plot_hk, plot_sweep, run_experiment
 from xorsatlab.formulas import threshold_report
 from xorsatlab.gf2 import BitMatrix, solve
 from xorsatlab.instances import (
@@ -55,12 +55,11 @@ def _save_instance(inst: Instance, path: str | None) -> None:
 
 def _cmd_gen(args) -> int:
     seed = Seed(args.seed, args.stream)
-    if args.m is None:
-        if args.c is None:
-            raise XorsatLabError("gen needs --m or --c")
-        args.m = round(args.c * args.n)
+    if (args.m is None) == (args.c is None):
+        raise XorsatLabError("gen takes one of --m or --c")
+    m = round(args.c * args.n) if args.m is None else args.m
     gen = gen_constrained if args.model == MODEL_CONSTRAINED else gen_unconstrained  # argparse restricts --model
-    inst = gen(args.k, args.m, args.n, seed)
+    inst = gen(args.k, m, args.n, seed)
     _save_instance(inst, args.out)
     return 0
 
@@ -142,19 +141,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    kw = {}
     if args.mode == "hk":
         if args.k is None or not args.c_list:
             raise XorsatLabError("hk mode needs --k and --c-list")
-        kw = {"k": args.k, "c_values": args.c_list}
+        plot_hk(args.out, k=args.k, c_values=args.c_list)
     else:
-        if args.x:
-            kw["x"] = args.x
-        if args.y:
-            kw["y"] = args.y
-        if args.series:
-            kw["series"] = args.series
-    emit_plot(args.csv, args.out, mode=args.mode, **kw)
+        if args.csv is None:
+            raise XorsatLabError("sweep mode needs --csv")
+        plot_sweep(args.csv, args.out, x=args.x, y=args.y, series=args.series)
     print(json.dumps({"svg": args.out}))
     return 0
 
@@ -181,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="variables per equation")
     p.add_argument("--n", type=int, required=True, help="number of variables")
     p.add_argument("--m", type=int, help="number of equations")
-    p.add_argument("--c", type=float, help="density m/n (used when --m is absent)")
+    p.add_argument("--c", type=float, help="density m/n, so m = round(c * n); give --m or --c")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--stream", type=int, default=0, help="sub-stream index")
     p.add_argument("--out", help="output path; .bin selects the binary format; default stdout JSON")
@@ -231,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="sweep", choices=["sweep", "hk"])
     p.add_argument("--csv", help="input CSV (sweep mode)")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--x", help="x column (default c)")
-    p.add_argument("--y", help="y column (default sat)")
-    p.add_argument("--series", help="series column (default n)")
+    p.add_argument("--x", default="c", help="x column (default c)")
+    p.add_argument("--y", default="sat", help="y column (default sat)")
+    p.add_argument("--series", default="n", help="series column (default n)")
     p.add_argument("--k", type=int, help="k for hk mode")
     p.add_argument("--c-list", type=_csv_floats, dest="c_list", help="densities for hk mode")
     p.set_defaults(func=_cmd_plot)

@@ -50,7 +50,7 @@ def _fields(cls) -> tuple[dict, list[str]]:  # the annotations, and the fields w
 
 def json_value(tp, v, error: type[Exception], where: str):
     """`v` read as annotation `tp`: int (not bool), float (int allowed), bool, str,
-    dict, list[X], tuple[X, ...], X | None or a dataclass; raises `error` on a misfit."""
+    dict, list[X], a fixed-length tuple[X, Y], X | None or a dataclass; raises `error` on a misfit."""
     try:
         return _read(tp, v, error)
     except _Misfit:

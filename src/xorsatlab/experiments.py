@@ -21,6 +21,10 @@ returns only what it measured:
 * ``window_check``    - constrained model at m = n +- w for a list of
                         widths w.
 
+A config gives exactly one non-empty point grid, and it is its kind's own:
+``w_list`` for window_check, ``c_grid`` or ``m_list`` for the others.
+``validate`` refuses any other choice before a trial runs.
+
 ``run_experiment(cfg)`` returns ``(aggregates, rows, summary)``: one
 aggregate dict per point (collision_check: its one point's dict), the
 per-trial row dicts in task order, and the summary dict.
@@ -35,6 +39,10 @@ trial's stream id for single-trial replay; floats are written with repr()
 round-trip precision.  Wall-clock times live only in the JSON summary
 (config echo, aggregates, content hash of the CSV) so the CSV stays
 deterministic.
+
+``plot_sweep`` charts a campaign CSV (the mean of one column against
+another, one line per value of a third) and ``plot_hk`` the rate function
+H_k against alpha; each writes a standalone SVG and returns its text.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ import numpy as np
 
 from xorsatlab import __version__
 from xorsatlab.errors import from_json
-from xorsatlab.formulas import core_sizes, gamma, lambda_of
+from xorsatlab.formulas import H_k, core_sizes, gamma, lambda_of, zeta_choice
 from xorsatlab.gf2 import KERNEL_BACKEND, BitMatrix, solve
 from xorsatlab.instances import (
     _MODELS,
@@ -110,10 +118,10 @@ class ExperimentConfig:
             bad = next((w for w in self.w_list or () if abs(w) > self.n), None)
             if bad is not None:
                 raise ValueError(f"w_list window {bad} exceeds n={self.n}: the point m = n - |w| would be negative")
-        if self.kind == "window_check" and not self.w_list:
-            raise ValueError("window_check needs w_list")
-        if self.kind != "window_check" and not (self.c_grid or self.m_list):
-            raise ValueError("need c_grid or m_list")
+        grids = ("w_list",) if self.kind == "window_check" else ("c_grid", "m_list")
+        given = [name for name in ("c_grid", "m_list", "w_list") if getattr(self, name)]
+        if len(given) != 1 or given[0] not in grids:
+            raise ValueError(f"{self.kind} takes one grid, {' or '.join(grids)}; got {' and '.join(given) or 'none'}")
         if self.kind == "collision_check" and len(self.points()) != 1:
             raise ValueError("collision_check takes exactly one density (one c_grid or m_list entry)")
         if self.kind == "collision_check" and (self.k < 3 or self.k * self.points()[0]["m"] <= 2 * self.n):
@@ -130,7 +138,7 @@ class ExperimentConfig:
                 pts.append({"w": w, "side": "-", "m": self.n - w, "c": (self.n - w) / self.n})
                 pts.append({"w": w, "side": "+", "m": self.n + w, "c": (self.n + w) / self.n})
             return pts
-        if self.m_list is not None:
+        if self.m_list:
             return [{"m": m, "c": m / self.n} for m in self.m_list]
         return [{"m": round(c * self.n), "c": c} for c in self.c_grid]
 
@@ -405,53 +413,43 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict] | dict, list[dict]
 # Plots
 
 
-def emit_plot(csv_path: str | None, out_svg: str, mode: str = "sweep", **kw) -> str:
-    """Write a standalone SVG chart and return its text.
+def plot_sweep(csv_path: str, out_svg: str, *, x: str, y: str, series: str) -> str:
+    """Write the SVG chart of a per-trial CSV and return its text: the mean
+    of column `y` against column `x`, one line per value of column `series`.
+    A CSV with no data rows or without one of the three columns raises
+    ValueError before any file is written."""
+    from xorsatlab.svg import line_chart  # imports xml.sax, which a campaign does not need
 
-    mode="sweep": read a per-trial CSV; x = kw['x'] (default "c"), y = mean
-    of kw['y'] (default "sat") grouped per x, one series per value of
-    kw['series'] (default "n").  Malformed or empty CSV raises before any
-    file is written.
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ValueError(f"no data rows in {csv_path}")
+    missing = [col for col in (x, y, series) if col not in rows[0]]
+    if missing:
+        raise ValueError(f"CSV lacks columns {'/'.join(map(repr, missing))}")
+    grouped: dict[str, dict[float, list[float]]] = {}
+    for row in rows:
+        grouped.setdefault(row[series], {}).setdefault(float(row[x]), []).append(float(row[y]))
+    lines = []
+    for label in sorted(grouped):
+        xs = sorted(grouped[label])
+        ys = [sum(grouped[label][v]) / len(grouped[label][v]) for v in xs]
+        lines.append((f"{series}={label}", xs, ys))
+    text = line_chart(lines, f"mean {y} vs {x}", x, f"mean {y}")
+    with open(out_svg, "w") as fh:
+        fh.write(text)
+    return text
 
-    mode="hk": no CSV; plot the rate function H_k(alpha, zeta(alpha); c)
-    against alpha for k = kw['k'] and each c in kw['c_values'] (the kink
-    where the zeta recipe switches forms is visible at alpha_k).
-    """
+
+def plot_hk(out_svg: str, *, k: int, c_values: list[float]) -> str:
+    """Write the SVG chart of the rate function H_k(alpha, zeta(alpha); c)
+    against alpha, one line per density in `c_values`, and return its text
+    (the kink where the zeta recipe switches forms is visible at alpha_k)."""
     from xorsatlab.svg import line_chart
 
-    if mode == "sweep":
-        if csv_path is None:
-            raise ValueError("sweep mode needs a CSV path")
-        xcol, ycol, scol = kw.get("x", "c"), kw.get("y", "sat"), kw.get("series", "n")
-        with open(csv_path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows:
-            raise ValueError(f"no data rows in {csv_path}")
-        if xcol not in rows[0] or ycol not in rows[0]:
-            raise ValueError(f"CSV lacks columns {xcol!r}/{ycol!r}")
-        grouped: dict[str, dict[float, list[float]]] = {}
-        for row in rows:
-            series_key = row.get(scol, "")
-            grouped.setdefault(series_key, {}).setdefault(float(row[xcol]), []).append(float(row[ycol]))
-        series = []
-        for label in sorted(grouped):
-            xs = sorted(grouped[label])
-            ys = [sum(grouped[label][x]) / len(grouped[label][x]) for x in xs]
-            series.append((f"{scol}={label}", xs, ys))
-        text = line_chart(series, f"mean {ycol} vs {xcol}", xcol, f"mean {ycol}")
-    elif mode == "hk":
-        from xorsatlab.formulas import H_k, zeta_choice
-
-        k = kw["k"]
-        c_values = kw["c_values"]
-        alphas = [i / 400 for i in range(1, 400)]
-        series = []
-        for c in c_values:
-            ys = [H_k(a, zeta_choice(k, c, a), c, k) for a in alphas]
-            series.append((f"c={c:g}", alphas, ys))
-        text = line_chart(series, f"rate function, k={k}", "alpha", "H_k")
-    else:
-        raise ValueError(f"unknown plot mode {mode!r}")
+    alphas = [i / 400 for i in range(1, 400)]
+    lines = [(f"c={c:g}", alphas, [H_k(a, zeta_choice(k, c, a), c, k) for a in alphas]) for c in c_values]
+    text = line_chart(lines, f"rate function, k={k}", "alpha", "H_k")
     with open(out_svg, "w") as fh:
         fh.write(text)
     return text
@@ -459,6 +457,7 @@ def emit_plot(csv_path: str | None, out_svg: str, mode: str = "sweep", **kw) -> 
 
 __all__ = [
     "ExperimentConfig",
-    "emit_plot",
+    "plot_hk",
+    "plot_sweep",
     "run_experiment",
 ]

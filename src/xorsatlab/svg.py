@@ -7,6 +7,7 @@ one polyline per series, legend in the top-right corner.
 from __future__ import annotations
 
 import math
+from xml.sax.saxutils import escape
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 _W, _H = 900, 560
@@ -38,8 +39,9 @@ def _fmt(x: float) -> str:
 
 
 def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
-    """series: list of (label, xs, ys) with equal-length float lists."""
-    series = [(label, list(xs), list(ys)) for label, xs, ys in series if len(xs)]
+    """series: list of (label, xs, ys) with equal-length float lists; the title and labels are plain text."""
+    title, xlabel, ylabel = escape(title), escape(xlabel), escape(ylabel)
+    series = [(escape(label), list(xs), list(ys)) for label, xs, ys in series if len(xs)]
     if not series:
         raise ValueError("no data to plot")
     xlo = min(min(xs) for _, xs, _ in series)

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -307,6 +310,58 @@ def test_plot_subcommand(tmp_path):
     svg2 = tmp_path / "hk.svg"
     code, _, _ = run_cli(["plot", "--mode", "hk", "--k", "4", "--c-list", "0.51,1.0,1.1", "--out", str(svg2)])
     assert code == 0 and svg2.exists()
+
+
+def test_plot_refuses_a_column_the_csv_lacks(tmp_path):
+    out_csv = tmp_path / "s.csv"
+    out_csv.write_text("c,n,core_vars\n0.9,100,0\n")
+    svg = tmp_path / "chart.svg"
+    for argv, message in ((["--csv", str(out_csv), "--y", "core_vars", "--series", "nn"], "error: CSV lacks columns 'nn'"),
+                          (["--csv", str(out_csv)], "error: CSV lacks columns 'sat'"),
+                          ([], "error: sweep mode needs --csv")):
+        code, out, err = run_cli(["plot", *argv, "--out", str(svg)])
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if not line.startswith("config:")] == [message]
+        assert not svg.exists()
+
+
+@pytest.mark.parametrize("argv", [["--m", "4", "--c", "2.0"], []], ids=["both", "neither"])
+def test_gen_takes_one_of_m_or_c(tmp_path, argv):
+    path = tmp_path / "inst.json"
+    code, out, err = run_cli(["gen", "--k", "3", "--n", "10", *argv, "--out", str(path)])
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if not line.startswith("config:")] == ["error: gen takes one of --m or --c"]
+    assert not path.exists()
+
+
+def test_experiment_grid_flag_beside_a_file_grid_exits_1_before_any_trial(tmp_path, monkeypatch):
+    from xorsatlab import experiments
+
+    trials = []
+    monkeypatch.setattr(experiments, "_run_one", trials.append)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kind": "sat_sweep", "k": 3, "n": 100, "trials": 3, "master_seed": 4, "m_list": [50]}))
+    out_csv = tmp_path / "c.csv"
+    code, out, err = run_cli(["experiment", "--config", str(cfg_path), "--c-grid", "0.9", "--out", str(out_csv)])
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if not line.startswith("config:")] == [
+        "error: sat_sweep takes one grid, c_grid or m_list; got c_grid and m_list"]
+    assert trials == []
+    assert not out_csv.exists()
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in commands if argv and argv[0] == "xorsatlab"]
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run_cli(argv)
+        assert code == 0, (argv, err)
+    for svg in ("sweep.svg", "rate.svg"):
+        assert ElementTree.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_domain_error_exit_1():

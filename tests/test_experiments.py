@@ -4,6 +4,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from conftest import count_critical_sets
 from xorsatlab import experiments
 from xorsatlab import formulas as F
-from xorsatlab.experiments import _KINDS, ExperimentConfig, _run_one, emit_plot, run_experiment
+from xorsatlab.experiments import _KINDS, ExperimentConfig, _run_one, plot_hk, plot_sweep, run_experiment
 from xorsatlab.gf2 import BitMatrix, rank, solve
 from xorsatlab.instances import Instance, gen_constrained
 from xorsatlab.rng import Seed
@@ -299,11 +300,58 @@ def test_model_contradicting_the_forced_one_is_refused(kind, model, kw, forced):
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("kind, grids, message", [
+    ("sat_sweep", {"c_grid": [0.9], "m_list": [50]}, "sat_sweep takes one grid, c_grid or m_list; got c_grid and m_list"),
+    ("window_check", {"c_grid": [0.9]}, "window_check takes one grid, w_list; got c_grid"),
+    ("window_check", {"c_grid": [0.9], "w_list": [3]}, "window_check takes one grid, w_list; got c_grid and w_list"),
+    ("core_check", {"w_list": [3]}, "core_check takes one grid, c_grid or m_list; got w_list"),
+    ("core_check", {"m_list": [30], "w_list": [3]}, "core_check takes one grid, c_grid or m_list; got m_list and w_list"),
+    ("critical_census", {}, "critical_census takes one grid, c_grid or m_list; got none"),
+    ("window_check", {"w_list": []}, "window_check takes one grid, w_list; got none"),
+], ids=["sweep_two", "window_c_grid", "window_two", "core_w_list", "core_two", "census_none", "window_empty"])
+def test_config_takes_exactly_its_own_grid(monkeypatch, kind, grids, message):
+    trials = []
+    monkeypatch.setattr(experiments, "_run_one", trials.append)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        run_experiment(ExperimentConfig(kind, 3, 40, 2, 2, **grids))
+    assert trials == []
+
+
+def test_empty_m_list_leaves_the_c_grid():
+    cfg = ExperimentConfig("core_check", 3, 40, 2, 2, c_grid=[0.9], m_list=[])
+    assert cfg.points() == [{"m": 36, "c": 0.9}]
+    cfg.validate()
+
+
 def test_run_experiment_dispatch():
     cfg = ExperimentConfig("core_check", 3, 500, 2, 5, c_grid=[0.95])
     aggs, rows, summary = run_experiment(cfg)
     assert summary["config"]["kind"] == "core_check"
     assert len(rows) == 2
+
+
+PLOT_CSV = (
+    "point,c,n,m,trial,stream,sat,nullity\n"
+    "0,0.8,100,80,0,0,1,0\n"
+    "0,0.8,100,80,1,1,1,1\n"
+    "1,0.9,100,90,0,2,1,2\n"
+    "1,0.9,100,90,1,3,0,3\n"
+    "2,1.0,100,100,0,4,0,5\n"
+    "2,1.0,100,100,1,5,0,4\n"
+    "0,0.8,200,160,0,0,1,0\n"
+    "0,0.8,200,160,1,1,1,0\n"
+    "1,0.9,200,180,0,2,1,1\n"
+    "1,0.9,200,180,1,3,1,2\n"
+    "2,1.0,200,200,0,4,0,7\n"
+    "2,1.0,200,200,1,5,0,6\n"
+)
+
+
+@pytest.fixture
+def plot_csv(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text(PLOT_CSV)
+    return str(path)
 
 
 class TestPlots:
@@ -319,13 +367,13 @@ class TestPlots:
             )
         )
         out = tmp_path / "chart.svg"
-        text = emit_plot(str(csv_path), str(out), mode="sweep")
+        text = plot_sweep(str(csv_path), str(out), x="c", y="sat", series="n")
         assert out.exists() and text.startswith("<svg")
         assert text.count("<polyline") == 3
 
     def test_hk_mode_orders_by_density(self, tmp_path):
         out = tmp_path / "hk.svg"
-        emit_plot(None, str(out), mode="hk", k=4, c_values=[0.51, 1.0, 1.1])
+        plot_hk(str(out), k=4, c_values=[0.51, 1.0, 1.1])
         assert out.exists()
         # bottom-to-top ordering of the curves, sampled where they separate
         # (at the extreme tails all three pinch together and the zeta recipe's
@@ -348,12 +396,48 @@ class TestPlots:
         csv_path.write_text("point,c,n,m,trial,stream,sat\n")
         out = tmp_path / "nope.svg"
         with pytest.raises(ValueError):
-            emit_plot(str(csv_path), str(out))
+            plot_sweep(str(csv_path), str(out), x="c", y="sat", series="n")
         assert not out.exists()
 
-    def test_bad_mode(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_plot(None, str(tmp_path / "x.svg"), mode="pie")
+    def test_misspelled_keyword_raises_type_error(self, tmp_path, plot_csv):
+        out = tmp_path / "x.svg"
+        with pytest.raises(TypeError):
+            plot_sweep(plot_csv, str(out), xcol="m", y="sat", series="c")
+        with pytest.raises(TypeError):
+            plot_hk(str(out), k=4, c_value=[1.0])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("columns", [("c", "sat", "nn"), ("cc", "sat", "n"), ("c", "sats", "n")])
+    def test_missing_column_is_refused_before_writing(self, tmp_path, plot_csv, columns):
+        out = tmp_path / "x.svg"
+        x, y, series = columns
+        missing = next(col for col in columns if col not in ("c", "sat", "n"))
+        with pytest.raises(ValueError, match=rf"^CSV lacks columns '{missing}'$"):
+            plot_sweep(plot_csv, str(out), x=x, y=y, series=series)
+        assert not out.exists()
+
+    # sha256 of the SVG text, as the single plot function with a mode argument wrote it
+    @pytest.mark.parametrize("plot, digest", [
+        (lambda csv, out: plot_sweep(csv, out, x="c", y="sat", series="n"),
+         "027735fc1d51640ebfeee790dc38aefd6ce4f90ff72e319aba07b96fc6e3dbae"),
+        (lambda csv, out: plot_sweep(csv, out, x="m", y="nullity", series="c"),
+         "8e6424c9abf9cdd628deecb21ab8fe959f9373597334c5a4fcff6181bd85bcb8"),
+        (lambda csv, out: plot_hk(out, k=4, c_values=[0.51, 1.0, 1.1]),
+         "e54b47c7975ad45fba7f90729c67b02b4b6ad55d00a3a1d95dca9a077efe1c5b"),
+    ], ids=["sweep_default", "sweep_m_nullity_c", "hk"])
+    def test_svg_bytes_pinned(self, tmp_path, plot_csv, plot, digest):
+        out = tmp_path / "chart.svg"
+        text = plot(plot_csv, str(out))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert out.read_text() == text
+
+    def test_labels_are_escaped(self, tmp_path):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("c,sat,model\n0.8,1,a&b\n0.9,0,a&b\n0.8,1,x<y\n0.9,1,x<y\n")
+        out = tmp_path / "chart.svg"
+        plot_sweep(str(csv_path), str(out), x="c", y="sat", series="model")
+        texts = [el.text for el in ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert "model=a&b" in texts and "model=x<y" in texts
 
 
 def test_run_one_leaves_the_collector_alone(monkeypatch):
