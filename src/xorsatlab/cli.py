@@ -14,7 +14,7 @@ import sys
 
 from xorsatlab import __version__
 from xorsatlab.errors import XorsatLabError
-from xorsatlab.experiments import _KINDS, ExperimentConfig, plot_hk, plot_sweep, run_experiment
+from xorsatlab.experiments import _KINDS, ExperimentConfig, run_experiment
 from xorsatlab.formulas import threshold_report
 from xorsatlab.gf2 import BitMatrix, solve
 from xorsatlab.instances import (
@@ -27,6 +27,7 @@ from xorsatlab.instances import (
 )
 from xorsatlab.peel import extend_solution, two_core
 from xorsatlab.rng import Seed
+from xorsatlab.svg import plot_hk, plot_sweep
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -54,12 +55,9 @@ def _save_instance(inst: Instance, path: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    seed = Seed(args.seed, args.stream)
-    if (args.m is None) == (args.c is None):
-        raise XorsatLabError("gen takes one of --m or --c")
-    m = round(args.c * args.n) if args.m is None else args.m
+    m = round(args.c * args.n) if args.m is None else args.m  # argparse takes exactly one of --m and --c
     gen = gen_constrained if args.model == MODEL_CONSTRAINED else gen_unconstrained  # argparse restricts --model
-    inst = gen(args.k, m, args.n, seed)
+    inst = gen(args.k, m, args.n, Seed(args.seed, args.stream))
     _save_instance(inst, args.out)
     return 0
 
@@ -98,20 +96,14 @@ def _cmd_peel(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    c = args.c if args.c is not None else 1.0
-    print(json.dumps(threshold_report(args.k, c)))
+    print(json.dumps(threshold_report(args.k, args.c)))
     return 0
 
 
 def _cmd_certify(args) -> int:
     from xorsatlab.certify import certify_claim
 
-    c_range = None
-    if args.c_lo is not None or args.c_hi is not None:
-        if args.c_lo is None or args.c_hi is None:
-            raise XorsatLabError("provide both --c-lo and --c-hi")
-        c_range = (args.c_lo, args.c_hi)
-    cert = certify_claim(args.claim, args.k, args.target, c_range)
+    cert = certify_claim(args.claim, args.k, args.target, args.c_range and tuple(args.c_range))
     line = {
         "claim": cert.claim_id,
         "k": cert.k,
@@ -140,15 +132,14 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    if args.mode == "hk":
-        if args.k is None or not args.c_list:
-            raise XorsatLabError("hk mode needs --k and --c-list")
-        plot_hk(args.out, k=args.k, c_values=args.c_list)
-    else:
-        if args.csv is None:
-            raise XorsatLabError("sweep mode needs --csv")
-        plot_sweep(args.csv, args.out, x=args.x, y=args.y, series=args.series)
+def _cmd_plot_sweep(args) -> int:
+    plot_sweep(args.csv, args.out, x=args.x, y=args.y, series=args.series)
+    print(json.dumps({"svg": args.out}))
+    return 0
+
+
+def _cmd_plot_hk(args) -> int:
+    plot_hk(args.out, k=args.k, c_values=args.c_list)
     print(json.dumps({"svg": args.out}))
     return 0
 
@@ -174,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=MODEL_UNCONSTRAINED, choices=_MODELS)
     p.add_argument("--k", type=int, required=True, help="variables per equation")
     p.add_argument("--n", type=int, required=True, help="number of variables")
-    p.add_argument("--m", type=int, help="number of equations")
-    p.add_argument("--c", type=float, help="density m/n, so m = round(c * n); give --m or --c")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--m", type=int, help="number of equations")
+    size.add_argument("--c", type=float, help="density m/n, so m = round(c * n)")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--stream", type=int, default=0, help="sub-stream index")
     p.add_argument("--out", help="output path; .bin selects the binary format; default stdout JSON")
@@ -194,15 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="print threshold constants (lambda, gamma, c_hat, c_star, core sizes)")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=float, help="density m/n (default 1.0)")
+    p.add_argument("--c", type=float, default=1.0, help="density m/n (default 1.0)")
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("certify", help="interval-arithmetic negativity certificates; exit 0 iff verified")
     p.add_argument("--claim", required=True, choices=["amed", "k3grid", "alarge", "monotone"])
     p.add_argument("--k", type=int, help="k for the amed claim (default 4)")
     p.add_argument("--target", type=float, help="override the negativity target (amed, k3grid)")
-    p.add_argument("--c-lo", type=float, help="k3grid density range lower end")
-    p.add_argument("--c-hi", type=float, help="k3grid density range upper end")
+    p.add_argument("--c-range", type=float, nargs=2, metavar=("LO", "HI"), help="k3grid density range")
     p.add_argument("--out", help="write the certificate JSON here")
     p.set_defaults(func=_cmd_certify)
 
@@ -221,16 +212,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (summary goes to <out>.summary.json)")
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("plot", help="render an SVG chart from a campaign CSV (or the H_k curves)")
-    p.add_argument("--mode", default="sweep", choices=["sweep", "hk"])
-    p.add_argument("--csv", help="input CSV (sweep mode)")
+    charts = sub.add_parser("plot", help="render an SVG chart").add_subparsers(dest="chart", required=True)
+    p = charts.add_parser("sweep", help="mean of one campaign CSV column against another, one line per series")
+    p.add_argument("--csv", required=True, help="input campaign CSV")
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument("--x", default="c", help="x column (default c)")
     p.add_argument("--y", default="sat", help="y column (default sat)")
     p.add_argument("--series", default="n", help="series column (default n)")
-    p.add_argument("--k", type=int, help="k for hk mode")
-    p.add_argument("--c-list", type=_csv_floats, dest="c_list", help="densities for hk mode")
-    p.set_defaults(func=_cmd_plot)
+    p.set_defaults(func=_cmd_plot_sweep)
+
+    p = charts.add_parser("hk", help="the rate function H_k against alpha, one line per density")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--c-list", type=_csv_floats, dest="c_list", required=True, help="comma-separated densities")
+    p.add_argument("--out", required=True, help="output SVG path")
+    p.set_defaults(func=_cmd_plot_hk)
     return parser
 
 

@@ -39,10 +39,6 @@ trial's stream id for single-trial replay; floats are written with repr()
 round-trip precision.  Wall-clock times live only in the JSON summary
 (config echo, aggregates, content hash of the CSV) so the CSV stays
 deterministic.
-
-``plot_sweep`` charts a campaign CSV (the mean of one column against
-another, one line per value of a third) and ``plot_hk`` the rate function
-H_k against alpha; each writes a standalone SVG and returns its text.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ import numpy as np
 
 from xorsatlab import __version__
 from xorsatlab.errors import from_json
-from xorsatlab.formulas import H_k, core_sizes, gamma, lambda_of, zeta_choice
+from xorsatlab.formulas import core_sizes, gamma, lambda_of
 from xorsatlab.gf2 import KERNEL_BACKEND, BitMatrix, solve
 from xorsatlab.instances import (
     _MODELS,
@@ -105,6 +101,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}; expected {' or '.join(_MODELS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.c_grid is not None and not all(map(math.isfinite, self.c_grid)):
             raise ValueError("c_grid densities must be finite")
         if self.c_grid is not None and any(b <= a for a, b in zip(self.c_grid, self.c_grid[1:])):
@@ -409,55 +407,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict] | dict, list[dict]
     return aggregates, rows, summary
 
 
-# ---------------------------------------------------------------------------
-# Plots
-
-
-def plot_sweep(csv_path: str, out_svg: str, *, x: str, y: str, series: str) -> str:
-    """Write the SVG chart of a per-trial CSV and return its text: the mean
-    of column `y` against column `x`, one line per value of column `series`.
-    A CSV with no data rows or without one of the three columns raises
-    ValueError before any file is written."""
-    from xorsatlab.svg import line_chart  # imports xml.sax, which a campaign does not need
-
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"no data rows in {csv_path}")
-    missing = [col for col in (x, y, series) if col not in rows[0]]
-    if missing:
-        raise ValueError(f"CSV lacks columns {'/'.join(map(repr, missing))}")
-    grouped: dict[str, dict[float, list[float]]] = {}
-    for row in rows:
-        grouped.setdefault(row[series], {}).setdefault(float(row[x]), []).append(float(row[y]))
-    lines = []
-    for label in sorted(grouped):
-        xs = sorted(grouped[label])
-        ys = [sum(grouped[label][v]) / len(grouped[label][v]) for v in xs]
-        lines.append((f"{series}={label}", xs, ys))
-    text = line_chart(lines, f"mean {y} vs {x}", x, f"mean {y}")
-    with open(out_svg, "w") as fh:
-        fh.write(text)
-    return text
-
-
-def plot_hk(out_svg: str, *, k: int, c_values: list[float]) -> str:
-    """Write the SVG chart of the rate function H_k(alpha, zeta(alpha); c)
-    against alpha, one line per density in `c_values`, and return its text
-    (the kink where the zeta recipe switches forms is visible at alpha_k)."""
-    from xorsatlab.svg import line_chart
-
-    alphas = [i / 400 for i in range(1, 400)]
-    lines = [(f"c={c:g}", alphas, [H_k(a, zeta_choice(k, c, a), c, k) for a in alphas]) for c in c_values]
-    text = line_chart(lines, f"rate function, k={k}", "alpha", "H_k")
-    with open(out_svg, "w") as fh:
-        fh.write(text)
-    return text
-
-
 __all__ = [
     "ExperimentConfig",
-    "plot_hk",
-    "plot_sweep",
     "run_experiment",
 ]

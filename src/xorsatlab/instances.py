@@ -194,8 +194,8 @@ class Instance:
             out.append(0)
         else:
             out.append(1)
-            out += (self.seed.master & (1 << 64) - 1).to_bytes(8, "little")
-            out += (self.seed.stream & (1 << 64) - 1).to_bytes(8, "little")
+            out += self.seed.master.to_bytes(8, "little")
+            out += self.seed.stream.to_bytes(8, "little")
         for v in gaps.ravel().tolist():
             _put_varint(out, v)
         out += np.packbits(self.bits, bitorder="little").tobytes()

@@ -35,14 +35,19 @@ def mix_streams(a: int, b: int) -> int:
 class Seed:
     """(master, stream) key for a Philox stream.
 
-    Identical pairs reproduce identical output bit-exactly.
+    Identical pairs reproduce identical output bit-exactly.  Both are stored
+    mod 2**64, the key they stand for, so equal keys compare equal.
     """
 
     master: int
     stream: int = 0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "master", self.master & _MASK64)
+        object.__setattr__(self, "stream", self.stream & _MASK64)
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.master & _MASK64, self.stream & _MASK64], dtype=np.uint64)
+        key = np.array([self.master, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def to_dict(self) -> dict:

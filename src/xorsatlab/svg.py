@@ -1,4 +1,5 @@
-"""Minimal standalone SVG line charts (no plotting dependency).
+"""Minimal standalone SVG line charts (no plotting dependency), and the
+lab's two charts: ``plot_sweep`` of a campaign CSV, ``plot_hk`` of H_k.
 
 One fixed schema: 900x560 canvas, left/bottom axes with ~6 round ticks,
 one polyline per series, legend in the top-right corner.
@@ -6,8 +7,10 @@ one polyline per series, legend in the top-right corner.
 
 from __future__ import annotations
 
+import csv
 import math
-from xml.sax.saxutils import escape
+
+from xorsatlab.formulas import H_k, zeta_choice
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 _W, _H = 900, 560
@@ -38,10 +41,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _escape(text: str) -> str:  # `&` first, so the entities the next two add stay intact
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     """series: list of (label, xs, ys) with equal-length float lists; the title and labels are plain text."""
-    title, xlabel, ylabel = escape(title), escape(xlabel), escape(ylabel)
-    series = [(escape(label), list(xs), list(ys)) for label, xs, ys in series if len(xs)]
+    title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
+    series = [(_escape(label), list(xs), list(ys)) for label, xs, ys in series if len(xs)]
     if not series:
         raise ValueError("no data to plot")
     xlo = min(min(xs) for _, xs, _ in series)
@@ -104,4 +111,42 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     return "\n".join(parts)
 
 
-__all__ = ["line_chart"]
+def plot_sweep(csv_path: str, out_svg: str, *, x: str, y: str, series: str) -> str:
+    """Write the SVG chart of a per-trial CSV and return its text: the mean
+    of column `y` against column `x`, one line per value of column `series`.
+    A CSV with no data rows or without one of the three columns raises
+    ValueError before any file is written."""
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ValueError(f"no data rows in {csv_path}")
+    missing = [col for col in (x, y, series) if col not in rows[0]]
+    if missing:
+        raise ValueError(f"CSV lacks columns {'/'.join(map(repr, missing))}")
+    grouped: dict[str, dict[float, list[float]]] = {}
+    for row in rows:
+        grouped.setdefault(row[series], {}).setdefault(float(row[x]), []).append(float(row[y]))
+    lines = []
+    for label in sorted(grouped):
+        xs = sorted(grouped[label])
+        ys = [sum(grouped[label][v]) / len(grouped[label][v]) for v in xs]
+        lines.append((f"{series}={label}", xs, ys))
+    text = line_chart(lines, f"mean {y} vs {x}", x, f"mean {y}")
+    with open(out_svg, "w") as fh:
+        fh.write(text)
+    return text
+
+
+def plot_hk(out_svg: str, *, k: int, c_values: list[float]) -> str:
+    """Write the SVG chart of the rate function H_k(alpha, zeta(alpha); c)
+    against alpha, one line per density in `c_values`, and return its text
+    (the kink where the zeta recipe switches forms is visible at alpha_k)."""
+    alphas = [i / 400 for i in range(1, 400)]
+    lines = [(f"c={c:g}", alphas, [H_k(a, zeta_choice(k, c, a), c, k) for a in alphas]) for c in c_values]
+    text = line_chart(lines, f"rate function, k={k}", "alpha", "H_k")
+    with open(out_svg, "w") as fh:
+        fh.write(text)
+    return text
+
+
+__all__ = ["line_chart", "plot_hk", "plot_sweep"]

@@ -14,14 +14,18 @@ from xorsatlab.peel import two_core
 
 
 def run_cli(args, tmp_path=None):
-    """Invoke the CLI in-process, capturing stdout and the exit code."""
+    """Invoke the CLI in-process, capturing stdout, stderr and the exit code,
+    also the code of a usage error argparse raises as SystemExit."""
     import contextlib
     import io
 
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(args)
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -132,9 +136,7 @@ def test_peel_flags_choose_the_path(tmp_path):
     code, plain, _ = run_cli(["peel", "--in", str(path)])
     assert code == 0 and list(json.loads(plain)) == ["core_vars", "core_eqs", "ratio"]
     assert json.loads(plain) == json.loads(out)
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["peel", "--stats-only", "--in", str(path)])
-    assert exc.value.code == 2
+    assert run_cli(["peel", "--stats-only", "--in", str(path)])[0] == 2
 
 
 _PEEL_STDOUT = {
@@ -182,7 +184,7 @@ def test_certify_exit_codes(tmp_path):
 @pytest.mark.parametrize("argv,message", [
     (["--claim", "alarge", "--target", "5"], "error: the alarge claim takes no target"),
     (["--claim", "k3grid", "--k", "5"], "error: the k3grid claim takes no k"),
-    (["--claim", "monotone", "--c-lo", "0.5", "--c-hi", "0.6"], "error: the monotone claim takes no c_range"),
+    (["--claim", "monotone", "--c-range", "0.5", "0.6"], "error: the monotone claim takes no c_range"),
 ], ids=["alarge_target", "k3grid_k", "monotone_c_range"])
 def test_certify_rejects_flags_the_claim_does_not_take(tmp_path, argv, message):
     cert_path = tmp_path / "cert.json"
@@ -305,10 +307,10 @@ def test_plot_subcommand(tmp_path):
         "--seed", "1", "--c-grid", "0.8,0.95", "--out", str(out_csv),
     ])
     svg = tmp_path / "chart.svg"
-    code, _, _ = run_cli(["plot", "--csv", str(out_csv), "--out", str(svg)])
+    code, _, _ = run_cli(["plot", "sweep", "--csv", str(out_csv), "--out", str(svg)])
     assert code == 0 and svg.read_text().startswith("<svg")
     svg2 = tmp_path / "hk.svg"
-    code, _, _ = run_cli(["plot", "--mode", "hk", "--k", "4", "--c-list", "0.51,1.0,1.1", "--out", str(svg2)])
+    code, _, _ = run_cli(["plot", "hk", "--k", "4", "--c-list", "0.51,1.0,1.1", "--out", str(svg2)])
     assert code == 0 and svg2.exists()
 
 
@@ -317,21 +319,49 @@ def test_plot_refuses_a_column_the_csv_lacks(tmp_path):
     out_csv.write_text("c,n,core_vars\n0.9,100,0\n")
     svg = tmp_path / "chart.svg"
     for argv, message in ((["--csv", str(out_csv), "--y", "core_vars", "--series", "nn"], "error: CSV lacks columns 'nn'"),
-                          (["--csv", str(out_csv)], "error: CSV lacks columns 'sat'"),
-                          ([], "error: sweep mode needs --csv")):
-        code, out, err = run_cli(["plot", *argv, "--out", str(svg)])
+                          (["--csv", str(out_csv)], "error: CSV lacks columns 'sat'")):
+        code, out, err = run_cli(["plot", "sweep", *argv, "--out", str(svg)])
         assert (code, out) == (1, "")
         assert [line for line in err.splitlines() if not line.startswith("config:")] == [message]
         assert not svg.exists()
 
 
-@pytest.mark.parametrize("argv", [["--m", "4", "--c", "2.0"], []], ids=["both", "neither"])
-def test_gen_takes_one_of_m_or_c(tmp_path, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "4", "--c", "2.0"], "error: argument --c: not allowed with argument --m"),
+    ([], "error: one of the arguments --m --c is required"),
+], ids=["both", "neither"])
+def test_gen_takes_one_of_m_or_c(tmp_path, argv, message):
     path = tmp_path / "inst.json"
     code, out, err = run_cli(["gen", "--k", "3", "--n", "10", *argv, "--out", str(path)])
-    assert (code, out) == (1, "")
-    assert [line for line in err.splitlines() if not line.startswith("config:")] == ["error: gen takes one of --m or --c"]
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(message)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "hk", "--k", "4", "--c-list", "1.0", "--csv", "s.csv", "--out", "r.svg"],
+    ["plot", "sweep", "--csv", "s.csv", "--k", "4", "--out", "r.svg"],
+    ["plot", "sweep", "--out", "r.svg"],
+    ["plot", "hk", "--c-list", "1.0", "--out", "r.svg"],
+    ["plot", "--out", "r.svg"],
+    ["certify", "--claim", "k3grid", "--c-range", "0.999", "--out", "r.json"],
+], ids=["plot_hk_csv", "plot_sweep_k", "plot_sweep_no_csv", "plot_hk_no_k", "plot_no_chart", "certify_one_c"])
+def test_a_flag_the_command_does_not_take_or_lacks_is_a_usage_error(tmp_path, monkeypatch, argv):
+    """The parser owns each command's flags: a foreign, missing or short flag exits 2 and writes
+    nothing (`gen` with both or neither of --m and --c: `test_gen_takes_one_of_m_or_c`)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text("c,n,sat\n0.9,100,1\n")
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: xorsatlab ") and "error: " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+def test_cli_and_charts_import_no_xml_sax():
+    """Escaping chart text takes three `str.replace` calls, not `xml.sax`, which pulls in `urllib` and `ssl`."""
+    code = "import sys, xorsatlab.cli, xorsatlab.svg; print(sorted({'xml.sax', 'urllib.request', 'ssl'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_experiment_grid_flag_beside_a_file_grid_exits_1_before_any_trial(tmp_path, monkeypatch):
@@ -346,6 +376,20 @@ def test_experiment_grid_flag_beside_a_file_grid_exits_1_before_any_trial(tmp_pa
     assert (code, out) == (1, "")
     assert [line for line in err.splitlines() if not line.startswith("config:")] == [
         "error: sat_sweep takes one grid, c_grid or m_list; got c_grid and m_list"]
+    assert trials == []
+    assert not out_csv.exists()
+
+
+def test_experiment_workers_below_one_exits_1_before_any_trial(tmp_path, monkeypatch):
+    from xorsatlab import experiments
+
+    trials = []
+    monkeypatch.setattr(experiments, "_run_one", trials.append)
+    out_csv = tmp_path / "c.csv"
+    code, out, err = run_cli(["experiment", "--kind", "core_check", "--k", "3", "--n", "100", "--trials", "3",
+                              "--c-grid", "0.9", "--workers", "0", "--out", str(out_csv)])
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if not line.startswith("config:")] == ["error: workers must be >= 1"]
     assert trials == []
     assert not out_csv.exists()
 

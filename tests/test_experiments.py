@@ -12,10 +12,11 @@ import pytest
 from conftest import count_critical_sets
 from xorsatlab import experiments
 from xorsatlab import formulas as F
-from xorsatlab.experiments import _KINDS, ExperimentConfig, _run_one, plot_hk, plot_sweep, run_experiment
+from xorsatlab.experiments import _KINDS, ExperimentConfig, _run_one, run_experiment
 from xorsatlab.gf2 import BitMatrix, rank, solve
 from xorsatlab.instances import Instance, gen_constrained
 from xorsatlab.rng import Seed
+from xorsatlab.svg import plot_hk, plot_sweep
 
 
 def test_config_validation():
@@ -438,6 +439,14 @@ class TestPlots:
         plot_sweep(str(csv_path), str(out), x="c", y="sat", series="model")
         texts = [el.text for el in ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}text")]
         assert "model=a&b" in texts and "model=x<y" in texts
+
+    def test_escape_matches_xml_sax(self):
+        from xml.sax.saxutils import escape
+
+        from xorsatlab.svg import _escape
+
+        for text in ("", "plain", "a&b", "x<y>z", "&amp;", "<&>", "a>&<b&&>"):
+            assert _escape(text) == escape(text)
 
 
 def test_run_one_leaves_the_collector_alone(monkeypatch):

@@ -403,6 +403,14 @@ class TestSerialization:
             assert again == inst
             assert again.to_bytes() == blob
 
+    def test_seed_outside_u64_is_stored_as_its_key(self):
+        # a seed is its Philox key, the pair mod 2**64: it draws, compares and serializes as that key
+        inst = gen_unconstrained(3, 6, 10, Seed(-1, 2))
+        assert inst.seed == Seed(2**64 - 1, 2) == Seed(2**65 - 1, 2**64 + 2)
+        assert inst == gen_unconstrained(3, 6, 10, Seed(2**64 - 1, 2))
+        assert Instance.from_bytes(inst.to_bytes()) == inst
+        assert inst.to_json_dict()["seed"] == {"master": 2**64 - 1, "stream": 2}
+
     def test_binary_rejects_garbage(self):
         with pytest.raises(ValueError):
             Instance.from_bytes(b"NOPE" + b"\x00" * 20)
@@ -554,7 +562,7 @@ def small_instances(draw):
     m = draw(st.integers(0, 12))
     rows = [sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))) for _ in range(m)]
     rhs = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
-    seed = draw(st.none() | st.builds(Seed, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
+    seed = draw(st.none() | st.builds(Seed, st.integers(-(2**65), 2**65), st.integers(-(2**65), 2**65)))
     inst = Instance(k, n, m, rows, rhs, model, seed)
     try:
         inst.validate()
