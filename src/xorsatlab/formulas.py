@@ -87,10 +87,11 @@ def lambda_of(d: float) -> float:
 
 
 def _increasing_root(fn, y: float, lo: float, hi: float) -> float:
-    """Root of fn(x) = y, fn increasing and fn(lo) <= y: hi doubles until fn(hi) > y, then bisection to _X_TOL."""
+    """Root of fn(x) = y, fn increasing and fn(lo) <= y: hi doubles until fn(hi) > y, then bisection to
+    _X_TOL, or until no double lies between lo and hi (past 512 adjacent doubles are over _X_TOL apart)."""
     while fn(hi) <= y:
         hi *= 2.0
-    while hi - lo > _X_TOL:
+    while hi - lo > _X_TOL and math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
         if fn(mid) < y:
             lo = mid

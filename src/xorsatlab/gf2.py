@@ -16,14 +16,17 @@ column left and, when none has, makes inactive the active column that sits
 in the most rows.  Every pivoted column is then an affine function of the
 inactive ones, and only the rows left unpivoted, rewritten over the
 inactive columns, reach the kernel: on a random 3-XORSAT 2-core of about
-2000 columns that dense residue is about 150 columns wide.  Its solution is
-lifted back and reduced to the one that left-to-right elimination of the
-whole system gives, with every non-pivot column 0.
+2000 columns that dense residue is about 150 columns wide.  That settles
+consistency and rank.  Only the first read of the result's `one_solution`
+lifts the residue's solution back and reduces it to the one that
+left-to-right elimination of the whole system gives, with every non-pivot
+column 0, so a caller that reads the verdict alone never pays for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -106,18 +109,28 @@ class BitMatrix:
         return int.from_bytes(self.data[i].tobytes(), "little")
 
 
-@dataclass
 class SolveResult:
     """Outcome of solving A x = b over GF(2).
 
     solution_count_log2 = cols - rank when consistent (the solution set is a
     coset of the kernel), None otherwise; one_solution has free variables 0.
+    A result from `solve` computes one_solution on its first read (steps 3
+    and 4 of `solve`), then drops the state that took; later reads return
+    the same array.
     """
 
-    consistent: bool
-    rank: int
-    one_solution: np.ndarray | None
-    solution_count_log2: int | None
+    def __init__(self, consistent: bool, rank: int, one_solution: np.ndarray | None, solution_count_log2: int | None):
+        self.consistent = consistent
+        self.rank = rank
+        self.solution_count_log2 = solution_count_log2
+        self._one_solution = one_solution
+        self._lift = None  # set by `solve`: computes one_solution
+
+    @property
+    def one_solution(self) -> np.ndarray | None:
+        if self._lift is not None:
+            self._one_solution, self._lift = self._lift(), None
+        return self._one_solution
 
 
 def _bit_vector(values: Sequence[int], length: int, name: str, unit: str) -> np.ndarray:
@@ -180,17 +193,21 @@ def solve(mat: BitMatrix, b: Sequence[int]) -> SolveResult:
     4. `_canonical` reduces the lifted solution to the one with 0 on every
        non-pivot column of left-to-right elimination of the whole system.
 
+    Steps 1 and 2 settle consistency and rank.  Steps 3 and 4 run on the
+    first read of the result's `one_solution`, so a caller that reads only
+    the verdict never pays for them.
+
     Built for sparse rows, such as the 2-cores and constrained systems the
     package samples: steps 1 and 3 do Python work per nonzero, which pays
     off only when it leaves a narrow residue.  Rows holding a large share
     of the columns are out of scope: nearly every column is made inactive,
     the residue is the whole system, and that work comes on top of its
-    elimination.  On a 2-core machine with Python 3.11, against eliminating
-    and back-substituting the whole of [A | b], random dense square systems
-    of 64 to 256 rows take 2-3x as long on the fallback kernel and 8-24x on
-    the compiled one (11 against 0.5 ms at 256 rows); k=40 rows over 1000
-    columns take about as long on the fallback and 4x as long on the
-    compiled kernel (26 against 6 ms).
+    elimination.  On a 2-core machine with Python 3.11, with the solution
+    read, against eliminating and back-substituting the whole of [A | b],
+    random dense square systems of 64 to 256 rows take 2-3x as long on the
+    fallback kernel and 8-24x on the compiled one (11 against 0.5 ms at 256
+    rows); k=40 rows over 1000 columns take about as long on the fallback
+    and 4x as long on the compiled kernel (26 against 6 ms).
     """
     b = _bit_vector(b, mat.rows, "rhs", "rows")
     n = mat.cols
@@ -238,10 +255,20 @@ def solve(mat: BitMatrix, b: Sequence[int]) -> SolveResult:
     if piv and piv[-1] == width:
         return SolveResult(False, n - width + r - 1, None, None)
 
+    res = SolveResult(True, n - width + r, None, width - r)
+    res._lift = partial(_lift, aug[:r], piv, inactive, step_cols, step_rows, flat, starts, rhs)
+    return res
+
+
+def _lift(echelon: np.ndarray, piv: list[int], inactive: list[int], step_cols: list[int], step_rows: list[int],
+          flat: list[int], starts: list[int], rhs: list[int]) -> np.ndarray:
+    """Steps 3 and 4 of `solve`, from the residue's echelon rows and pivot
+    columns and the step lists and incidence of step 1."""
+    r, width, n = len(piv), len(inactive), len(starts) - 1
     # one solution and a null-space basis of the residue: echelon row i sets
     # pivot column piv[i] to its rhs bit plus its free and later pivot
     # columns, which back-substitution resolves last pivot first
-    bits = np.unpackbits(aug[:r].view(np.uint8), axis=1, bitorder="little")
+    bits = np.unpackbits(echelon.view(np.uint8), axis=1, bitorder="little")
     free = sorted(set(range(width)).difference(piv))
     nfree = len(free)
     later = bits[:, piv].T.astype(bool)[:, :, None]  # later[i, j]: row j holds pivot column piv[i]
@@ -265,7 +292,7 @@ def solve(mat: BitMatrix, b: Sequence[int]) -> SolveResult:
         lifted[v] = x
         for f in flat[starts[v] : starts[v + 1]]:
             row_acc[f] ^= x
-    return SolveResult(True, n - width + r, _canonical(lifted, nfree), nfree)
+    return _canonical(lifted, nfree)
 
 
 def _canonical(lifted: list[int], nfree: int) -> np.ndarray:

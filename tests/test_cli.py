@@ -8,6 +8,7 @@ from xml.etree import ElementTree
 
 import pytest
 
+from conftest import run_capped_child
 from xorsatlab.cli import main
 from xorsatlab.instances import Instance
 from xorsatlab.peel import two_core
@@ -89,6 +90,21 @@ def test_non_finite_or_huge_density_exits_1(argv, message):
     assert [line for line in err.splitlines() if not line.startswith("config:")] == [message]
 
 
+def test_core_check_past_a_root_of_512_exits_0():
+    # at c = 171 the root of g_3 that predicts the core passes 512, where
+    # adjacent doubles lie more than the bisection's 1e-13 apart: the
+    # bisection looped forever there, so the command runs in a capped child
+    code = (
+        "import sys\n"
+        "from xorsatlab.cli import main\n"
+        "sys.exit(main(['experiment', '--kind', 'core_check', '--k', '3', '--n', '100', '--trials', '1',"
+        " '--c-grid', '171']))\n"
+    )
+    proc = run_capped_child(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["aggregates"][0]["predicted_core_vars_frac"] == 1.0
+
+
 def test_gen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -166,6 +182,32 @@ def test_peel_stdout_pinned(tmp_path, c):
     assert run_cli(["peel", "--in", str(path), "--solve"])[:2] == (0, solved)
     assert run_cli(["peel", "--in", str(path), "--trace-out", str(trace)])[:2] == (0, plain)
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+_SOLVE_STDOUT = {
+    # below c*_3: 24 free columns, so the printed solution is the canonical one
+    "0.8": (
+        '{"consistent": true, "rank": 96, "solution_count_log2": 24}\n',
+        "de6c4b13aa98f306a1c038713da55b11e997ca9c31a7e325311acf803b248e3f",
+    ),
+    # above c*_3: no solution, so `--solution` prints the same line
+    "1.1": (
+        '{"consistent": false, "rank": 118, "solution_count_log2": null}\n',
+        "0f0b1cd3fa7c8c2a20dd9b1e23065609276e2c9b654af6aebcb54d93675221ca",
+    ),
+}
+
+
+@pytest.mark.parametrize("c", list(_SOLVE_STDOUT))
+def test_solve_stdout_pinned(tmp_path, c):
+    """Every byte printed by `solve` (k=3, n=120, seed 30), and by
+    `solve --solution` as the sha256 of its stdout."""
+    path = tmp_path / "inst.bin"
+    assert run_cli(["gen", "--k", "3", "--n", "120", "--c", c, "--seed", "30", "--out", str(path)])[0] == 0
+    plain, solved = _SOLVE_STDOUT[c]
+    assert run_cli(["solve", "--in", str(path)])[:2] == (0, plain)
+    code, out, _ = run_cli(["solve", "--in", str(path), "--solution"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, solved)
 
 
 def test_certify_exit_codes(tmp_path):

@@ -259,6 +259,26 @@ def test_config_echo_runs_again(name):
     assert summary["csv_sha256"] == again["csv_sha256"] == digest
 
 
+def test_campaigns_never_lift_a_solution(monkeypatch):
+    # trials read only the verdict and rank of `solve`: with the lift of a
+    # solution and `_canonical` made to raise, every campaign that solves
+    # still gives its pinned CSV, here with satisfiable trials at n = 300
+    from xorsatlab import gf2
+
+    def refuse(*args):
+        raise AssertionError("a campaign trial computed a solution")
+
+    monkeypatch.setattr(gf2, "_lift", refuse)
+    monkeypatch.setattr(gf2, "_canonical", refuse)
+    both_sides = (("sat_sweep", 3, 300, 8, 30), {"c_grid": [0.87, 0.97]},
+                  "a94f710ea7f1aec277ad5d4e9847abca806b55426dcb9fa9794441dd932eac63")
+    names = ("sat_sweep", "sat_sweep_constrained", "critical_census", "window_check")
+    for args, kwargs, digest in (both_sides, *(PINNED_CAMPAIGNS[name] for name in names)):
+        _, rows, summary = run_experiment(ExperimentConfig(*args, **kwargs, workers=1))
+        assert summary["csv_sha256"] == digest
+        assert any(row["sat"] for row in rows)
+
+
 @pytest.mark.parametrize("name", list(PINNED_CAMPAIGNS))
 def test_campaign_csv_same_under_both_kernels(monkeypatch, ext_kernel, name):
     # the README's claim: campaign CSVs are byte-identical under either backend

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -479,6 +480,27 @@ def test_solve_matches_rref_reference(rng, monkeypatch, request, kernel):
         assert_same_result(solve(mat, core.rhs), reference_solve(mat, core.rhs))
 
 
+def test_solution_is_lifted_on_first_read_only(rng):
+    """`solve` settles the verdict and rank without lifting a solution; the
+    first read of `one_solution` lifts it, equal to the RREF reference's,
+    and releases what the lift held; a later read returns the same array."""
+    seen = set()
+    for mat, b in sparse_front_end_cases(rng):
+        res = solve(mat, b)
+        want = reference_solve(mat, b)
+        seen.add(res.consistent)
+        if not res.consistent:
+            assert res._lift is None and res.one_solution is None
+            continue
+        lift = weakref.ref(res._lift)
+        assert lift() is not None
+        first = res.one_solution
+        assert res._lift is None and lift() is None
+        assert_same_result(res, want)
+        assert res.one_solution is first
+    assert seen == {True, False}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     rows=st.integers(1, 128),
@@ -556,7 +578,8 @@ def test_solve_eliminates_only_the_residue(request, kernel):
 def test_solve_leaves_the_collector_nothing_to_do():
     """`solve` keeps its incidence in flat int lists, so it creates no
     container per column or per step: ten n = 3000 2-cores solved back to
-    back with the cyclic collector on start at most one collection."""
+    back, each solution read, with the cyclic collector on start at most
+    one collection."""
     from xorsatlab.instances import gen_unconstrained
     from xorsatlab.peel import two_core
     from xorsatlab.rng import Seed
@@ -575,7 +598,7 @@ def test_solve_leaves_the_collector_nothing_to_do():
     gc.callbacks.append(count)
     try:
         for mat, b in systems:
-            solve(mat, b)
+            solve(mat, b).one_solution
     finally:
         gc.callbacks.remove(count)
         gc.enable() if was_on else gc.disable()
