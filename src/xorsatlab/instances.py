@@ -14,9 +14,15 @@ Two instance models and the chip model behind the second:
 The chip sampler draws the n column totals as i.i.d. >=2-truncated
 Poissons with tilt lambda = psi^{-1}(km/n), conditioned on summing to km
 (the tilt maximizes the hit probability P(S_n = km), about
-1/sqrt(2 pi n Var Z)).  The conditioned vector comes from n - 1 values
-drawn freely plus a last value accepted with probability p(t) / max p,
-and the number of whole vectors plain resampling would have examined is
+1/sqrt(2 pi n Var Z)).  Two exact proposals draw the conditioned vector,
+and each shape takes the one that needs fewer expected random draws per
+kept vector.  The last total draws n - 1 values freely plus a last value
+accepted with probability p(t) / max p; its acceptance falls as n^-1/2,
+and it wins only at a few dense columns.  The solved pair (probabilistic
+divide-and-conquer, Arratia & DeSalvo 2016) draws the count of columns at
+every total but two neighbouring ones as independent Poissons and solves
+the two from the column and chip sums; its acceptance does not fall with
+n.  The number of whole vectors plain resampling would have examined is
 drawn from its Geometric(P(S_n = km)) law.  The km chips are then dealt
 to columns by one uniform shuffle.  Column labels are assigned by one
 uniform relabelling at the end; the constrained sampler applies it only to
@@ -443,7 +449,12 @@ class _DegreeLaw(NamedTuple):
     values, lam = psi^{-1}(km / n), given that they sum to `total` = km.
 
     `pmf` is over `values` = 2, 3, ...; `accept` = pmf / max pmf; `p_hit` =
-    P(S_n = km).  When km = 2n every total is 2 and lam is 0.
+    P(S_n = km).  The solved pair is the neighbouring slots a = `pair` and
+    a + 1 whose Poisson(mu = n pmf) laws peak lowest; `pair_top` is log max f,
+    f(x, y) = mu_a^x / x! mu_{a+1}^y / y!, reached at the Poisson modes
+    floor(mu).  `solve_pair` names the proposal `_degrees` runs: the one
+    with fewer expected random draws per kept vector.  When km = 2n every
+    total is 2 and lam is 0.
     """
 
     n: int
@@ -453,42 +464,98 @@ class _DegreeLaw(NamedTuple):
     pmf: np.ndarray
     accept: np.ndarray
     p_hit: float
+    pair: int
+    pair_top: float
+    solve_pair: bool
 
 
 @lru_cache(maxsize=64)
 def _degree_law(k: int, m: int, n: int) -> _DegreeLaw:
-    """The column-total law of the (k, m, n) chip model, computed once per shape."""
+    """The column-total law of the (k, m, n) chip model, computed once per shape.
+
+    A last-total candidate is kept with probability p_hit / max p and costs
+    the multinomial's binomials, which stop after the largest slot drawn,
+    plus one uniform.  A solved-pair candidate is kept with probability
+    Pois(n; n) p_hit / max Pois(mu_a) max Pois(mu_{a+1}) and costs the other
+    slots' Poissons plus one uniform.  p_hit cancels from the comparison.
+    """
     km = k * m
     if km < 2 * n:
         raise ValueError(f"column sums >= 2 need km >= 2n, got km={km}, 2n={2 * n}")
     if km == 2 * n:
-        return _DegreeLaw(n, km, 0.0, np.array([2]), np.ones(1), np.ones(1), 1.0)
+        return _DegreeLaw(n, km, 0.0, np.array([2]), np.ones(1), np.ones(1), 1.0, 0, 0.0, False)
     lam = lambda_of(km / n)
     pmf = _tpois_pmf(lam)
     values = np.arange(2, 2 + len(pmf), dtype=np.int64)
-    return _DegreeLaw(n, km, lam, values, pmf, pmf / pmf.max(), _hit_probability(lam, n, km))
+    mu = n * pmf
+    log_mu = np.log(mu, out=np.zeros_like(mu), where=mu > 0)
+    mode = np.floor(mu)
+    peak = mode * log_mu - mu - np.array([math.lgamma(x + 1) for x in mode])  # log Pois(mode; mu)
+    pair = int(np.argmin(peak[:-1] + peak[1:]))
+    below = np.concatenate(([0.0], np.cumsum(pmf)[: len(pmf) - 2]))  # P(a free total lies below slot j)
+    last_cost = (np.sum(1.0 - below ** (n - 1)) + 1.0) * pmf.max()
+    log_pois_n = n * math.log(n) - n - math.lgamma(n + 1)  # log Pois(n; n)
+    pair_cost = (len(pmf) - 1) * math.exp(peak[pair] + peak[pair + 1] - log_pois_n)
+    top = peak[pair] + peak[pair + 1] + mu[pair] + mu[pair + 1]
+    return _DegreeLaw(n, km, lam, values, pmf, pmf / pmf.max(), _hit_probability(lam, n, km), pair, float(top),
+                      bool(pair_cost < last_cost))
+
+
+def _last_total_batch(rng, law: _DegreeLaw):
+    """One batch of last-total candidates: n - 1 free totals as one histogram
+    over the pmf table (a multinomial: O(#values) work, not O(n)), the last
+    total t kept with probability p(t) / max p, which leaves exactly the
+    conditioned law.  Returns the histograms and the kept rows, completed."""
+    hists = rng.multinomial(law.n - 1, law.pmf, size=_DEGREE_BATCH)
+    slot = law.total - 2 - hists @ law.values  # the last value t, less 2
+    fits = (slot >= 0) & (slot < len(law.pmf))
+    u = rng.random(_DEGREE_BATCH)
+    kept = np.flatnonzero(fits)[u[fits] < law.accept[slot[fits]]]
+    hists[kept, slot[kept]] += 1
+    return hists, kept
+
+
+def _solved_pair_batch(rng, law: _DegreeLaw):
+    """One batch of solved-pair candidates: the count of columns at every
+    total but the pair's two as independent Poisson(n p) values, then the
+    pair's counts (x, y) solved from the column sum n and the chip sum km,
+    kept when both are >= 0 with probability f(x, y) / max f.  Independent
+    Poissons given that they sum to n are the multinomial(n, p) histogram,
+    so this too leaves exactly the conditioned law.  Returns the histograms
+    and the kept rows, completed."""
+    a = law.pair
+    mu = law.n * law.pmf
+    log_mu = np.log(mu[a : a + 2])
+    mu[a : a + 2] = 0.0  # a zero mean draws nothing
+    hists = rng.poisson(mu, size=(_DEGREE_BATCH, len(mu)))
+    left = law.n - hists.sum(axis=1)  # x + y
+    y = law.total - hists @ law.values - law.values[a] * left  # the chips left, less values[a] (x + y)
+    x = left - y
+    u = rng.random(_DEGREE_BATCH)
+    fits = np.flatnonzero((x >= 0) & (y >= 0))
+    xy = np.stack((x[fits], y[fits]))
+    log_factorials = np.array([math.lgamma(v + 1) for v in xy.ravel().tolist()]).reshape(xy.shape)
+    kept = fits[u[fits] < np.exp(log_mu @ xy - log_factorials.sum(axis=0) - law.pair_top)]
+    hists[kept, a] = x[kept]
+    hists[kept, a + 1] = y[kept]
+    return hists, kept
 
 
 def _degrees(rng, law: _DegreeLaw):
     """Yield (ascending column totals, candidate count) pairs from `law`.
 
-    A candidate's n - 1 free totals are one histogram over the pmf table (a
-    multinomial: O(#values) work, not O(n)); its last total t is kept with
-    probability p(t) / max p, which leaves exactly the conditioned law.
-    Histograms come in fixed batches, so `rng` is consumed reproducibly; a
-    batch's hits are i.i.d., yielded in order and expanded only then.  The
-    count, the candidates plain resampling would have examined, is
-    Geometric(p_hit) and independent of the hit, so it is drawn directly.
+    Candidates come from the proposal `law.solve_pair` names, in fixed
+    batches, so `rng` is consumed reproducibly; a batch's hits are i.i.d.,
+    yielded in order and expanded only then.  The count, the candidates
+    plain resampling would have examined, is Geometric(p_hit) and
+    independent of the hit, so it is drawn directly.
     """
     while law.lam == 0.0:  # km = 2n: every total is 2 and nothing is drawn
         yield np.full(law.n, 2, dtype=np.int64), 0
+    batch = _solved_pair_batch if law.solve_pair else _last_total_batch
     while True:
-        hists = rng.multinomial(law.n - 1, law.pmf, size=_DEGREE_BATCH)
-        slot = law.total - 2 - hists @ law.values  # the last value t, less 2
-        fits = (slot >= 0) & (slot < len(law.pmf))
-        u = rng.random(_DEGREE_BATCH)
-        for h in np.flatnonzero(fits)[u[fits] < law.accept[slot[fits]]]:
-            hists[h, slot[h]] += 1
+        hists, kept = batch(rng, law)
+        for h in kept:
             yield np.repeat(law.values, hists[h]), int(rng.geometric(law.p_hit))
 
 

@@ -1,3 +1,4 @@
+import decimal
 import functools
 import hashlib
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorsatlab import certify
+from xorsatlab import certify, intervals
 from xorsatlab.errors import CertificateFormatError
 from xorsatlab.certify import (
     Certificate,
@@ -561,6 +562,75 @@ CERTIFICATE_SHA256 = "63d8e635551e4090b459d402a8c87fb8c62d3708757867f67f8fdefc31
 def test_certificate_bytes_pinned():
     text = "".join(_built_certificate(claim) for claim in ("amed", "k3grid", "alarge", "monotone"))
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256
+
+
+_LIBM = ("exp", "log", "expm1", "cosh")
+_DIGITS60 = decimal.Context(prec=60)
+
+
+class _RecordingMath:
+    """`math` with exp, log, expm1 and cosh recorded as (name, argument,
+    result) in `calls`, each result moved `ulps` ulps up."""
+
+    def __init__(self, ulps: int = 0):
+        self.calls = []
+        for name in _LIBM:
+            setattr(self, name, functools.partial(self._record, name, getattr(math, name), ulps))
+
+    def _record(self, name, fn, ulps, x):
+        r = fn(x)
+        for _ in range(ulps):
+            r = math.nextafter(r, math.inf)
+        self.calls.append((name, x, r))
+        return r
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def _beyond_one_ulp(name: str, x: float, r: float) -> bool:
+    """Whether libm's `name`(x) = r lies more than 1 ulp from the value that
+    decimal, whose exp and ln are correctly rounded, gives at 60 digits."""
+    d = decimal.Decimal(x)
+    exact = {
+        "exp": lambda: d.exp(_DIGITS60),
+        "log": lambda: d.ln(_DIGITS60),
+        "expm1": lambda: _DIGITS60.subtract(d.exp(_DIGITS60), 1),  # keeps 20+ digits for |x| > 1e-40
+        "cosh": lambda: _DIGITS60.divide(d.exp(_DIGITS60) + (-d).exp(_DIGITS60), 2),
+    }[name]()
+    return abs(decimal.Decimal(r) - exact) > decimal.Decimal(math.ulp(float(exact)))
+
+
+@pytest.fixture(scope="module")
+def pinned_certificates():
+    texts = [_built_certificate(claim) for claim in ("amed", "k3grid", "alarge", "monotone")]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == CERTIFICATE_SHA256
+    return [Certificate.loads(text) for text in texts]
+
+
+def _replay_recording(monkeypatch, certificates, ulps):
+    proxy = _RecordingMath(ulps)
+    monkeypatch.setattr(intervals, "math", proxy)
+    verdicts = [replay_certificate(cert) for cert in certificates]
+    monkeypatch.undo()
+    return verdicts, proxy.calls
+
+
+def test_libm_within_one_ulp_on_the_certificates(monkeypatch, pinned_certificates):
+    # intervals pads every libm result by 2 ulps, which is sound only if
+    # exp, log, expm1 and cosh are within 1 ulp at the arguments the
+    # certificates reach; check each distinct one against decimal
+    verdicts, calls = _replay_recording(monkeypatch, pinned_certificates, 0)
+    assert verdicts == [True] * 4
+    assert {name for name, _, _ in calls} == set(_LIBM)
+    assert [call for call in set(calls) if _beyond_one_ulp(*call)] == []
+
+
+def test_libm_check_refuses_a_libm_two_ulps_off(monkeypatch, pinned_certificates):
+    _, calls = _replay_recording(monkeypatch, pinned_certificates, 2)
+    for name in _LIBM:
+        first = [call for call in calls if call[0] == name][:20]
+        assert first and all(_beyond_one_ulp(*call) for call in first)
 
 
 def test_check_cover_edge_cases():

@@ -56,6 +56,21 @@ class TestUnconstrained:
         c = gen_unconstrained(3, 500, 400, Seed(7, 4))
         assert c.to_bytes() != a.to_bytes()
 
+    @pytest.mark.parametrize("k,m,n,trials", [(3, 6, 6, 400), (4, 20, 8, 300)])
+    def test_rows_are_uniform_k_subsets_near_n_equal_2k(self, k, m, n, trials):
+        # at n close to 2k most first draws repeat an index and are redrawn,
+        # some several times; every row must still hold k distinct indices,
+        # and each of the C(n, k) subsets must come up equally often
+        subsets = list(combinations(range(n), k))
+        counts = Counter()
+        for i in range(trials):
+            index = gen_unconstrained(k, m, n, Seed(5150 + k, i)).index
+            assert (np.diff(index, axis=1) > 0).all()
+            counts.update(map(tuple, index.tolist()))
+        assert set(counts) <= set(subsets)
+        expected = trials * m / len(subsets)
+        assert chi2_pvalue([counts[s] for s in subsets], [expected] * len(subsets)) > CHI2_SIGNIFICANCE
+
     def test_degree_distribution_chi2(self):
         from scipy.stats import binom
 
@@ -234,6 +249,29 @@ class TestConstrained:
         assert chi2_pvalue(observed, [samples / 24] * 24) > CHI2_SIGNIFICANCE
 
 
+def _sorted_totals(n, total, low=2):
+    """Every ascending vector of n totals >= `low` that sum to `total`."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for d in range(low, total // n + 1):
+        for rest in _sorted_totals(n - 1, total - d, d):
+            yield (d, *rest)
+
+
+def _two_sample_pvalue(a, b):
+    """Chi-square p-value that two count vectors over the same cells share
+    one law, cells with fewer than 10 counts in all merged into one."""
+    from scipy.stats import chi2_contingency
+
+    table = np.array([a, b])
+    rare = table.sum(axis=0) < 10
+    table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    return chi2_contingency(table)[1]
+
+
 def _has_row_duplicate_by_sorting(chip_columns, k, m):
     """The sort-based check `_has_row_duplicate` replaced, kept as its oracle."""
     cols = np.sort(chip_columns.reshape(m, k), axis=1)
@@ -251,16 +289,28 @@ class TestSamplerInternals:
         exact = float(Fraction(count_C_exact(k, m, n), math.factorial(km))) * lam**km / F.f(lam) ** n
         assert _hit_probability(lam, n, km) == pytest.approx(exact, rel=1e-9)
 
-    @pytest.mark.parametrize("total", [12, 13])
-    def test_degree_multisets_follow_conditioned_law(self, total):
-        # n = 4 i.i.d. truncated Poissons given their sum: P(d) is proportional
-        # to prod 1/d_i! over vectors with entries >= 2 summing to total
-        n = 4
-        law = Counter()
-        for d in product(range(2, total + 1), repeat=n):
-            if sum(d) == total:
-                law[tuple(sorted(d))] += Fraction(1, math.prod(math.factorial(x) for x in d))
+    @pytest.mark.parametrize("n,total,solve_pair", [
+        # the law's own choice at n = 4, which is the last total
+        pytest.param(4, 12, None, id="12"),
+        pytest.param(4, 13, None, id="13"),
+        pytest.param(4, 12, True, id="n4-12-pair"),
+        pytest.param(4, 13, True, id="n4-13-pair"),
+        # n from 1 to 6, and one km = 2n + 1 shape, under each proposal
+        *(pytest.param(n, total, pair, id=f"n{n}-{total}-{'pair' if pair else 'last'}")
+          for n, total in [(1, 5), (2, 9), (3, 12), (5, 16), (6, 18), (6, 13)] for pair in (False, True)),
+    ])
+    def test_degree_multisets_follow_conditioned_law(self, n, total, solve_pair):
+        # n i.i.d. truncated Poissons given their sum: P(d) is proportional
+        # to prod 1/d_i! over vectors with entries >= 2 summing to total,
+        # so a sorted vector weighs its orderings times that product
+        law = {
+            d: Fraction(math.factorial(n), math.prod(map(math.factorial, Counter(d).values())))
+            / math.prod(math.factorial(x) for x in d)
+            for d in _sorted_totals(n, total)
+        }
         degree_law = _degree_law(1, total, n)
+        if solve_pair is not None:
+            degree_law = degree_law._replace(solve_pair=solve_pair)
         stream = _degrees(np.random.default_rng(total), degree_law)
         samples = 20_000
         counts = Counter()
@@ -273,21 +323,72 @@ class TestSamplerInternals:
         weight = sum(law.values())
         keys = sorted(law)
         expected = [samples * float(law[key] / weight) for key in keys]
-        assert chi2_pvalue([counts.get(key, 0) for key in keys], expected) > CHI2_SIGNIFICANCE
+        if len(keys) > 1:  # n = 1 and km = 2n + 1 have a single vector
+            assert chi2_pvalue([counts.get(key, 0) for key in keys], expected) > CHI2_SIGNIFICANCE
         # the candidate counts are Geometric(p_hit): mean 1/p_hit, sd sqrt(1-p)/p
         p_hit = degree_law.p_hit
         assert abs(tries / samples - 1 / p_hit) < 5 * math.sqrt((1 - p_hit) / samples) / p_hit
 
+    @pytest.mark.parametrize("k,m,n", [(4, 1100, 1000), (3, 44, 40)])
+    def test_both_proposals_draw_one_law(self, k, m, n):
+        # two-sample chi-squares between the last total and the solved pair:
+        # on the columns at each total, pooled over the vectors, and on each
+        # vector's count of columns at the pair's lower total, whose spread
+        # the solved pair's accept step sets
+        law = _degree_law(k, m, n)
+        samples = 3000
+        hists, at_pair = [], []
+        for seed, solve_pair in ((91, False), (92, True)):
+            stream = _degrees(np.random.default_rng(seed), law._replace(solve_pair=solve_pair))
+            draws = np.array([np.bincount(next(stream)[0] - 2, minlength=len(law.pmf)) for _ in range(samples)])
+            hists.append(draws.sum(axis=0))
+            at_pair.append(draws[:, law.pair])
+        assert _two_sample_pvalue(*hists) > CHI2_SIGNIFICANCE
+        edges = np.unique(np.quantile(np.concatenate(at_pair), np.linspace(0, 1, 9)[1:-1]))
+        binned = [np.bincount(np.searchsorted(edges, c, side="right"), minlength=len(edges) + 1) for c in at_pair]
+        assert _two_sample_pvalue(*binned) > CHI2_SIGNIFICANCE
+
+    @pytest.mark.parametrize("k,m,n", [(4, 1100, 1000), (3, 44, 40), (3, 8, 3)])
+    def test_acceptance_rates_match_their_exact_values(self, k, m, n):
+        # a last-total candidate is kept with probability p_hit / max p, a
+        # solved-pair one with Pois(n; n) p_hit / (max Pois(mu_a) max Pois(mu_{a+1}));
+        # drawn batch by batch, so a proposal that keeps nothing fails here
+        from scipy.stats import poisson
+
+        law = _degree_law(k, m, n)
+        mu = n * law.pmf[law.pair : law.pair + 2]
+        rates = {
+            instances_module._last_total_batch: law.p_hit / law.pmf.max(),
+            instances_module._solved_pair_batch: poisson.pmf(n, n) * law.p_hit / poisson.pmf(np.floor(mu), mu).prod(),
+        }
+        batches = 300
+        for seed, (batch, rate) in enumerate(rates.items()):
+            rng = np.random.default_rng(seed)
+            kept = sum(len(batch(rng, law)[1]) for _ in range(batches))
+            draws = batches * instances_module._DEGREE_BATCH
+            assert abs(kept - draws * rate) < 5 * math.sqrt(draws * rate * (1 - rate))
+
+    @pytest.mark.parametrize("k,m,n,solve_pair", [
+        (3, 8, 3, False), (3, 7, 3, False), (3, 5, 6, False), (4, 900, 1000, True), (4, 1100, 1000, True),
+    ])
+    def test_proposal_choice(self, k, m, n, solve_pair):
+        # a few dense columns (criterion 02's and critical_census's shapes)
+        # keep the last total, whose few binomials stop early; a thousand
+        # columns take the solved pair
+        assert _degree_law(k, m, n).solve_pair is solve_pair
+
     def test_chip_streams_pinned(self):
         # the draws of the degree generator, the chip sampler and the
-        # constrained sampler, as produced by the queue-based degree stream
-        # the generator replaced; (2, 30, 30) is the km = 2n case
+        # constrained sampler; (4, 1100, 1000) takes the solved pair, the
+        # other shapes the last total, whose draws are those of the
+        # queue-based degree stream the generator replaced; (2, 30, 30) is
+        # the km = 2n case
         h = hashlib.sha256()
         for k, m, n in [(3, 40, 30), (4, 1100, 1000), (2, 30, 30)]:
             for degrees, count in islice(_degrees(Seed(k, n).generator(), _degree_law(k, m, n)), 300):
                 h.update(degrees.astype("<i8").tobytes())
                 h.update(count.to_bytes(8, "little"))
-        assert h.hexdigest() == "0d4a9fbb6ec9bc9b2563c458117b2afe81f85e69cebf4607a2c4bb1d6e7d18e9"
+        assert h.hexdigest() == "64c14c2709588cdcb4c13563047bb91671a004cecc7e987b8fc68bd860dbf41f"
         h = hashlib.sha256()
         for i in range(50):
             h.update(gen_C_model(3, 80, 60, Seed(17, i)).chip_columns.astype("<i8").tobytes())
